@@ -3,12 +3,14 @@
 //  (1) epsilon sweep — softening perfect partitioning reduces histogram
 //      iterations and end-to-end time (Sec. VI-B: "we certainly get a
 //      better scaling if we soften the perfect partitioning requirement");
-//  (2) splitter initialization — min/max reduction (the paper's choice) vs
-//      sampled quantile brackets (the sample-sort idea, Sec. III-B);
+//  (2) splitter search — dense min/max-bracketed bisection (the paper's
+//      choice) vs HSS-style sampled rounds plus interpolated dense probes
+//      (the sample-sort idea, Sec. III-B);
 //  (3) PGAS intra-node shortcut — shared-memory collectives vs MPI-through-
 //      the-loopback (Sec. VI-A1: "we replace collective communication by
 //      fast memcpy operations");
-//  (4) final merge strategy on the full sort (Sec. V-C).
+//  (4) final merge strategy on the full sort (Sec. V-C);
+//  (5) exchange schedule (Sec. VI-E1).
 #include <iostream>
 
 #include "bench_common.h"
@@ -96,19 +98,19 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  // (2) splitter initialization.
+  // (2) splitter search.
   {
-    Table t({"init strategy", "histogram iters", "time [s]"});
-    for (auto [name, init] :
-         {std::pair{"min/max reduction (paper)", core::SplitterInit::MinMax},
-          std::pair{"sampled brackets", core::SplitterInit::Sampled}}) {
+    Table t({"splitter search", "histogram iters", "time [s]"});
+    for (auto [name, mode] :
+         {std::pair{"min/max bisection (paper)", core::HistogramMode::Dense},
+          std::pair{"sampled rounds + interpolation",
+                    core::HistogramMode::Hybrid}}) {
       core::SortConfig scfg;
-      scfg.init = init;
-      scfg.sample_per_rank = 64;
+      scfg.histogram = mode;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
       t.add_row({name, std::to_string(r.iterations), fmt(r.time)});
     }
-    std::cout << "(2) initial splitter guesses:\n" << t.to_string() << "\n";
+    std::cout << "(2) splitter search:\n" << t.to_string() << "\n";
   }
 
   // (3) PGAS intra-node shortcut.
@@ -139,31 +141,31 @@ int main(int argc, char** argv) {
     std::cout << "(4) final local merge strategy:\n" << t.to_string() << "\n";
   }
 
-  // (5) exchange algorithm (Sec. VI-E1 future work, delivered).
+  // (5) exchange schedule (Sec. VI-E1 future work, delivered).
   {
     Table t({"exchange", "time [s]"});
-    struct Cfg {
-      const char* name;
-      core::ExchangeAlgorithm algo;
-      bool overlap;
-    };
-    for (const Cfg& x : {Cfg{"ALL-TO-ALLV collective (paper)",
-                             core::ExchangeAlgorithm::Alltoallv, false},
-                         Cfg{"1-factor pairwise rounds",
-                             core::ExchangeAlgorithm::OneFactor, false},
-                         Cfg{"1-factor + merge-on-arrival overlap",
-                             core::ExchangeAlgorithm::OneFactor, true},
-                         Cfg{"hypercube store-and-forward",
-                             core::ExchangeAlgorithm::Hypercube, false},
-                         Cfg{"hierarchical node leaders",
-                             core::ExchangeAlgorithm::Hierarchical, false}}) {
-      core::SortConfig scfg;
-      scfg.exchange = x.algo;
-      scfg.overlap_merge = x.overlap;
-      const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
-      t.add_row({x.name, fmt(r.time)});
+    const int P = nodes * rpn;
+    std::vector<std::pair<std::string, core::SortConfig>> rows;
+    rows.emplace_back("ALL-TO-ALLV collective (paper)", core::SortConfig{});
+    for (int k : {2, 4, P}) {
+      for (bool overlap : {false, true}) {
+        core::SortConfig scfg;
+        scfg.exchange = core::ExchangeAlgorithm::KAry;
+        scfg.exchange_k = k;
+        scfg.overlap_merge = overlap;
+        rows.emplace_back("k-ary k=" + std::to_string(k) +
+                              (overlap ? " + merge overlap" : ""),
+                          scfg);
+      }
     }
-    std::cout << "(5) data exchange algorithm:\n" << t.to_string();
+    core::SortConfig hierarchical;
+    hierarchical.exchange = core::ExchangeAlgorithm::Hierarchical;
+    rows.emplace_back("hierarchical node leaders", hierarchical);
+    for (const auto& [name, scfg] : rows) {
+      const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
+      t.add_row({name, fmt(r.time)});
+    }
+    std::cout << "(5) data exchange schedule:\n" << t.to_string();
   }
   return 0;
 }

@@ -1,7 +1,8 @@
 // Exchange data-path study: real wall-clock comparison of the single-copy
-// pull path (Comm::alltoallv_into, DESIGN.md sec. 11) against the legacy
-// packed path for the exchange and merge supersteps, at P in {8, 16} on u64
-// keys and 64-byte records.
+// pull path (core::exchange over Comm::alltoallv_into, DESIGN.md sec. 11)
+// against a packed reference — compute_send_counts followed by the
+// arena-staged Comm::alltoallv — for the exchange and merge supersteps, at
+// P in {8, 16} on u64 keys and 64-byte records.
 //
 // Like bench_local_sort this measures *real* time, not simulated time: the
 // two paths charge bit-identical simulated costs by construction (asserted
@@ -69,8 +70,23 @@ struct Timing {
   double total = 0.0;     ///< median seconds, exchange + merge
 };
 
+/// The packed reference exchange: the pull path's send counts, moved by the
+/// arena-staged collective (executor packs, receivers copy out).
+template <class T, class UK>
+core::ExchangeResult<T> exchange_packed(runtime::Comm& c,
+                                        std::span<const T> sorted_local,
+                                        const core::SplitterResult<UK>& sp) {
+  net::PhaseScope phase(c.clock(), net::Phase::Exchange);
+  core::ExchangeResult<T> out;
+  const std::vector<usize> send =
+      core::compute_send_counts(c, sorted_local.size(), sp);
+  out.data = c.alltoallv(sorted_local, std::span<const usize>(send),
+                         &out.recv_counts);
+  return out;
+}
+
 template <class T, class KeyFn, class MakeFn>
-Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
+Timing time_exchange(int P, usize n, int reps, u64 seed, bool packed,
                      core::MergeStrategy merge, KeyFn key, MakeFn make) {
   runtime::Team team({.nranks = P});
   std::vector<double> t_exchange, t_total;
@@ -86,6 +102,10 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
     for (usize b = 0; b < targets.size(); ++b) targets[b] = (b + 1) * n;
     const auto sp = core::find_splitters(c, sorted_view, key,
                                          std::span<const usize>(targets));
+    const auto run_exchange = [&] {
+      return packed ? exchange_packed(c, sorted_view, sp)
+                    : core::exchange(c, sorted_view, sp);
+    };
 
     // Two separate rep loops rather than split timestamps in one: the merge
     // between reps perturbs allocator and cache state enough to swamp the
@@ -94,7 +114,7 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
     for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
       c.barrier();
       const double t0 = now_s();
-      auto ex = core::exchange(c, sorted_view, sp, path);
+      auto ex = run_exchange();
       c.barrier();
       const double t1 = now_s();
       usize off = 0;
@@ -115,7 +135,7 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
     for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
       c.barrier();
       const double t0 = now_s();
-      auto ex = core::exchange(c, sorted_view, sp, path);
+      auto ex = run_exchange();
       core::merge_chunks(c, ex.data, std::span<const usize>(ex.recv_counts),
                          merge, key);
       c.barrier();
@@ -138,9 +158,8 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, core::DataPath path,
 /// per-round simulated breakdown (communication vs overlapped merge) is
 /// captured from rank 0 during the warmup rep — it is deterministic.
 template <class T, class KeyFn, class MakeFn>
-double time_kary(int P, usize n, int reps, u64 seed, core::DataPath path,
-                 int k, KeyFn key, MakeFn make,
-                 std::vector<core::KAryRoundTrace>& trace_out) {
+double time_kary(int P, usize n, int reps, u64 seed, int k, KeyFn key,
+                 MakeFn make, std::vector<core::KAryRoundTrace>& trace_out) {
   runtime::Team team({.nranks = P});
   std::vector<double> t_total;
   team.run([&](runtime::Comm& c) {
@@ -160,7 +179,7 @@ double time_kary(int P, usize n, int reps, u64 seed, core::DataPath path,
       c.barrier();
       const double t0 = now_s();
       auto ex = core::exchange_kary(
-          c, sorted_view, sp, key, k, /*overlap_merge=*/true, path,
+          c, sorted_view, sp, key, k, /*overlap_merge=*/true,
           (r == 0 && c.rank() == 0) ? &trace_out : nullptr);
       c.barrier();
       const double t1 = now_s();
@@ -178,7 +197,7 @@ double time_kary(int P, usize n, int reps, u64 seed, core::DataPath path,
 }
 
 /// One representative traced run for --trace / --ledger (satellite of the
-/// observability PR): u64 keys at P=16 through the pull-path k-ary exchange
+/// observability PR): u64 keys at P=16 through the k-ary exchange
 /// with merge overlap — the configuration the CI gate watches — executed
 /// once in a trace-enabled team so the run ledger gets real slices. The
 /// wall-clock cells above stay untraced: tracing is observational for
@@ -212,8 +231,7 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
     }();
     net::PhaseScope ps(c.clock(), net::Phase::Exchange);
     auto ex = core::exchange_kary(c, sorted_view, sp, key, kArity,
-                                  /*overlap_merge=*/true,
-                                  core::DataPath::Pull, nullptr);
+                                  /*overlap_merge=*/true);
     if (!std::is_sorted(ex.data.begin(), ex.data.end())) {
       std::cerr << "FATAL: traced k-ary exchange produced unsorted output\n";
       std::exit(1);
@@ -315,11 +333,10 @@ int main(int argc, char** argv) {
   auto run_cell = [&](const std::string& type, int P, usize n, auto key,
                       auto make) {
     using T = std::decay_t<decltype(make(std::declval<Xoshiro256&>()))>;
-    const Timing packed = time_exchange<T>(
-        P, n, reps, seed, core::DataPath::Packed, merge, key, make);
-    const Timing pull = time_exchange<T>(P, n, reps, seed,
-                                         core::DataPath::Pull, merge, key,
-                                         make);
+    const Timing packed =
+        time_exchange<T>(P, n, reps, seed, /*packed=*/true, merge, key, make);
+    const Timing pull = time_exchange<T>(P, n, reps, seed, /*packed=*/false,
+                                         merge, key, make);
     const auto emit = [&](const std::string& phase, double t_packed,
                           double t_pull) {
       const double speedup = t_pull > 0.0 ? t_packed / t_pull : 0.0;
@@ -355,9 +372,8 @@ int main(int argc, char** argv) {
     cell.n_per_rank = n;
     cell.algo = "kary";
     cell.k = k;
-    cell.seconds_median = time_kary<T>(P, n, reps, seed,
-                                       core::DataPath::Pull, k, key, make,
-                                       cell.rounds);
+    cell.seconds_median =
+        time_kary<T>(P, n, reps, seed, k, key, make, cell.rounds);
     cell.speedup_vs_packed = cell.seconds_median > 0.0
                                  ? packed_total / cell.seconds_median
                                  : 0.0;

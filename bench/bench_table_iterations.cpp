@@ -5,7 +5,7 @@
 //
 // Paper reference points: 64-bit floats converge in 60-64 iterations,
 // 32-bit floats in 25-35, uniform u64 in [0,1e9] in ~30; P does not matter.
-// It also sweeps the PR 10 histogram modes (dense / sampled / hybrid) over
+// It also sweeps the histogram modes (dense / hybrid) over
 // distribution x epsilon x P cells and emits BENCH_histogram.json: per-cell
 // rounds, probe volume, histogram traffic split sampled-vs-dense, and the
 // histogram-phase / total simulated seconds. tools/validate_bench.py gates
@@ -55,7 +55,6 @@ usize median_iterations(int P, [[maybe_unused]] usize n_rank, int reps,
 constexpr const char* mode_name(core::HistogramMode m) {
   switch (m) {
     case core::HistogramMode::Dense: return "dense";
-    case core::HistogramMode::Sampled: return "sampled";
     case core::HistogramMode::Hybrid: return "hybrid";
   }
   return "?";
@@ -245,7 +244,7 @@ int main(int argc, char** argv) {
                  "range, not the processor count.\n";
   }
 
-  // --- histogram-mode sweep (PR 10): dense vs sampled vs hybrid ------------
+  // --- histogram-mode sweep: dense vs hybrid -------------------------------
   const std::string out_path =
       args.get_string("out", "BENCH_histogram.json");
   const usize grid_n = static_cast<usize>(
@@ -257,8 +256,7 @@ int main(int argc, char** argv) {
   const std::vector<double> epsilons = {0.0, 0.01, 0.1};
   const std::vector<int> grid_ranks = {16, 64};
   const std::vector<core::HistogramMode> modes = {
-      core::HistogramMode::Dense, core::HistogramMode::Sampled,
-      core::HistogramMode::Hybrid};
+      core::HistogramMode::Dense, core::HistogramMode::Hybrid};
 
   std::vector<HistCell> cells;
   Table ht({"dist", "eps", "P", "mode", "iters (sampled)", "probes",

@@ -97,31 +97,8 @@ echo "=== trace smoke: quickstart --trace ==="
 (cd build-ci-relwithdebinfo &&
   ./examples/quickstart --ranks=8 --keys-per-rank=20000 \
     --trace=trace_smoke.json >/dev/null)
-python3 - build-ci-relwithdebinfo/trace_smoke.json <<'PYEOF'
-import json, sys
-from collections import defaultdict
-d = json.load(open(sys.argv[1]))
-hds = d["hds"]
-P = hds["ranks"]
-phases = hds["phases"]
-assert P == 8, f"expected 8 ranks, got {P}"
-slices = [e for e in d["traceEvents"] if e.get("ph") == "X"]
-assert slices, "no complete events in trace"
-assert {e["tid"] for e in slices} == set(range(P)), "missing rank tracks"
-assert {e["cat"] for e in slices} <= set(phases), "unknown phase category"
-sums = [defaultdict(float) for _ in range(P)]
-for e in slices:
-    sums[e["tid"]][e["cat"]] += e["dur"] / 1e6
-worst = 0.0
-for r in range(P):
-    for p, name in enumerate(phases):
-        clock = hds["clock_phase_seconds"][r][p]
-        err = abs(sums[r][name] - clock) / max(1.0, abs(clock))
-        worst = max(worst, err)
-assert worst <= 1e-9, f"trace/clock mismatch: rel err {worst}"
-print(f"trace smoke OK: {len(slices)} slices over {P} ranks, "
-      f"worst reconciliation error {worst:.2e}")
-PYEOF
+python3 tools/validate_bench.py trace \
+  build-ci-relwithdebinfo/trace_smoke.json
 
 # Check smoke: the quickstart under the happens-before checker must report
 # zero PGAS consistency violations at every CI rank count (the ctest suite
@@ -135,7 +112,7 @@ for p in 4 8 16; do
 done
 
 # Model check (DESIGN.md sec. 15): the static schedule matcher over the
-# full algorithm x exchange x data-path grid (plus the seeded
+# histogram sort's exchange schedules and the five baselines (plus the seeded
 # collective-order swap that must FAIL the lint), then bounded
 # schedule-space exploration of the histogram sort at P in {2, 3} and the
 # mailbox/borrow/recovery micro-protocols at P = 4 — deadlock-freedom,
@@ -222,6 +199,14 @@ python3 tools/perf_history.py check --history BENCH_history.jsonl \
   build-ci-relwithdebinfo/LEDGER_exchange.json \
   build-ci-relwithdebinfo/LEDGER_histogram.json \
   build-ci-relwithdebinfo/LEDGER_recovery.json
+
+# End-to-end benchmark smoke: perfbench/ builds its own binary against the
+# core API (SortConfig, SortStats, the superstep state machine), which no
+# configuration above compiles. smoke_test.py builds it, runs every workload
+# twice per trace mode at tiny sizes, and checks that each metric
+# BENCHMARK.json names is emitted and that simulated numbers repeat exactly.
+echo "=== perfbench smoke: perfbench/smoke_test.py ==="
+python3 perfbench/smoke_test.py
 
 # TSan wants debug info and no aggressive inlining to produce usable
 # reports; RelWithDebInfo (-O2 -g) is the supported sweet spot. Benchmarks

@@ -7,11 +7,10 @@
 //     schedules, no extra payload movement), and the recorder lints the
 //     capture: identical collective sequences across every communicator's
 //     members, every send paired with a recv, every borrowed-payload loan
-//     explicitly waited. The grid is histogram sort x {alltoallv,
-//     hypercube, 1-factor, k-ary k in {2, 3, P}} x {pull, packed} plus the
-//     five baseline sorts, all at P = 8. A seeded collective-order swap
-//     (--matcher-negative, also run by default) must FAIL the lint — it
-//     guards the matcher itself.
+//     explicitly waited. The grid is histogram sort x {alltoallv, k-ary
+//     k in {2, 3, P}} plus the five baseline sorts, all at P = 8. A seeded
+//     collective-order swap (--matcher-negative, also run by default) must
+//     FAIL the lint — it guards the matcher itself.
 //
 //  2. Bounded schedule-space explorer — DFS over rank interleavings of the
 //     canonical scenarios (model/scenarios.h) under the controlled
@@ -72,9 +71,9 @@ std::vector<u64> grid_data(int rank, int nranks, usize n) {
   return workload::generate_u64(gen, rank, nranks, n);
 }
 
-/// The full matcher grid: histogram sort across every exchange algorithm
-/// and data path, plus the five baselines. P = 8 covers the power-of-two
-/// algorithms (hypercube, bitonic, hss) and k-ary forwarding alike.
+/// The full matcher grid: histogram sort across the exchange schedules,
+/// plus the five baselines. P = 8 covers the power-of-two algorithms
+/// (k-ary at k = 2, bitonic, hss) and k-ary forwarding alike.
 std::vector<GridCase> matcher_grid() {
   constexpr int P = 8;
   constexpr usize kPerRank = 64;
@@ -87,29 +86,20 @@ std::vector<GridCase> matcher_grid() {
   };
   const Ex exchanges[] = {
       {"alltoallv", core::ExchangeAlgorithm::Alltoallv, 0},
-      {"hypercube", core::ExchangeAlgorithm::Hypercube, 0},
-      {"onefactor", core::ExchangeAlgorithm::OneFactor, 0},
       {"kary-k2", core::ExchangeAlgorithm::KAry, 2},
       {"kary-k3", core::ExchangeAlgorithm::KAry, 3},
       {"kary-kP", core::ExchangeAlgorithm::KAry, P},
   };
-  const std::pair<const char*, core::DataPath> paths[] = {
-      {"pull", core::DataPath::Pull},
-      {"packed", core::DataPath::Packed},
-  };
-  for (const auto& [path_name, path] : paths)
-    for (const Ex& ex : exchanges) {
-      core::SortConfig cfg;
-      cfg.exchange = ex.algo;
-      if (ex.k > 0) cfg.exchange_k = ex.k;
-      cfg.path = path;
-      cases.push_back(
-          {std::string("histogram-") + ex.name + "-" + path_name, P,
-           [cfg](runtime::Comm& c) {
-             auto local = grid_data(c.rank(), c.size(), kPerRank);
-             core::sort(c, local, cfg);
-           }});
-    }
+  for (const Ex& ex : exchanges) {
+    core::SortConfig cfg;
+    cfg.exchange = ex.algo;
+    if (ex.k > 0) cfg.exchange_k = ex.k;
+    cases.push_back({std::string("histogram-") + ex.name, P,
+                     [cfg](runtime::Comm& c) {
+                       auto local = grid_data(c.rank(), c.size(), kPerRank);
+                       core::sort(c, local, cfg);
+                     }});
+  }
 
   cases.push_back({"baseline-bitonic", P, [](runtime::Comm& c) {
                      auto local = grid_data(c.rank(), c.size(), kPerRank);

@@ -9,8 +9,7 @@
 //
 //   ./quickstart [--ranks=8] [--keys-per-rank=100000] [--epsilon=0.0]
 //               [--trace=trace.json] [--ledger=ledger.json] [--check]
-//               [--path=pull|packed] [--exchange-k=4]
-//               [--histogram=dense|sampled|hybrid] [--oversample=K]
+//               [--exchange-k=4] [--histogram=dense|hybrid] [--oversample=K]
 //               [--fault=crash] [--fault-rank=1] [--fault-op=20]
 //               [--fault-seed=7] [--straggle=0.5] [--drop=0.05]
 //               [--recovery=restart|resume|shrink]
@@ -22,20 +21,17 @@
 // sort config, per-phase and per-op-class time, and the fitted cost-model
 // constants — and prints the differential-profiler attribution table
 // showing where the cost model disagrees with the traced run.
-// --path selects the exchange data path (DESIGN.md sec. 11): "pull" is the
-// default single-copy alltoallv_into path, "packed" the legacy arena-staged
-// collective; results and simulated time are identical either way.
 // --exchange-k=K switches superstep 3 to the k-ary swap schedule with
 // merge/communication overlap (DESIGN.md sec. 13): ceil(log_K P) rounds of
 // K-1 partners each, merging previous arrivals while the current round's
 // copies are in flight. K=2 is the hypercube schedule, K>=P one direct
 // round. Without the flag the paper's single-alltoallv exchange is used.
 // --histogram selects the splitter-search strategy (DESIGN.md sec. 16):
-// "dense" is the paper's probe-and-allreduce baseline, "sampled" runs
-// HSS-style sampled bracket rounds first, "hybrid" adds interpolated dense
-// probes seeded from the sampled CDF. All modes sort identically; they
-// differ in histogram rounds and bytes. --oversample=K sets the sample keys
-// drawn per rank per sampled round (beyond the two forced extremes).
+// "dense" is the paper's probe-and-allreduce baseline, "hybrid" runs
+// HSS-style sampled bracket rounds first and then interpolated dense probes
+// seeded from the sampled CDF. Both modes sort identically; they differ in
+// histogram rounds and bytes. --oversample=K scales the sample keys drawn
+// per rank per sampled round.
 // --fault=crash kills --fault-rank at its --fault-op'th communication op;
 // --straggle=S delays it by S simulated seconds instead; --drop=P drops
 // each message with probability P (seeded by --fault-seed). Any of these
@@ -49,6 +45,8 @@
 // choices and seeded mutation, reproducing the reported deadlock /
 // protocol violation deterministically. Exits 1 if the issue reproduces,
 // 0 if the schedule runs clean.
+// Otherwise the exit status is 0 for a globally sorted result and 1 if the
+// output is not globally sorted (or --check found a violation).
 #include <fstream>
 #include <iostream>
 
@@ -67,7 +65,6 @@ namespace {
 const char* histogram_mode_name(hds::core::HistogramMode m) {
   switch (m) {
     case hds::core::HistogramMode::Dense: return "dense";
-    case hds::core::HistogramMode::Sampled: return "sampled";
     case hds::core::HistogramMode::Hybrid: return "hybrid";
   }
   return "?";
@@ -82,7 +79,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string ledger_path;
   bool check = false;
-  core::DataPath path = core::DataPath::Pull;
   int exchange_k = 0;  // 0 = alltoallv (the default exchange)
   core::HistogramMode histogram = core::HistogramMode::Dense;
   usize oversample = 8;
@@ -104,17 +100,6 @@ int main(int argc, char** argv) {
     if (arg.rfind("--trace=", 0) == 0) trace_path = arg.substr(8);
     if (arg.rfind("--ledger=", 0) == 0) ledger_path = arg.substr(9);
     if (arg == "--check") check = true;
-    if (arg.rfind("--path=", 0) == 0) {
-      const std::string v = arg.substr(7);
-      if (v == "packed") {
-        path = core::DataPath::Packed;
-      } else if (v == "pull") {
-        path = core::DataPath::Pull;
-      } else {
-        std::cerr << "unknown --path value: " << v << " (pull|packed)\n";
-        return 2;
-      }
-    }
     if (arg.rfind("--exchange-k=", 0) == 0) {
       exchange_k = std::stoi(arg.substr(13));
       if (exchange_k < 2) {
@@ -126,13 +111,11 @@ int main(int argc, char** argv) {
       const std::string v = arg.substr(12);
       if (v == "dense") {
         histogram = core::HistogramMode::Dense;
-      } else if (v == "sampled") {
-        histogram = core::HistogramMode::Sampled;
       } else if (v == "hybrid") {
         histogram = core::HistogramMode::Hybrid;
       } else {
         std::cerr << "unknown --histogram value: " << v
-                  << " (dense|sampled|hybrid)\n";
+                  << " (dense|hybrid)\n";
         return 2;
       }
     }
@@ -238,6 +221,16 @@ int main(int argc, char** argv) {
     if (drop_p > 0.0) plan->drop_messages_with_probability(drop_p);
   }
 
+  core::SortConfig cfg;
+  cfg.epsilon = epsilon;
+  cfg.histogram = histogram;
+  cfg.oversample = oversample;
+  if (exchange_k > 0) {
+    cfg.exchange = core::ExchangeAlgorithm::KAry;
+    cfg.exchange_k = exchange_k;
+    cfg.overlap_merge = true;
+  }
+
   runtime::TeamConfig tcfg{
       .nranks = ranks,
       .trace = !trace_path.empty() || !ledger_path.empty()};
@@ -257,16 +250,6 @@ int main(int argc, char** argv) {
       parts[static_cast<usize>(r)] =
           workload::generate_u64(gen, r, ranks, keys_per_rank);
 
-    core::SortConfig cfg;
-    cfg.epsilon = epsilon;
-    cfg.path = path;
-    cfg.histogram = histogram;
-    cfg.oversample = oversample;
-    if (exchange_k > 0) {
-      cfg.exchange = core::ExchangeAlgorithm::KAry;
-      cfg.exchange_k = exchange_k;
-      cfg.overlap_merge = true;
-    }
     core::ResilienceConfig rcfg;
     rcfg.mode = recovery;
     core::ResilienceReport rep;
@@ -302,6 +285,15 @@ int main(int argc, char** argv) {
     return sorted ? 0 : 1;
   }
 
+  // Per-rank results, printed by the main thread in rank order once the
+  // rank threads have joined.
+  struct RankSlice {
+    u64 front = 0, back = 0;
+    usize n = 0;
+  };
+  std::vector<RankSlice> slices(static_cast<usize>(ranks));
+  core::SortStats stats;
+  bool ok = false;
   team.run([&](runtime::Comm& comm) {
     // 1. Each rank owns a local partition — here: random 64-bit keys.
     workload::GenConfig gen;
@@ -310,48 +302,42 @@ int main(int argc, char** argv) {
         workload::generate_u64(gen, comm.rank(), comm.size(), keys_per_rank);
 
     // 2. One call sorts the distributed sequence.
-    core::SortConfig cfg;
-    cfg.epsilon = epsilon;
-    cfg.path = path;
-    cfg.histogram = histogram;
-    cfg.oversample = oversample;
-    if (exchange_k > 0) {
-      cfg.exchange = core::ExchangeAlgorithm::KAry;
-      cfg.exchange_k = exchange_k;
-      cfg.overlap_merge = true;
-    }
-    const core::SortStats stats = core::sort(comm, local, cfg);
+    const core::SortStats mine = core::sort(comm, local, cfg);
 
     // 3. The local partition now holds this rank's slice of the globally
     //    sorted sequence.
-    const bool ok = core::is_globally_sorted(
+    const bool sorted = core::is_globally_sorted(
         comm, std::span<const u64>(local.data(), local.size()),
         [](u64 v) { return v; });
 
     if (comm.rank() == 0) {
-      std::cout << "sorted " << comm.size() << " x " << keys_per_rank
-                << " keys: " << (ok ? "globally sorted" : "FAILED") << "\n"
-                << "  histogram mode       : " << histogram_mode_name(histogram)
-                << " (oversample " << oversample << ")\n"
-                << "  histogram iterations : "
-                << stats.histogram_iterations << " (" << stats.sampled_rounds
-                << " sampled)\n"
-                << "  splitter probes      : " << stats.splitter_probes
-                << "\n"
-                << "  histogram bytes      : " << stats.hist_bytes_sampled
-                << " sampled + " << stats.hist_bytes_dense << " dense\n"
-                << "  sent off-rank (r0)   : "
-                << stats.elements_sent_off_rank << " of "
-                << stats.elements_before << "\n";
+      stats = mine;
+      ok = sorted;
     }
-    comm.barrier();
-    if (local.empty())
-      std::cout << "  rank " << comm.rank() << ": [empty], n=0\n";
-    else
-      std::cout << "  rank " << comm.rank() << ": [" << local.front()
-                << " .. " << local.back() << "], n=" << local.size() << "\n";
+    if (!local.empty())
+      slices[static_cast<usize>(comm.rank())] = {local.front(), local.back(),
+                                                 local.size()};
   });
 
+  std::cout << "sorted " << ranks << " x " << keys_per_rank
+            << " keys: " << (ok ? "globally sorted" : "FAILED") << "\n"
+            << "  histogram mode       : " << histogram_mode_name(histogram)
+            << " (oversample " << oversample << ")\n"
+            << "  histogram iterations : " << stats.histogram_iterations
+            << " (" << stats.sampled_rounds << " sampled)\n"
+            << "  splitter probes      : " << stats.splitter_probes << "\n"
+            << "  histogram bytes      : " << stats.hist_bytes_sampled
+            << " sampled + " << stats.hist_bytes_dense << " dense\n"
+            << "  sent off-rank (r0)   : " << stats.elements_sent_off_rank
+            << " of " << stats.elements_before << "\n";
+  for (int r = 0; r < ranks; ++r) {
+    const RankSlice& sl = slices[static_cast<usize>(r)];
+    if (sl.n == 0)
+      std::cout << "  rank " << r << ": [empty], n=0\n";
+    else
+      std::cout << "  rank " << r << ": [" << sl.front << " .. " << sl.back
+                << "], n=" << sl.n << "\n";
+  }
   std::cout << "simulated makespan: " << team.stats().makespan_s << " s\n";
 
   if (const obs::TraceReport* trace = team.trace()) {
@@ -368,7 +354,6 @@ int main(int argc, char** argv) {
       led.total_elements =
           static_cast<u64>(ranks) * static_cast<u64>(keys_per_rank);
       led.config = {{"epsilon", std::to_string(epsilon)},
-                    {"path", path == core::DataPath::Pull ? "pull" : "packed"},
                     {"exchange_k", std::to_string(exchange_k)},
                     {"histogram", histogram_mode_name(histogram)},
                     {"oversample", std::to_string(oversample)}};
@@ -386,5 +371,5 @@ int main(int argc, char** argv) {
     std::cout << rep->summary() << "\n";
     if (!rep->clean()) return 1;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

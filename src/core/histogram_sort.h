@@ -40,16 +40,14 @@ namespace hds::core {
 /// How superstep 3 moves the data.
 enum class ExchangeAlgorithm : u8 {
   Alltoallv,  ///< single collective ALL-TO-ALLV (the paper's evaluated path)
-  OneFactor,  ///< pairwise 1-factor rounds (Sec. VI-E1 future work)
-  Hypercube,  ///< store-and-forward, log2(P) rounds — for small N/P
-              ///< (Sec. VI-E1); requires a power-of-two rank count
   Hierarchical,  ///< node-leader funneling (Sec. VI-E1): only one core per
                  ///< node touches the NIC; world communicator only
   KAry,  ///< tunable k-ary swap schedule (DESIGN.md sec. 13): store-and-
          ///< forward in ceil(log_k P) rounds of k-1 group partners each,
-         ///< spanning hypercube (k = 2) to direct exchange (k >= P); any
-         ///< rank count; with overlap_merge, round r-1's arrivals are
-         ///< tail-merged while round r's payload copies are in flight
+         ///< spanning the hypercube (k = 2, Sec. VI-E1's log2(P) rounds for
+         ///< small N/P) to direct exchange (k >= P); any rank count; with
+         ///< overlap_merge, round r-1's arrivals are tail-merged while
+         ///< round r's payload copies are in flight
 };
 
 struct SortConfig {
@@ -58,33 +56,26 @@ struct SortConfig {
   MergeStrategy merge = MergeStrategy::Sort;
   /// Local-sort kernel for superstep 1 and the Sort merge strategy.
   LocalSortKernel kernel = LocalSortKernel::Auto;
-  SplitterInit init = SplitterInit::MinMax;
-  usize sample_per_rank = 16;  ///< only used with SplitterInit::Sampled
   /// Histogramming strategy of the splitter search (PR 10): Dense is the
-  /// paper's probe-and-allreduce baseline; Sampled/Hybrid run HSS-style
-  /// sampled rounds first (replacing the SplitterInit phase, so `init` is
-  /// ignored for them) and Hybrid additionally interpolates dense probes
-  /// from the sampled CDF. All modes produce identical sorted output.
+  /// paper's probe-and-allreduce baseline; Hybrid runs HSS-style sampled
+  /// rounds first and interpolates dense probes from the sampled CDF. Both
+  /// modes produce identical sorted output.
   HistogramMode histogram = HistogramMode::Dense;
-  /// Oversampling factor of the sampled rounds (Sampled/Hybrid only): each
-  /// rank contributes ~(oversample + 2) * sqrt(#boundaries in segment)
+  /// Oversampling factor of the sampled rounds (Hybrid only): each rank
+  /// contributes ~(oversample + 2) * sqrt(#boundaries in segment)
   /// systematically sampled keys per search segment per round.
   usize oversample = 8;
   ExchangeAlgorithm exchange = ExchangeAlgorithm::Alltoallv;
-  /// How superstep 3 moves payload bytes through the runtime (see
-  /// core/exchange.h): Pull is the single-copy path, Packed the legacy
-  /// arena-staged reference. Identical results and simulated time.
-  DataPath path = DataPath::Pull;
   /// With ExchangeAlgorithm::KAry: per-round group size ("radix") of the
-  /// swap schedule. 2 reproduces the hypercube's log2(P) rounds of one
-  /// partner; >= P collapses to a single direct-exchange round; values in
-  /// between trade rounds (latency, forwarding traffic) against partners
-  /// per round and merge fan-in. See kary_round_factors for non-k-smooth P.
+  /// swap schedule. 2 gives the hypercube's log2(P) rounds of one partner;
+  /// >= P collapses to a single direct-exchange round; values in between
+  /// trade rounds (latency, forwarding traffic) against partners per round
+  /// and merge fan-in. See kary_round_factors for non-k-smooth P.
   int exchange_k = 4;
-  /// With ExchangeAlgorithm::OneFactor or KAry: merge received chunks on
-  /// arrival instead of in superstep 4, overlapping the merge with the
-  /// remaining communication rounds (for KAry the overlap is charged
-  /// against the round's p2p window via CostModel::overlapped_merge).
+  /// With ExchangeAlgorithm::KAry: merge received chunks on arrival instead
+  /// of in superstep 4, overlapping the merge with the remaining
+  /// communication rounds (charged against the round's p2p window via
+  /// CostModel::overlapped_merge).
   bool overlap_merge = false;
   /// Skip superstep 1 when the caller guarantees sorted local input.
   bool input_is_sorted = false;
@@ -141,8 +132,6 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
 
   MultiselectConfig mcfg;
   mcfg.epsilon = cfg.epsilon;
-  mcfg.init = cfg.init;
-  mcfg.sample_per_rank = cfg.sample_per_rank;
   mcfg.histogram = cfg.histogram;
   mcfg.oversample = cfg.oversample;
   st.splitters = find_splitters(
@@ -166,22 +155,15 @@ void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
   const std::span<const T> sorted_view(st.data.data(), st.data.size());
   ExchangeResult<T> ex;
   switch (cfg.exchange) {
-    case ExchangeAlgorithm::OneFactor:
-      ex = exchange_one_factor(comm, sorted_view, st.splitters, key,
-                               cfg.overlap_merge, cfg.path);
-      break;
-    case ExchangeAlgorithm::Hypercube:
-      ex = exchange_hypercube(comm, sorted_view, st.splitters, cfg.path);
-      break;
     case ExchangeAlgorithm::Hierarchical:
-      ex = exchange_hierarchical(comm, sorted_view, st.splitters, cfg.path);
+      ex = exchange_hierarchical(comm, sorted_view, st.splitters);
       break;
     case ExchangeAlgorithm::KAry:
       ex = exchange_kary(comm, sorted_view, st.splitters, key,
-                         cfg.exchange_k, cfg.overlap_merge, cfg.path);
+                         cfg.exchange_k, cfg.overlap_merge);
       break;
     case ExchangeAlgorithm::Alltoallv:
-      ex = exchange(comm, sorted_view, st.splitters, cfg.path);
+      ex = exchange(comm, sorted_view, st.splitters);
       break;
   }
   st.stats.elements_sent_off_rank = ex.elements_sent_off_rank;
@@ -292,6 +274,35 @@ SortStats sort_balanced(runtime::Comm& comm, std::vector<T>& local,
   return sort_to_capacity(comm, local, key, mine, cfg);
 }
 
+namespace detail {
+
+/// Rank-aggregated stats of one sort_resilient call: sums over ranks for
+/// element counts, max over ranks for iteration / probe / byte counts, and
+/// the (globally identical) convergence and probe series copied once.
+inline SortStats aggregate_rank_stats(std::span<const SortStats> per_rank) {
+  SortStats agg;
+  for (const SortStats& s : per_rank) {
+    agg.histogram_iterations =
+        std::max(agg.histogram_iterations, s.histogram_iterations);
+    agg.splitter_probes = std::max(agg.splitter_probes, s.splitter_probes);
+    agg.elements_sent_off_rank += s.elements_sent_off_rank;
+    agg.elements_before += s.elements_before;
+    agg.elements_after += s.elements_after;
+    if (agg.histogram_convergence.empty())
+      agg.histogram_convergence = s.histogram_convergence;
+    agg.sampled_rounds = std::max(agg.sampled_rounds, s.sampled_rounds);
+    agg.sample_keys_total =
+        std::max(agg.sample_keys_total, s.sample_keys_total);
+    agg.hist_bytes_sampled =
+        std::max(agg.hist_bytes_sampled, s.hist_bytes_sampled);
+    agg.hist_bytes_dense = std::max(agg.hist_bytes_dense, s.hist_bytes_dense);
+    if (agg.round_probes.empty()) agg.round_probes = s.round_probes;
+  }
+  return agg;
+}
+
+}  // namespace detail
+
 /// Resilient end-to-end sort: runs the full histogram sort on `team` with
 /// bounded retries. The caller's input partitions are preserved across
 /// attempts — each attempt sorts a fresh copy — so a rank failure (e.g. an
@@ -299,9 +310,9 @@ SortStats sort_balanced(runtime::Comm& comm, std::vector<T>& local,
 /// attempt and re-runs from the original input. After a successful run the
 /// global sort invariant is verified collectively before the result is
 /// committed back into `partitions`; a violated invariant counts as a
-/// failed attempt. Returns rank-aggregated stats (sums over ranks for
-/// element counts, max over ranks for iteration/probe counts); `attempts`,
-/// if non-null, receives the number of attempts used.
+/// failed attempt. Returns rank-aggregated stats
+/// (detail::aggregate_rank_stats); `attempts`, if non-null, receives the
+/// number of attempts used.
 template <class T, class KeyFn>
 SortStats sort_resilient(runtime::Team& team,
                          std::vector<std::vector<T>>& partitions, KeyFn key,
@@ -326,27 +337,7 @@ SortStats sort_resilient(runtime::Team& team,
       policy, [&](int) { work = partitions; });
   partitions = std::move(work);
   if (attempts) *attempts = used;
-  SortStats agg;
-  for (const SortStats& s : per_rank) {
-    agg.histogram_iterations =
-        std::max(agg.histogram_iterations, s.histogram_iterations);
-    agg.splitter_probes = std::max(agg.splitter_probes, s.splitter_probes);
-    agg.elements_sent_off_rank += s.elements_sent_off_rank;
-    agg.elements_before += s.elements_before;
-    agg.elements_after += s.elements_after;
-    // Global quantities, identical on all ranks: convergence/probe series
-    // are copied once, scalar counters keep the max.
-    if (agg.histogram_convergence.empty())
-      agg.histogram_convergence = s.histogram_convergence;
-    agg.sampled_rounds = std::max(agg.sampled_rounds, s.sampled_rounds);
-    agg.sample_keys_total =
-        std::max(agg.sample_keys_total, s.sample_keys_total);
-    agg.hist_bytes_sampled =
-        std::max(agg.hist_bytes_sampled, s.hist_bytes_sampled);
-    agg.hist_bytes_dense = std::max(agg.hist_bytes_dense, s.hist_bytes_dense);
-    if (agg.round_probes.empty()) agg.round_probes = s.round_probes;
-  }
-  return agg;
+  return detail::aggregate_rank_stats(per_rank);
 }
 
 /// Key-less convenience overload of sort_resilient.
@@ -658,10 +649,9 @@ SortStats sort_resilient(runtime::Team& team,
           throw;  // budget exhausted: let the run fail
         c = c.recover_survivors();  // throws team_aborted if unrecoverable
         st = detail::shrink_restore<T, UK>(c, store, key);
-        // Post-shrink supersteps run on a subteam of arbitrary size:
-        // hypercube (power-of-two only) and hierarchical (world-only)
-        // exchanges are invalid there, and the restored runs are already
-        // sorted or about to be re-sorted.
+        // Post-shrink supersteps run on a subteam: the hierarchical
+        // exchange (world-only) is invalid there, and the restored runs
+        // are already sorted or about to be re-sorted.
         ccfg.exchange = ExchangeAlgorithm::Alltoallv;
         ccfg.input_is_sorted = false;
       }
@@ -721,26 +711,8 @@ SortStats sort_resilient(runtime::Team& team,
                               static_cast<double>(rep.supersteps_minimum));
 
   partitions = std::move(work);
-  SortStats agg;
-  for (const SortStats& s : per_rank) {
-    agg.histogram_iterations =
-        std::max(agg.histogram_iterations, s.histogram_iterations);
-    agg.splitter_probes = std::max(agg.splitter_probes, s.splitter_probes);
-    agg.elements_sent_off_rank += s.elements_sent_off_rank;
-    agg.elements_before += s.elements_before;
-    agg.elements_after += s.elements_after;
-    if (agg.histogram_convergence.empty())
-      agg.histogram_convergence = s.histogram_convergence;
-    agg.sampled_rounds = std::max(agg.sampled_rounds, s.sampled_rounds);
-    agg.sample_keys_total =
-        std::max(agg.sample_keys_total, s.sample_keys_total);
-    agg.hist_bytes_sampled =
-        std::max(agg.hist_bytes_sampled, s.hist_bytes_sampled);
-    agg.hist_bytes_dense = std::max(agg.hist_bytes_dense, s.hist_bytes_dense);
-    if (agg.round_probes.empty()) agg.round_probes = s.round_probes;
-  }
   if (report) *report = rep;
-  return agg;
+  return detail::aggregate_rank_stats(per_rank);
 }
 
 /// Key-less convenience overload of the recovery-mode sort_resilient.

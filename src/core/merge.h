@@ -183,8 +183,8 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
       if (runs.size() == 2 && runs[0].first == 0 &&
           runs[1].first == runs[0].second &&
           runs[0].second + runs[1].second == n) {
-        // Two adjacent runs spanning the buffer — the shape every pull-path
-        // exchange produces at P=2 and the one-factor overlap path feeds.
+        // Two adjacent runs spanning the buffer — the shape every exchange
+        // produces at P=2.
         // Merge in place: only the second run is staged (pooled scratch of
         // l2 elements, not a full-size ping-pong buffer), then a backward
         // merge places everything at its final offset.

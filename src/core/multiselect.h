@@ -29,46 +29,29 @@
 
 namespace hds::core {
 
-/// How the initial splitter candidate ranges are chosen.
-enum class SplitterInit : u8 {
-  /// Global (min, max) of the key range — one reduction, no assumptions
-  /// (the paper's choice).
-  MinMax,
-  /// Quantiles of a small gathered sample bracket each splitter — fewer
-  /// iterations on benign inputs, with a verified-bracket fallback when the
-  /// sample misleads (the sample-sort idea, kept as an ablation).
-  Sampled,
-};
-
-/// Histogramming strategy of the splitter search (PR 10).
+/// Histogramming strategy of the splitter search. Both modes start
+/// from the global (min, max) key range — one reduction, no assumptions.
 enum class HistogramMode : u8 {
   /// Every round probes candidate keys and counts them exactly with one
   /// dense (lb, ub) allreduce — the paper's Alg. 2/3 baseline.
   Dense,
   /// HSS-style sampled rounds first: each round pools a seeded per-rank
   /// sample of the still-unresolved key range via a sparse gather and
-  /// shrinks every boundary's bracket from the weighted sample CDF; plain
-  /// dense bisection then finishes inside the narrowed brackets.
-  Sampled,
-  /// Sampled rounds plus interpolation-guided dense refinement that reuses
-  /// the sample-CDF anchors — the PR 10 default candidate. Falls back to
-  /// strict midpoint bisection per boundary when interpolation stalls, so
-  /// worst-case round counts stay within ~2x of Dense.
+  /// shrinks every boundary's bracket from the weighted sample CDF. Dense
+  /// refinement then finishes inside the narrowed brackets, with probes
+  /// interpolated from the sample-CDF anchors; a boundary falls back to
+  /// strict midpoint bisection once interpolation stalls, so worst-case
+  /// round counts stay within ~2x of Dense.
   Hybrid,
 };
 
 struct MultiselectConfig {
   /// Load-balance threshold epsilon of Def. 1; 0 = perfect partitioning.
   double epsilon = 0.0;
-  SplitterInit init = SplitterInit::MinMax;
-  /// Samples gathered per rank when init == Sampled.
-  usize sample_per_rank = 16;
   /// Safety cap on histogram rounds; 0 = automatic (4 * key bits + 16).
   usize max_iterations = 0;
-  /// Histogramming strategy. Sampled/Hybrid replace the SplitterInit phase
-  /// with full sampled rounds, so `init` is ignored for those modes.
   HistogramMode histogram = HistogramMode::Dense;
-  /// Oversampling factor of the sampled rounds (Sampled/Hybrid only): each
+  /// Oversampling factor of the sampled rounds (Hybrid only): each
   /// rank contributes ~(oversample + 2) * sqrt(#boundaries in segment)
   /// systematically sampled keys per search segment per round.
   usize oversample = 8;
@@ -122,8 +105,6 @@ struct BoundarySearch {
   bool resolved = false;
   bool lo_verified = true;   ///< f(cand_lo - 1) < K known to hold
   bool hi_verified = true;   ///< f(cand_hi) >= K known to hold
-  double sample_q = -1.0;    ///< sample-space quantile (sampled brackets)
-  u32 expands = 0;           ///< galloping bracket expansions so far
   // Hybrid interpolation state (PR 10): a pair of rank anchors straddling
   // the target, seeded from the sampled CDF and tightened to exact counts
   // by every dense probe. Invariant while both exist: ra_lo < K <= ra_hi.
@@ -227,109 +208,16 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
     active.push_back(b);
   }
 
-  // Optional sampled initialization: bracket each boundary between adjacent
-  // quantiles of a gathered sample. Brackets are unverified; when one turns
-  // out wrong the search gallops outward through the sample (quadrupling
-  // the window) instead of restarting from the full key range, so a rare
-  // bad bracket costs a handful of rounds, not a full re-bisection.
-  std::vector<UK> sample_u;
-  double spread = 0.0;
-  if (cfg.histogram == HistogramMode::Dense &&
-      cfg.init == SplitterInit::Sampled && !active.empty() && N > 0) {
-    std::vector<K> my_sample;
-    const usize s_n = std::min(cfg.sample_per_rank, n_local);
-    for (usize i = 0; i < s_n; ++i) {
-      const usize idx = (n_local - 1) * (2 * i + 1) / (2 * s_n);
-      my_sample.push_back(key(sorted_local[idx]));
-    }
-    std::vector<K> sample =
-        comm.allgatherv(std::span<const K>(my_sample));
-    std::sort(sample.begin(), sample.end());
-    comm.charge_control_sort(sample.size());
-    if (sample.size() >= 2) {
-      sample_u.reserve(sample.size());
-      for (const K& v : sample) sample_u.push_back(Traits::to_uint(v));
-      const double S = static_cast<double>(sample_u.size());
-      // Order-statistic rank error of a sample quantile is ~N/(2*sqrt(S)),
-      // i.e. ~sqrt(S)/2 sample positions; a ~3.5-sigma spread makes the
-      // bracket hold for all boundaries with high probability while still
-      // cutting several bisection rounds off the full key range.
-      spread = 2.0 + 1.8 * std::sqrt(S);
-      for (usize b : active) {
-        auto& s = search[b];
-        const double q = static_cast<double>(s.target) /
-                         static_cast<double>(N) * (S - 1.0);
-        s.sample_q = q;
-        const auto lo_i = static_cast<usize>(std::max(0.0, q - spread));
-        const auto hi_i = std::min(sample_u.size() - 1,
-                                   static_cast<usize>(q + spread) + 1);
-        // A bracket that runs into the sample's ends is not trustworthy:
-        // regular per-rank sampling never probes the extreme local
-        // positions, so extreme global quantiles lie outside the pooled
-        // sample — fall back to the verified global extreme there.
-        if (lo_i == 0) {
-          s.cand_lo = gmin;
-          s.lo_verified = true;
-        } else {
-          s.cand_lo = sample_u[lo_i];
-          s.lo_verified = (s.cand_lo == gmin);
-        }
-        if (hi_i >= sample_u.size() - 1) {
-          s.cand_hi = gmax;
-          s.hi_verified = true;
-        } else {
-          s.cand_hi = sample_u[hi_i];
-          s.hi_verified = (s.cand_hi == gmax);
-        }
-        if (s.cand_lo > s.cand_hi) std::swap(s.cand_lo, s.cand_hi);
-      }
-    }
-  }
-
-  // Galloping bracket repair for Sampled init: widen the failing side by
-  // 4x in sample space; after a few failures give up and use the full
-  // verified range.
-  auto expand_lo = [&](detail::BoundarySearch<UK>& s, UK probe) {
-    if (s.expands < 3 && !sample_u.empty() && s.sample_q >= 0.0) {
-      ++s.expands;
-      const double w = spread * std::pow(4.0, s.expands);
-      const usize i = static_cast<usize>(std::max(0.0, s.sample_q - w));
-      UK cand = sample_u[i];
-      if (cand >= probe) cand = gmin;
-      s.cand_lo = cand;
-      s.lo_verified = (cand == gmin);
-    } else {
-      s.cand_lo = gmin;
-      s.lo_verified = true;
-    }
-  };
-  auto expand_hi = [&](detail::BoundarySearch<UK>& s, UK probe) {
-    if (s.expands < 3 && !sample_u.empty() && s.sample_q >= 0.0) {
-      ++s.expands;
-      const double w = spread * std::pow(4.0, s.expands);
-      const usize i = std::min(sample_u.size() - 1,
-                               static_cast<usize>(s.sample_q + w) + 1);
-      UK cand = sample_u[i];
-      if (cand <= probe) cand = gmax;
-      s.cand_hi = cand;
-      s.hi_verified = (cand == gmax);
-    } else {
-      s.cand_hi = gmax;
-      s.hi_verified = true;
-    }
-  };
-
-  // --- sampled rounds (PR 10, Sampled / Hybrid) ----------------------------
+  // --- sampled rounds (Hybrid) ---------------------------------------------
   // Each round pools a seeded per-rank sample of the union of the active
   // brackets through one sparse SampleGather. Exact below-range / in-range
   // counts ride along with the keys, so the pooled CDF is exact outside the
   // sampled range and only the in-range interpolation carries sampling
   // error — which the slack term absorbs before a bracket is trusted.
-  // Sampled brackets are unverified; the same gallop repair as Sampled init
-  // widens them through the pooled sample if a dense round disproves one.
+  // Sampled brackets are unverified; if a dense round disproves one, its
+  // failing side is reset to the verified global extreme.
   const bool hybrid = cfg.histogram == HistogramMode::Hybrid;
-  if (cfg.histogram != HistogramMode::Dense && !active.empty() &&
-      gmin < gmax) {
+  if (hybrid && !active.empty() && gmin < gmax) {
     struct WeightedKey {
       u64 key;
       double weight;
@@ -513,8 +401,8 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         // rank contributes evenly spaced positions of its sorted run, so
         // per-rank CDF error is bounded by one stratum (~w/S) and the
         // pooled error scales with sqrt(P) strata, not the sqrt(S) an iid
-        // sample would need. The rare tail beyond the slack is what the
-        // gallop bracket repair is for.
+        // sample would need. The rare tail beyond the slack is caught by
+        // the wrong-bracket checks (here and in the dense loop).
         g.slack = g.s_n
                       ? g.wmax + 2.0 * std::sqrt(static_cast<double>(P)) *
                                      (g.w / static_cast<double>(g.s_n))
@@ -532,18 +420,6 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         comm.metrics().append(obs::Series::HistogramConvergence, err);
         break;
       }
-
-      // Refresh the gallop repair pool before installing unverified
-      // brackets from this sample.
-      sample_u.clear();
-      sample_u.reserve(total_s);
-      for (const WeightedKey& wk : samp)
-        sample_u.push_back(static_cast<UK>(wk.key));
-      // Gallop step in sample positions ~ the slack expressed in per-key
-      // weights. The pool is concentrated around the unresolved brackets,
-      // so a repair jump must stay segment-local — a step scaled to the
-      // whole pool size would hop across unrelated boundaries' samples.
-      spread = 2.0 + 2.0 * std::sqrt(static_cast<double>(P));
 
       double mass = 0.0;
       double round_err = 0.0;
@@ -571,7 +447,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
           if (kt <= g.c_below) {
             s.cand_lo = gmin;
             s.lo_verified = true;
-            if (hybrid && g.lo > std::numeric_limits<UK>::min()) {
+            if (g.lo > std::numeric_limits<UK>::min()) {
               s.ka_hi = static_cast<UK>(g.lo - 1);
               s.ra_hi = g.c_below;
               s.has_hi = true;
@@ -580,12 +456,10 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
           } else {
             s.cand_hi = gmax;
             s.hi_verified = true;
-            if (hybrid) {
-              s.ka_lo = g.hi;
-              s.ra_lo = le_hi;
-              s.has_lo = true;
-              s.lo_exact = true;
-            }
+            s.ka_lo = g.hi;
+            s.ra_lo = le_hi;
+            s.has_lo = true;
+            s.lo_exact = true;
           }
           mass += g.w;
           round_err = std::max(
@@ -596,7 +470,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         // target; the raw crossing seeds the interpolation anchors (no
         // safety margin needed — bad anchors only misdirect probes, and the
         // penalty counter catches that), while bracket shrinks below are
-        // slack-guarded because a wrong bracket costs gallop rounds. The
+        // slack-guarded because a wrong bracket costs a reset. The
         // half-key shift makes the full-coverage case land on the key
         // whose tie class spans the target rank (est == rank - 1/2 there).
         const usize cross = static_cast<usize>(
@@ -612,8 +486,6 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
           if (k >= s.cand_lo && k <= s.cand_hi) {
             s.cand_lo = s.cand_hi = k;
             s.lo_verified = s.hi_verified = true;
-            s.expands = 0;
-            s.sample_q = static_cast<double>(g.s_off + cross);
             continue;
           }
         }
@@ -641,41 +513,34 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
             if (k >= s.cand_lo && k <= s.cand_hi) {
               s.cand_lo = s.cand_hi = k;
               s.lo_verified = s.hi_verified = true;
-              s.expands = 0;
-              s.sample_q = static_cast<double>(g.s_off + cross);
               continue;
             }
           }
         }
-        if (hybrid) {
-          if (cross > 0) {
-            s.ka_lo = static_cast<UK>(k0[cross - 1].key);
-            s.ra_lo = e0[cross - 1];
-            s.has_lo = true;
-            s.lo_exact = false;
-          } else if (g.lo > std::numeric_limits<UK>::min()) {
-            // Target at or below the first sample: the segment's lower edge
-            // carries an exact rank (#keys < lo rode the gather).
-            s.ka_lo = static_cast<UK>(g.lo - 1);
-            s.ra_lo = g.c_below;
-            s.has_lo = true;
-            s.lo_exact = true;
-          }
-          if (cross < g.s_n) {
-            s.ka_hi = static_cast<UK>(k0[cross].key);
-            s.ra_hi = e0[cross];
-            s.has_hi = true;
-            s.hi_exact = false;
-          } else {
-            s.ka_hi = g.hi;
-            s.ra_hi = le_hi;
-            s.has_hi = true;
-            s.hi_exact = true;
-          }
+        if (cross > 0) {
+          s.ka_lo = static_cast<UK>(k0[cross - 1].key);
+          s.ra_lo = e0[cross - 1];
+          s.has_lo = true;
+          s.lo_exact = false;
+        } else if (g.lo > std::numeric_limits<UK>::min()) {
+          // Target at or below the first sample: the segment's lower edge
+          // carries an exact rank (#keys < lo rode the gather).
+          s.ka_lo = static_cast<UK>(g.lo - 1);
+          s.ra_lo = g.c_below;
+          s.has_lo = true;
+          s.lo_exact = true;
         }
-        s.expands = 0;
-        s.sample_q = static_cast<double>(g.s_off +
-                                         std::min(cross, g.s_n - 1));
+        if (cross < g.s_n) {
+          s.ka_hi = static_cast<UK>(k0[cross].key);
+          s.ra_hi = e0[cross];
+          s.has_hi = true;
+          s.hi_exact = false;
+        } else {
+          s.ka_hi = g.hi;
+          s.ra_hi = le_hi;
+          s.has_hi = true;
+          s.hi_exact = true;
+        }
         usize lo = cross;
         while (lo > 0 && e0[lo - 1] + g.slack >= kt) --lo;
         const bool lo_safe = lo > 0;  // position lo-1 is safely below
@@ -852,22 +717,30 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         s.hi_exact = true;
         s.has_hi = true;
         if (!s.lo_verified && probe <= s.cand_lo) {
-          // Sampled bracket was wrong on the low side: gallop outward.
-          expand_lo(s, probe);
+          // Sampled bracket was wrong on the low side: reopen it to the
+          // verified global minimum (a disproved bracket never converges).
+          s.cand_lo = gmin;
+          s.lo_verified = true;
         }
       } else {
         // Too few keys at or below the probe: move the lower bound up.
         if (probe == s.cand_hi && !s.hi_verified) {
-          // Sampled bracket was wrong on the high side: gallop outward.
-          expand_hi(s, probe);
+          // Sampled bracket was wrong on the high side: reopen it to the
+          // verified global maximum.
+          s.cand_hi = gmax;
+          s.hi_verified = true;
         }
         if (hybrid && s.lo_exact && s.has_lo &&
             static_cast<double>(U) == s.ra_lo && probe > s.ka_lo) {
           // f(<= probe) did not move past the previous exact low anchor:
           // the whole gap (ka_lo, probe] holds no keys, so interpolation
           // would stall inside this plateau — probe the bracket's upper
-          // end next round instead.
+          // end next round instead. The plateau counts as a miss: the
+          // force_hi probe re-probes a key whose counts are already exact
+          // and resets last_miss, so without it the penalty never locks
+          // the boundary to bisection and interpolation creeps.
           s.force_hi = true;
+          ++s.penalty;
         }
         s.ka_lo = probe;
         s.ra_lo = static_cast<double>(U);

@@ -250,8 +250,7 @@ TEST(CheckedRunTest, ExchangeKernelGridIsViolationFree) {
   const int P = 8;
   auto shards = make_shards(P, 300);
   for (auto ex : {core::ExchangeAlgorithm::Alltoallv,
-                  core::ExchangeAlgorithm::OneFactor,
-                  core::ExchangeAlgorithm::Hypercube,
+                  core::ExchangeAlgorithm::KAry,
                   core::ExchangeAlgorithm::Hierarchical}) {
     for (auto kern :
          {core::LocalSortKernel::Comparison, core::LocalSortKernel::Radix}) {
@@ -562,7 +561,7 @@ TEST(CheckInvariantTest, ReportCountersArePopulated) {
   const CheckReport rep = run_checked(P, [&](Comm& c) {
     auto local = shards[c.rank()];
     core::SortConfig scfg;
-    scfg.exchange = core::ExchangeAlgorithm::OneFactor;  // uses send/recv
+    scfg.exchange = core::ExchangeAlgorithm::KAry;  // uses send/recv
     core::sort(c, local, scfg);
   });
   EXPECT_TRUE(rep.clean()) << rep.summary();

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/exchange.h"
+#include "core/histogram_sort.h"
 #include "core/multiselect.h"
 #include "runtime/team.h"
 #include "workload/distributions.h"
@@ -197,12 +198,13 @@ TEST(Multiselect, NarrowKeyRangeConvergesFaster) {
   EXPECT_LE(it_narrow, 10u);
 }
 
+// The sampled initialization is the Hybrid mode's sampled rounds: they
+// bracket every boundary from a pooled sample before the dense rounds.
 TEST(Multiselect, SampledInitConvergesAndIsNoWorse) {
   workload::GenConfig cfg;
   const auto shards = make_shards(8, 1500, cfg);
   MultiselectConfig sampled;
-  sampled.init = SplitterInit::Sampled;
-  sampled.sample_per_rank = 32;
+  sampled.histogram = HistogramMode::Hybrid;
   usize it_sampled = 0, it_minmax = 0;
   check_splitters(8, shards, even_targets(8, 1500), sampled, &it_sampled);
   check_splitters(8, shards, even_targets(8, 1500), {}, &it_minmax);
@@ -210,14 +212,15 @@ TEST(Multiselect, SampledInitConvergesAndIsNoWorse) {
 }
 
 TEST(Multiselect, SampledInitSurvivesAdversarialSample) {
-  // Staircase input: per-rank samples are clustered, so quantile brackets
-  // are wrong for most boundaries; the fallback must still converge.
+  // Staircase input with a minimal sample budget: per-rank samples are
+  // clustered and sparse, so the sampled brackets are coarse; the search
+  // must still converge to the Def. 4 splitters.
   workload::GenConfig cfg;
   cfg.dist = workload::Dist::Staircase;
   const auto shards = make_shards(6, 700, cfg);
   MultiselectConfig sampled;
-  sampled.init = SplitterInit::Sampled;
-  sampled.sample_per_rank = 4;
+  sampled.histogram = HistogramMode::Hybrid;
+  sampled.oversample = 0;
   check_splitters(6, shards, even_targets(6, 700), sampled);
 }
 
@@ -263,7 +266,7 @@ SplitterResult<u64> run_mode(int P, const std::vector<std::vector<u64>>& shards,
 
 TEST(HistogramModes, IdenticalSplittersAtEpsilonZero) {
   // Def. 4 with eps = 0 admits exactly one splitter key per boundary — the
-  // key whose tie class contains the target rank — so all three modes must
+  // key whose tie class contains the target rank — so both modes must
   // land on the same key, boundary, and global bracket on every
   // distribution, no matter how the sampled rounds narrowed the search.
   constexpr int P = 16;
@@ -289,16 +292,13 @@ TEST(HistogramModes, IdenticalSplittersAtEpsilonZero) {
     const auto dense = run_mode(P, shards, targets, cfg);
     EXPECT_EQ(dense.sampled_rounds, 0u);
     EXPECT_EQ(dense.hist_bytes_sampled, 0u);
-    for (HistogramMode m : {HistogramMode::Sampled, HistogramMode::Hybrid}) {
-      SCOPED_TRACE(m == HistogramMode::Sampled ? "sampled" : "hybrid");
-      cfg.histogram = m;
-      check_splitters(P, shards, targets, cfg);  // Def. 4 oracle validity
-      const auto res = run_mode(P, shards, targets, cfg);
-      EXPECT_EQ(res.splitter, dense.splitter);
-      EXPECT_EQ(res.boundary, dense.boundary);
-      EXPECT_EQ(res.global_lb, dense.global_lb);
-      EXPECT_EQ(res.global_ub, dense.global_ub);
-    }
+    cfg.histogram = HistogramMode::Hybrid;
+    check_splitters(P, shards, targets, cfg);  // Def. 4 oracle validity
+    const auto res = run_mode(P, shards, targets, cfg);
+    EXPECT_EQ(res.splitter, dense.splitter);
+    EXPECT_EQ(res.boundary, dense.boundary);
+    EXPECT_EQ(res.global_lb, dense.global_lb);
+    EXPECT_EQ(res.global_ub, dense.global_ub);
   }
 }
 
@@ -310,8 +310,7 @@ TEST(HistogramModes, EpsilonWindowHoldsAcrossModes) {
     workload::GenConfig gen;
     gen.dist = d;
     const auto shards = make_shards(P, n, gen);
-    for (HistogramMode m : {HistogramMode::Dense, HistogramMode::Sampled,
-                            HistogramMode::Hybrid}) {
+    for (HistogramMode m : {HistogramMode::Dense, HistogramMode::Hybrid}) {
       MultiselectConfig cfg;
       cfg.histogram = m;
       cfg.epsilon = 0.1;
@@ -378,6 +377,36 @@ TEST(HistogramModes, OversampleKnobIsHonoured) {
   ASSERT_GT(big.sampled_rounds, 0u);
   EXPECT_GT(big.sample_keys_total / big.sampled_rounds,
             small.sample_keys_total / small.sampled_rounds);
+}
+
+TEST(HybridHistogram, FewDistinctPlateauConvergesWithoutOversampling) {
+  // Regression: on a few-distinct plateau the force_hi probe re-probes
+  // cand_hi, whose counts are already exact, and resets the miss tracker —
+  // so the penalty never reached 2, interpolation crept ~1% of the bracket
+  // every two rounds, and the search hit its iteration cap. Each plateau
+  // hit now counts as a miss, locking the boundary to bisection.
+  constexpr int P = 4;
+  workload::GenConfig gen;
+  gen.dist = workload::Dist::FewDistinct;
+  gen.alphabet = 16;
+  gen.seed = 15;
+  std::vector<std::vector<u64>> shards(P);
+  for (int r = 0; r < P; ++r)
+    shards[r] = workload::generate_u64(gen, r, P, 500);
+  SortConfig cfg;
+  cfg.histogram = HistogramMode::Hybrid;
+  cfg.oversample = 0;
+  usize iterations = 0;
+  Team team({.nranks = P});
+  team.run([&](Comm& c) {
+    auto local = shards[c.rank()];
+    const SortStats st = sort(c, local, cfg);
+    EXPECT_TRUE(
+        is_globally_sorted(c, std::span<const u64>(local), identity));
+    if (c.rank() == 0) iterations = st.histogram_iterations;
+  });
+  // The key-width bound of Sec. V-A.
+  EXPECT_LE(iterations, 64u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-// Tests for the 1-factor pairwise exchange (Sec. VI-E1 future work): the
-// matching structure of the schedule, correctness of the sort through both
-// exchange paths, overlap-merge equivalence, and edge cases.
+// Tests for the point-to-point exchange schedules of superstep 3: the k-ary
+// swap schedule at its two extremes — k = 2, the store-and-forward
+// hypercube (Sec. VI-E1's log2(P) rounds for small N/P), and k >= P, the
+// direct pairwise exchange the 1-factor rounds used to schedule — plus the
+// hierarchical node-leader exchange. Each suite checks the full sort
+// contract through the schedule, with and without merge overlap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
-#include "common/rng.h"
-#include "core/exchange.h"
 #include "core/histogram_sort.h"
 #include "runtime/team.h"
 #include "workload/distributions.h"
@@ -17,48 +17,6 @@ namespace {
 
 using runtime::Comm;
 using runtime::Team;
-
-TEST(OneFactorSchedule, EvenPIsPerfectMatchingEveryRound) {
-  for (int P : {2, 4, 6, 8, 16}) {
-    std::set<std::pair<int, int>> seen;
-    for (int r = 0; r < P - 1; ++r) {
-      std::vector<int> partner(P);
-      for (int i = 0; i < P; ++i) {
-        partner[i] = one_factor_partner(P, r, i);
-        ASSERT_NE(partner[i], i) << "P=" << P << " r=" << r << " i=" << i;
-        ASSERT_GE(partner[i], 0);
-        ASSERT_LT(partner[i], P);
-      }
-      for (int i = 0; i < P; ++i) {
-        EXPECT_EQ(partner[partner[i]], i)
-            << "not symmetric at P=" << P << " r=" << r << " i=" << i;
-        if (i < partner[i]) seen.insert({i, partner[i]});
-      }
-    }
-    // All P*(P-1)/2 pairs covered exactly once over P-1 rounds.
-    EXPECT_EQ(seen.size(), static_cast<usize>(P) * (P - 1) / 2);
-  }
-}
-
-TEST(OneFactorSchedule, OddPEveryRankIdlesOncePerCycle) {
-  for (int P : {3, 5, 7, 9}) {
-    std::set<std::pair<int, int>> seen;
-    std::vector<int> idle_count(P, 0);
-    for (int r = 0; r < P; ++r) {
-      for (int i = 0; i < P; ++i) {
-        const int j = one_factor_partner(P, r, i);
-        if (j == i) {
-          ++idle_count[i];
-          continue;
-        }
-        EXPECT_EQ(one_factor_partner(P, r, j), i);
-        if (i < j) seen.insert({i, j});
-      }
-    }
-    for (int i = 0; i < P; ++i) EXPECT_EQ(idle_count[i], 1) << "i=" << i;
-    EXPECT_EQ(seen.size(), static_cast<usize>(P) * (P - 1) / 2);
-  }
-}
 
 /// Full sort through a given config; verifies invariants and returns sizes.
 void check_sort(int P, const SortConfig& cfg, workload::GenConfig gen,
@@ -92,93 +50,100 @@ void check_sort(int P, const SortConfig& cfg, workload::GenConfig gen,
   EXPECT_EQ(merged, all);
 }
 
-TEST(OneFactorExchange, SortsEvenP) {
+/// The k = 2 k-ary schedule: the store-and-forward hypercube of
+/// Sec. VI-E1, log2(P) rounds of one partner each.
+SortConfig hypercube() {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  check_sort(8, cfg, {}, 700);
+  cfg.exchange = ExchangeAlgorithm::KAry;
+  cfg.exchange_k = 2;
+  return cfg;
 }
 
-TEST(OneFactorExchange, SortsOddP) {
+/// The k >= P k-ary schedule: one round in which every rank exchanges
+/// directly with each of its P - 1 partners. The OneFactorExchange suite
+/// runs it: the 1-factor exchange spread the same pairwise transfers over
+/// P - 1 matched rounds, and KAry now covers that engine.
+SortConfig direct(int P, bool overlap_merge = false) {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  check_sort(7, cfg, {}, 500);
+  cfg.exchange = ExchangeAlgorithm::KAry;
+  cfg.exchange_k = P;
+  cfg.overlap_merge = overlap_merge;
+  return cfg;
 }
+
+TEST(OneFactorExchange, SortsEvenP) { check_sort(8, direct(8), {}, 700); }
+
+TEST(OneFactorExchange, SortsOddP) { check_sort(7, direct(7), {}, 500); }
 
 TEST(OneFactorExchange, OverlapMergeProducesSameResult) {
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  cfg.overlap_merge = true;
-  check_sort(8, cfg, {}, 900);
-  check_sort(5, cfg, {}, 400);
+  check_sort(8, direct(8, true), {}, 900);
+  check_sort(5, direct(5, true), {}, 400);
 }
 
 TEST(OneFactorExchange, OverlapWithDuplicatesAndSkew) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Zipf;
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  cfg.overlap_merge = true;
-  check_sort(6, cfg, gen, 800);
+  check_sort(6, direct(6, true), gen, 800);
 }
 
 TEST(OneFactorExchange, SparseInput) {
   workload::GenConfig gen;
   gen.sparsity = 0.4;
   gen.seed = 9;
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  check_sort(10, cfg, gen, 300);
+  check_sort(10, direct(10), gen, 300);
 }
 
-TEST(OneFactorExchange, TwoRanks) {
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  cfg.overlap_merge = true;
-  check_sort(2, cfg, {}, 1000);
+TEST(OneFactorExchange, TwoRanks) { check_sort(2, direct(2, true), {}, 1000); }
+
+TEST(OneFactorExchange, EpsilonBalanced) {
+  SortConfig cfg = direct(8);
+  cfg.epsilon = 0.1;
+  check_sort(8, cfg, {}, 1500);
+}
+
+TEST(OneFactorExchange, OverlapSkipsSeparateMergePhase) {
+  // With overlap the final data is one sorted run, so merge_chunks is a
+  // no-op; the Merge phase time comes from the arrival merge instead.
+  const int P = 4;
+  workload::GenConfig gen;
+  std::vector<std::vector<u64>> shards(P);
+  for (int r = 0; r < P; ++r)
+    shards[r] = workload::generate_u64(gen, r, P, 2000);
+  Team team({.nranks = P});
+  team.run([&](Comm& c) {
+    auto local = shards[c.rank()];
+    sort(c, local, direct(P, true));
+  });
+  EXPECT_GT(team.stats().phase_seconds(net::Phase::Merge), 0.0);
+  EXPECT_GT(team.stats().phase_seconds(net::Phase::Exchange), 0.0);
 }
 
 TEST(HypercubeExchange, SortsPowerOfTwo) {
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::Hypercube;
-  check_sort(8, cfg, {}, 700);
-  check_sort(16, cfg, {}, 300);
-  check_sort(2, cfg, {}, 500);
-}
-
-TEST(HypercubeExchange, RejectsNonPowerOfTwo) {
-  Team team({.nranks = 6});
-  EXPECT_THROW(team.run([&](Comm& c) {
-                 std::vector<u64> v{3, 1, 2};
-                 SortConfig cfg;
-                 cfg.exchange = ExchangeAlgorithm::Hypercube;
-                 sort(c, v, cfg);
-               }),
-               argument_error);
+  check_sort(8, hypercube(), {}, 700);
+  check_sort(16, hypercube(), {}, 300);
+  check_sort(2, hypercube(), {}, 500);
 }
 
 TEST(HypercubeExchange, DuplicatesAndSkew) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Staircase;
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::Hypercube;
-  check_sort(8, cfg, gen, 600);
+  check_sort(8, hypercube(), gen, 600);
   gen.dist = workload::Dist::AllEqual;
-  check_sort(4, cfg, gen, 400);
+  check_sort(4, hypercube(), gen, 400);
 }
 
 TEST(HypercubeExchange, SparseInput) {
   workload::GenConfig gen;
   gen.sparsity = 0.5;
   gen.seed = 77;
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::Hypercube;
-  check_sort(8, cfg, gen, 250);
+  check_sort(8, hypercube(), gen, 250);
 }
 
 TEST(HypercubeExchange, CheaperLatencyForTinyPartitions) {
   // The Sec. VI-E1 trade: for very small N/P the log2(P)-round
-  // store-and-forward beats the (P-1)-message direct exchange.
-  auto time_with = [&](ExchangeAlgorithm algo) {
+  // store-and-forward beats the single ALL-TO-ALLV, whose latency grows
+  // with the P - 1 messages every rank sends.
+  auto time_with = [&](const SortConfig& cfg) {
     runtime::TeamConfig tcfg;
     tcfg.nranks = 32;
     tcfg.machine = net::MachineModel::supermuc_phase2(8, 4);
@@ -189,14 +154,11 @@ TEST(HypercubeExchange, CheaperLatencyForTinyPartitions) {
       shards[r] = workload::generate_u64(gen, r, 32, 64);  // tiny N/P
     team.run([&](Comm& c) {
       auto local = shards[c.rank()];
-      SortConfig cfg;
-      cfg.exchange = algo;
       sort(c, local, cfg);
     });
     return team.stats().phase_seconds(net::Phase::Exchange);
   };
-  EXPECT_LT(time_with(ExchangeAlgorithm::Hypercube),
-            time_with(ExchangeAlgorithm::OneFactor));
+  EXPECT_LT(time_with(hypercube()), time_with(SortConfig{}));
 }
 
 TEST(HierarchicalExchange, SortsOnMultiNodeMachine) {
@@ -295,33 +257,6 @@ TEST(HierarchicalExchange, SparseInputAcrossNodes) {
     merged.insert(merged.end(), o.begin(), o.end());
   std::sort(merged.begin(), merged.end());
   EXPECT_EQ(merged, all);
-}
-
-TEST(OneFactorExchange, EpsilonBalanced) {
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  cfg.epsilon = 0.1;
-  check_sort(8, cfg, {}, 1500);
-}
-
-TEST(OneFactorExchange, OverlapSkipsSeparateMergePhase) {
-  // With overlap the final data is one sorted run, so merge_chunks is a
-  // no-op; the Merge phase time comes from the per-round merges instead.
-  const int P = 4;
-  workload::GenConfig gen;
-  std::vector<std::vector<u64>> shards(P);
-  for (int r = 0; r < P; ++r)
-    shards[r] = workload::generate_u64(gen, r, P, 2000);
-  Team team({.nranks = P});
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::OneFactor;
-    cfg.overlap_merge = true;
-    sort(c, local, cfg);
-  });
-  EXPECT_GT(team.stats().phase_seconds(net::Phase::Merge), 0.0);
-  EXPECT_GT(team.stats().phase_seconds(net::Phase::Exchange), 0.0);
 }
 
 }  // namespace

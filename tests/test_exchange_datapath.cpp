@@ -1,9 +1,10 @@
 // Single-copy data path (DESIGN.md sec. 11): the pull-based alltoallv_into
-// and borrowed-payload P2P must produce byte-identical results and
-// bit-identical simulated time versus the packed reference path — across
-// exchange algorithms, local-sort kernels, rank counts, and degenerate
-// layouts — and the channel-indexed mailbox must preserve FIFO-per-channel
-// semantics the runtime's P2P ordering rests on.
+// and borrowed-payload P2P must produce byte-identical results versus the
+// packed Comm::alltoallv reference — with bit-identical simulated time
+// wherever the op sequence is the same (the collective itself, and the
+// default sort) — across exchange algorithms, local-sort kernels, rank
+// counts, and degenerate layouts; and the channel-indexed mailbox must
+// preserve FIFO-per-channel semantics the runtime's P2P ordering rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -161,7 +162,30 @@ TEST(AlltoallvInto, SpanOverloadRejectsWrongSize) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort-level grid: exchange algorithm x kernel x path
+// Sort-level grid: exchange algorithm x kernel vs the packed reference
+
+/// core::sort with its exchange superstep replaced by the packed reference:
+/// compute_send_counts followed by the arena-staged Comm::alltoallv. The op
+/// sequence is the default Alltoallv sort's, so the two must agree in
+/// simulated time as well as in bytes.
+void packed_reference_sort(Comm& c, std::vector<u64>& local,
+                           const SortConfig& cfg) {
+  SortState<u64, SortKeyImage<u64, IdentityKey>> st;
+  st.out_capacity = local.size();
+  st.data = std::move(local);
+  advance_superstep(c, st, IdentityKey{}, cfg);  // local sort
+  advance_superstep(c, st, IdentityKey{}, cfg);  // splitters
+  {
+    net::PhaseScope phase(c.clock(), net::Phase::Exchange);
+    const std::vector<usize> send =
+        compute_send_counts(c, st.data.size(), st.splitters);
+    st.data = c.alltoallv(std::span<const u64>(st.data),
+                          std::span<const usize>(send), &st.recv_counts);
+  }
+  st.completed = SuperstepId::Exchanged;
+  advance_superstep(c, st, IdentityKey{}, cfg);  // merge
+  local = std::move(st.data);
+}
 
 struct SortRun {
   std::vector<std::vector<u64>> out;
@@ -169,7 +193,8 @@ struct SortRun {
 };
 
 SortRun run_sort(int P, const runtime::TeamConfig& tcfg, SortConfig cfg,
-                 usize n_rank, const workload::GenConfig& gen = {}) {
+                 usize n_rank, bool packed,
+                 const workload::GenConfig& gen = {}) {
   std::vector<std::vector<u64>> shards(P);
   for (int r = 0; r < P; ++r)
     shards[r] = workload::generate_u64(gen, r, P, n_rank);
@@ -179,7 +204,10 @@ SortRun run_sort(int P, const runtime::TeamConfig& tcfg, SortConfig cfg,
   Team team(tcfg);
   team.run([&](Comm& c) {
     auto local = shards[c.rank()];
-    sort(c, local, cfg);
+    if (packed)
+      packed_reference_sort(c, local, cfg);
+    else
+      sort(c, local, cfg);
     EXPECT_TRUE(is_globally_sorted(
         c, std::span<const u64>(local.data(), local.size()),
         [](u64 v) { return v; }));
@@ -189,49 +217,55 @@ SortRun run_sort(int P, const runtime::TeamConfig& tcfg, SortConfig cfg,
   return res;
 }
 
-void expect_sort_paths_identical(int P, SortConfig cfg, usize n_rank,
-                                 runtime::TeamConfig tcfg = {}) {
+/// Every exchange algorithm must deliver the packed reference's bytes; the
+/// collective path must also match its simulated time exactly.
+void expect_matches_packed_reference(int P, SortConfig cfg, usize n_rank,
+                                     runtime::TeamConfig tcfg = {}) {
   tcfg.nranks = P;
-  cfg.path = DataPath::Pull;
-  const SortRun pull = run_sort(P, tcfg, cfg, n_rank);
-  cfg.path = DataPath::Packed;
-  const SortRun packed = run_sort(P, tcfg, cfg, n_rank);
+  const SortRun pull = run_sort(P, tcfg, cfg, n_rank, false);
+  const SortRun packed = run_sort(P, tcfg, cfg, n_rank, true);
   for (int r = 0; r < P; ++r) {
     EXPECT_EQ(pull.out[r], packed.out[r])
         << "P=" << P << " rank " << r << " algo "
-        << static_cast<int>(cfg.exchange);
-    EXPECT_EQ(pull.times[r], packed.times[r])
-        << "P=" << P << " rank " << r << " algo "
-        << static_cast<int>(cfg.exchange);
+        << static_cast<int>(cfg.exchange) << " k=" << cfg.exchange_k;
+    if (cfg.exchange == ExchangeAlgorithm::Alltoallv) {
+      EXPECT_EQ(pull.times[r], packed.times[r]) << "P=" << P << " rank " << r;
+    }
   }
 }
 
+SortConfig kary(int k, bool overlap_merge = false) {
+  SortConfig cfg;
+  cfg.exchange = ExchangeAlgorithm::KAry;
+  cfg.exchange_k = k;
+  cfg.overlap_merge = overlap_merge;
+  return cfg;
+}
+
 TEST(DataPathGrid, AlgorithmsTimesKernelsAtP8) {
-  for (ExchangeAlgorithm algo :
-       {ExchangeAlgorithm::Alltoallv, ExchangeAlgorithm::OneFactor,
-        ExchangeAlgorithm::Hypercube, ExchangeAlgorithm::Hierarchical}) {
+  SortConfig hierarchical;
+  hierarchical.exchange = ExchangeAlgorithm::Hierarchical;
+  for (const SortConfig& base :
+       {SortConfig{}, hierarchical, kary(2), kary(8)}) {
     for (LocalSortKernel kernel :
          {LocalSortKernel::Comparison, LocalSortKernel::Radix}) {
-      SortConfig cfg;
-      cfg.exchange = algo;
+      SortConfig cfg = base;
       cfg.kernel = kernel;
-      expect_sort_paths_identical(8, cfg, 500);
+      expect_matches_packed_reference(8, cfg, 500);
     }
   }
 }
 
 TEST(DataPathGrid, AlltoallvAtP4AndP16) {
-  SortConfig cfg;
-  expect_sort_paths_identical(4, cfg, 800);
-  expect_sort_paths_identical(16, cfg, 250);
+  expect_matches_packed_reference(4, {}, 800);
+  expect_matches_packed_reference(16, {}, 250);
 }
 
 TEST(DataPathGrid, OneFactorOverlapMerge) {
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::OneFactor;
-  cfg.overlap_merge = true;
-  expect_sort_paths_identical(8, cfg, 600);
-  expect_sort_paths_identical(5, cfg, 400);  // odd P: idle rounds
+  // The direct pairwise exchange (k = P) with merge-on-arrival: borrowed
+  // payloads merged straight out of the senders' buffers.
+  expect_matches_packed_reference(8, kary(8, true), 600);
+  expect_matches_packed_reference(5, kary(5, true), 400);
 }
 
 TEST(DataPathGrid, MergeStrategiesSeeIdenticalChunks) {
@@ -239,7 +273,7 @@ TEST(DataPathGrid, MergeStrategiesSeeIdenticalChunks) {
                           MergeStrategy::Tournament}) {
     SortConfig cfg;
     cfg.merge = m;
-    expect_sort_paths_identical(8, cfg, 400);
+    expect_matches_packed_reference(8, cfg, 400);
   }
 }
 
@@ -248,22 +282,21 @@ TEST(DataPathGrid, HierarchicalOnMultiNodeMachine) {
   tcfg.machine = net::MachineModel::supermuc_phase2(4, 4);
   SortConfig cfg;
   cfg.exchange = ExchangeAlgorithm::Hierarchical;
-  expect_sort_paths_identical(16, cfg, 300, tcfg);
+  expect_matches_packed_reference(16, cfg, 300, tcfg);
 }
 
 TEST(DataPathGrid, SkewedInputWithDuplicates) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Zipf;
-  for (DataPath path : {DataPath::Pull, DataPath::Packed}) {
-    SortConfig cfg;
-    cfg.path = path;
-    runtime::TeamConfig tcfg;
-    tcfg.nranks = 8;
-    const SortRun run = run_sort(8, tcfg, cfg, 700, gen);
-    usize total = 0;
-    for (const auto& o : run.out) total += o.size();
-    EXPECT_EQ(total, 8u * 700u);
-  }
+  runtime::TeamConfig tcfg;
+  tcfg.nranks = 8;
+  const SortRun pull = run_sort(8, tcfg, {}, 700, false, gen);
+  const SortRun packed = run_sort(8, tcfg, {}, 700, true, gen);
+  usize total = 0;
+  for (const auto& o : pull.out) total += o.size();
+  EXPECT_EQ(total, 8u * 700u);
+  EXPECT_EQ(pull.out, packed.out);
+  EXPECT_EQ(pull.times, packed.times);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,9 +314,7 @@ TEST(DataPathCheck, PullPathRunsViolationFree) {
     Team team(tcfg);
     team.run([&](Comm& c) {
       auto local = shards[c.rank()];
-      SortConfig cfg;
-      cfg.path = DataPath::Pull;
-      sort(c, local, cfg);
+      sort(c, local);
     });
     ASSERT_NE(team.check_report(), nullptr);
     EXPECT_TRUE(team.check_report()->clean())
@@ -309,9 +340,7 @@ TEST(DataPathCheck, ElidedAlltoallvJoinIsNoticedOnPullPath) {
   Team team(tcfg);
   team.run([&](Comm& c) {
     auto local = shards[c.rank()];
-    SortConfig cfg;
-    cfg.path = DataPath::Pull;
-    sort(c, local, cfg);
+    sort(c, local);
   });
   ASSERT_NE(team.check_report(), nullptr);
   EXPECT_GT(team.check_report()->joins_elided, 0u);

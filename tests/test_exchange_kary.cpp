@@ -1,9 +1,8 @@
 // Tests for the k-ary interleaved exchange (PR 7, DESIGN.md sec. 13): the
 // factorized swap schedule, the k-way in-place tournament tail merge, sort
-// correctness across the k x P x path x kernel grid (byte-identical to the
-// alltoallv exchange), degenerate layouts, pull/packed simulated-time
-// identity, hds::check coverage (clean run + elide mutation), and crash
-// recovery through a k-ary exchange.
+// correctness across the k x P x kernel grid (byte-identical to the
+// alltoallv exchange), degenerate layouts, hds::check coverage (clean run +
+// elide mutation), and crash recovery through a k-ary exchange.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -126,7 +125,7 @@ TEST(KWayTailMerge, MatchesStdSortOnRandomRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort-level grid: k x P x path x kernel, vs the alltoallv reference
+// Sort-level grid: k x P x kernel, vs the alltoallv reference
 
 /// Sort the same shards through cfg and through the alltoallv reference;
 /// expects byte-identical per-rank outputs and invariant compliance.
@@ -167,16 +166,13 @@ void check_kary_sort(int P, SortConfig cfg, workload::GenConfig gen,
 TEST(KAryExchange, GridOverKPathKernel) {
   for (int P : {4, 8, 16}) {
     for (int k : {2, 3, 4, 8, P}) {
-      for (DataPath path : {DataPath::Pull, DataPath::Packed}) {
-        SortConfig cfg;
-        cfg.exchange = ExchangeAlgorithm::KAry;
-        cfg.exchange_k = k;
-        cfg.path = path;
-        cfg.overlap_merge = true;
-        cfg.kernel = (k % 2 == 0) ? LocalSortKernel::Radix
-                                  : LocalSortKernel::Comparison;
-        check_kary_sort(P, cfg, {}, 300);
-      }
+      SortConfig cfg;
+      cfg.exchange = ExchangeAlgorithm::KAry;
+      cfg.exchange_k = k;
+      cfg.overlap_merge = true;
+      cfg.kernel = (k % 2 == 0) ? LocalSortKernel::Radix
+                                : LocalSortKernel::Comparison;
+      check_kary_sort(P, cfg, {}, 300);
     }
   }
 }
@@ -266,46 +262,6 @@ TEST(KAryExchange, SkewedDuplicatesAndSparse) {
     cfg.overlap_merge = true;
     check_kary_sort(8, cfg, zipf, 600);
     check_kary_sort(6, cfg, sparse, 300);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pull vs Packed: identical bytes AND identical simulated time
-
-TEST(KAryDataPath, PullAndPackedBitIdentical) {
-  for (int P : {4, 8, 16}) {
-    for (int k : {2, 4, P}) {
-      for (bool overlap : {false, true}) {
-        std::vector<std::vector<u64>> shards(P);
-        for (int r = 0; r < P; ++r)
-          shards[r] = workload::generate_u64({}, r, P, 400);
-        auto run_path = [&](DataPath path) {
-          std::vector<std::vector<u64>> out(P);
-          std::vector<double> times(P);
-          Team team({.nranks = P});
-          team.run([&](Comm& c) {
-            auto local = shards[c.rank()];
-            SortConfig cfg;
-            cfg.exchange = ExchangeAlgorithm::KAry;
-            cfg.exchange_k = k;
-            cfg.overlap_merge = overlap;
-            cfg.path = path;
-            sort(c, local, cfg);
-            out[c.rank()] = std::move(local);
-          });
-          for (int r = 0; r < P; ++r) times[r] = team.rank_time(r);
-          return std::make_pair(out, times);
-        };
-        const auto pull = run_path(DataPath::Pull);
-        const auto packed = run_path(DataPath::Packed);
-        for (int r = 0; r < P; ++r) {
-          EXPECT_EQ(pull.first[r], packed.first[r])
-              << "P=" << P << " k=" << k << " overlap=" << overlap;
-          EXPECT_EQ(pull.second[r], packed.second[r])
-              << "P=" << P << " k=" << k << " overlap=" << overlap;
-        }
-      }
-    }
   }
 }
 

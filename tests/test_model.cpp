@@ -88,9 +88,10 @@ TEST(ModelExplorer, HistogramSortP3Deterministic) {
 }
 
 TEST(ModelExplorer, HypercubeExchangeDeterministic) {
+  // The k = 2 k-ary exchange: the hypercube's store-and-forward schedule.
   ExploreConfig cfg;
   cfg.max_runs = 32;
-  expect_clean(explore(find_scenario("sort2-hypercube"), cfg));
+  expect_clean(explore(find_scenario("sort2-kary2"), cfg));
 }
 
 TEST(ModelExplorer, MailboxProtocolDeterministicWithRealBranching) {

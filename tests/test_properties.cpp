@@ -1,7 +1,7 @@
 // Randomized property tests: many deterministic-seed trials with randomly
-// drawn (P, sizes, distribution, epsilon, merge, exchange) configurations,
-// checking the full output contract each time; plus cost-model invariants
-// the simulated-time experiments depend on.
+// drawn (P, sizes, distribution, epsilon, merge, histogram, exchange)
+// configurations, checking the full output contract each time; plus
+// cost-model invariants the simulated-time experiments depend on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,12 +36,14 @@ void random_trial(u64 seed) {
                                         core::MergeStrategy::BinaryTree,
                                         core::MergeStrategy::Tournament};
   cfg.merge = merges[rng() % 3];
-  cfg.init = (rng() % 3 == 0) ? core::SplitterInit::Sampled
-                              : core::SplitterInit::MinMax;
-  cfg.exchange = (rng() % 3 == 0) ? core::ExchangeAlgorithm::OneFactor
-                                  : core::ExchangeAlgorithm::Alltoallv;
-  cfg.overlap_merge =
-      cfg.exchange == core::ExchangeAlgorithm::OneFactor && (rng() % 2 == 0);
+  cfg.histogram = (rng() % 2 == 0) ? core::HistogramMode::Dense
+                                   : core::HistogramMode::Hybrid;
+  if (rng() % 2 == 0) {
+    cfg.exchange = core::ExchangeAlgorithm::KAry;
+    const int ks[] = {2, 3, P};
+    cfg.exchange_k = ks[rng() % 3];
+    cfg.overlap_merge = rng() % 2 == 0;
+  }
 
   std::vector<std::vector<u64>> shards(P);
   std::vector<u64> all;

@@ -340,11 +340,22 @@ TEST(LocalSortKernels, SameOutputDifferentCharge) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel x ExchangeAlgorithm grid: the full sort's output must not depend
-// on either choice.
+// Kernel x exchange grid: the full sort's output must not depend on either
+// choice. Exchange cells are named by schedule: Hypercube is the k-ary
+// exchange at k = 2, OneFactor the direct pairwise exchange (k = P).
 // ---------------------------------------------------------------------------
 
-using GridParam = std::tuple<LocalSortKernel, ExchangeAlgorithm>;
+struct ExchangeCell {
+  const char* name;
+  ExchangeAlgorithm algo;
+  int k;
+};
+
+// Print cells by name (gtest's default dumps the raw bytes, pointer
+// included, into the registered test names).
+void PrintTo(const ExchangeCell& cell, std::ostream* os) { *os << cell.name; }
+
+using GridParam = std::tuple<LocalSortKernel, ExchangeCell>;
 
 class KernelExchangeGrid : public ::testing::TestWithParam<GridParam> {};
 
@@ -364,7 +375,8 @@ TEST_P(KernelExchangeGrid, InvariantsAndIdenticalOutput) {
 
   SortConfig cfg;
   cfg.kernel = kernel;
-  cfg.exchange = exchange;
+  cfg.exchange = exchange.algo;
+  if (exchange.k > 0) cfg.exchange_k = exchange.k;
   std::vector<std::vector<u64>> out(P);
   Team team({.nranks = P});
   team.run([&](Comm& c) {
@@ -388,26 +400,20 @@ TEST_P(KernelExchangeGrid, InvariantsAndIdenticalOutput) {
 
 std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
   const auto [kernel, exchange] = info.param;
-  std::string e;
-  switch (exchange) {
-    case ExchangeAlgorithm::Alltoallv: e = "Alltoallv"; break;
-    case ExchangeAlgorithm::OneFactor: e = "OneFactor"; break;
-    case ExchangeAlgorithm::Hypercube: e = "Hypercube"; break;
-    case ExchangeAlgorithm::Hierarchical: e = "Hierarchical"; break;
-    case ExchangeAlgorithm::KAry: e = "KAry"; break;
-  }
-  return std::string(kernel_name(kernel)) + "_" + e;
+  return std::string(kernel_name(kernel)) + "_" + exchange.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCells, KernelExchangeGrid,
-    ::testing::Combine(::testing::Values(LocalSortKernel::Comparison,
-                                         LocalSortKernel::Radix,
-                                         LocalSortKernel::Auto),
-                       ::testing::Values(ExchangeAlgorithm::Alltoallv,
-                                         ExchangeAlgorithm::OneFactor,
-                                         ExchangeAlgorithm::Hypercube,
-                                         ExchangeAlgorithm::Hierarchical)),
+    ::testing::Combine(
+        ::testing::Values(LocalSortKernel::Comparison, LocalSortKernel::Radix,
+                          LocalSortKernel::Auto),
+        ::testing::Values(
+            ExchangeCell{"Alltoallv", ExchangeAlgorithm::Alltoallv, 0},
+            ExchangeCell{"OneFactor", ExchangeAlgorithm::KAry, 8},
+            ExchangeCell{"Hypercube", ExchangeAlgorithm::KAry, 2},
+            ExchangeCell{"Hierarchical", ExchangeAlgorithm::Hierarchical,
+                         0})),
     grid_name);
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ One entry point replaces the inline python blocks ci.sh used to carry:
     validate_bench.py recovery   BENCH_recovery.json
     validate_bench.py histogram  BENCH_histogram.json
     validate_bench.py ledger     ledger.json [ledger2.json ...]
+    validate_bench.py model-report model_report.json
+    validate_bench.py trace      trace.json
 
 Kinds and their gates (unchanged from the historical ci.sh heredocs):
   local_sort  cell shape; the radix kernel must beat std::sort on uniform
@@ -21,10 +23,10 @@ Kinds and their gates (unchanged from the historical ci.sh heredocs):
               crashes at or after the exchange superstep.
   histogram   cell shape of the PR 10 histogram-mode sweep
               (BENCH_histogram.json); every (dist, epsilon, P) cell
-              carries all three modes; hybrid must cut histogram-phase
-              sim time >= 1.2x AND probe volume vs dense on the canonical
-              uniform u64 P=16 eps=0.01 cell, and may never regress the
-              makespan by > 5% in any cell.
+              carries both modes, dense and hybrid; hybrid must cut
+              histogram-phase sim time >= 1.2x AND probe volume vs dense on
+              the canonical uniform u64 P=16 eps=0.01 cell, and may never
+              regress the makespan by > 5% in any cell.
   ledger      hds-run-ledger schema check: versioned header, op-class /
               sample / feature cross-consistency, and the fit never losing
               to the probe surrogate (err2_fit <= err2_default).
@@ -34,6 +36,10 @@ Kinds and their gates (unchanged from the historical ci.sh heredocs):
               output, exact sim-time equality across interleavings), and
               every seeded protocol mutation was caught with a replayable
               counterexample.
+  trace       Chrome trace JSON of a traced run (quickstart --trace): one
+              slice track per rank, known phase categories, and per-rank
+              slice durations reconciling with the SimClock phase sums to
+              <= 1e-9 relative.
 
 Exit status: 0 OK, 1 gate failure or malformed artifact, 2 usage error.
 No dependencies beyond the standard library.
@@ -170,7 +176,7 @@ def check_histogram(path: str) -> None:
                   "sampled_rounds", "probes_total", "hist_bytes_sampled",
                   "hist_bytes_dense", "histogram_s", "makespan_s"):
             require(k in c, f"missing field {k}: {c}")
-        require(c["mode"] in ("dense", "sampled", "hybrid"), str(c))
+        require(c["mode"] in ("dense", "hybrid"), str(c))
         require(c["histogram_s"] > 0.0 and c["makespan_s"] > 0.0, str(c))
         require(c["iterations"] >= 1, str(c))
         if c["mode"] == "dense":
@@ -180,7 +186,7 @@ def check_histogram(path: str) -> None:
         by_cell.setdefault(
             (c["dist"], c["epsilon"], c["nranks"]), {})[c["mode"]] = c
     for key, modes in by_cell.items():
-        require(set(modes) == {"dense", "sampled", "hybrid"},
+        require(set(modes) == {"dense", "hybrid"},
                 f"cell {key} missing modes: has {sorted(modes)}")
         dense, hybrid = modes["dense"], modes["hybrid"]
         ratio = hybrid["makespan_s"] / dense["makespan_s"]
@@ -295,6 +301,33 @@ def check_model_report(path: str) -> None:
           f"{len(rep['mutations'])} mutation(s) caught)")
 
 
+def check_trace(path: str) -> None:
+    d = load(path)
+    require(isinstance(d, dict) and "hds" in d and "traceEvents" in d,
+            f"{path}: not an hds Chrome trace")
+    hds = d["hds"]
+    P = hds["ranks"]
+    phases = hds["phases"]
+    slices = [e for e in d["traceEvents"] if e.get("ph") == "X"]
+    require(bool(slices), f"{path}: no complete events in trace")
+    require({e["tid"] for e in slices} == set(range(P)),
+            f"{path}: missing rank tracks")
+    require({e["cat"] for e in slices} <= set(phases),
+            f"{path}: unknown phase category")
+    sums = [dict.fromkeys(phases, 0.0) for _ in range(P)]
+    for e in slices:
+        sums[e["tid"]][e["cat"]] += e["dur"] / 1e6
+    worst = 0.0
+    for r in range(P):
+        for p, name in enumerate(phases):
+            clock = hds["clock_phase_seconds"][r][p]
+            err = abs(sums[r][name] - clock) / max(1.0, abs(clock))
+            worst = max(worst, err)
+    require(worst <= 1e-9, f"{path}: trace/clock mismatch: rel err {worst}")
+    print(f"trace OK: {path} ({len(slices)} slices over {P} ranks, "
+          f"worst reconciliation error {worst:.2e})")
+
+
 KINDS = {
     "local_sort": check_local_sort,
     "exchange": check_exchange,
@@ -302,6 +335,7 @@ KINDS = {
     "histogram": check_histogram,
     "ledger": check_ledger,
     "model-report": check_model_report,
+    "trace": check_trace,
 }
 
 
