@@ -158,9 +158,6 @@ int main(int argc, char** argv) {
                           scfg);
       }
     }
-    core::SortConfig hierarchical;
-    hierarchical.exchange = core::ExchangeAlgorithm::Hierarchical;
-    rows.emplace_back("hierarchical node leaders", hierarchical);
     for (const auto& [name, scfg] : rows) {
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
       t.add_row({name, fmt(r.time)});

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the kernels of the sort: local
 // histogramming by binary search, weighted median, 3-way partitioning,
-// loser-tree merging, and the runtime's collectives at small rank counts.
+// k-way merging, and the runtime's collectives at small rank counts.
 // These measure real wall-clock time of this machine (not simulated time).
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "core/local_sort.h"
-#include "core/merge.h"
+#include "core/merge_inplace.h"
 #include "core/selection.h"
 #include "runtime/comm.h"
 #include "runtime/team.h"
@@ -81,7 +81,7 @@ void BM_ThreeWayPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreeWayPartition)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_LoserTreeMerge(benchmark::State& state) {
+void BM_KWayMerge(benchmark::State& state) {
   const usize k = state.range(0);
   const usize per = state.range(1);
   std::vector<std::vector<u64>> chunks(k);
@@ -91,17 +91,19 @@ void BM_LoserTreeMerge(benchmark::State& state) {
     for (auto& x : c) x = rng();
     std::sort(c.begin(), c.end());
   }
+  const std::vector<std::span<const u64>> runs(chunks.begin(), chunks.end());
+  const std::span<const std::span<const u64>> rest =
+      std::span<const std::span<const u64>>(runs).subspan(1);
+  std::vector<u64> out(k * per);
   auto less = [](u64 a, u64 b) { return a < b; };
   for (auto _ : state) {
-    std::vector<std::span<const u64>> runs(chunks.begin(), chunks.end());
-    core::LoserTree<u64, decltype(less)> tree(std::move(runs), less);
-    u64 acc = 0;
-    while (!tree.empty()) acc ^= tree.pop();
-    benchmark::DoNotOptimize(acc);
+    core::kway_merge_into(std::span<u64>(out), runs[0], rest, less);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * k * per);
 }
-BENCHMARK(BM_LoserTreeMerge)->Args({4, 1 << 14})->Args({64, 1 << 10});
+BENCHMARK(BM_KWayMerge)->Args({4, 1 << 14})->Args({64, 1 << 10});
 
 void BM_StdSortReference(benchmark::State& state) {
   const usize n = state.range(0);

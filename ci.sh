@@ -167,6 +167,13 @@ for p in 4 8 16; do
       ./examples/quickstart --ranks="${p}" --keys-per-rank=4000 \
         --drop=0.01 --fault-seed=11 --recovery="${mode}" | head -1)
   done
+  # After a shrink the configured exchange runs on the P-1 survivors (3, 7
+  # and 15 ranks): the k-ary schedule on a subteam, prime for P = 4 and 8.
+  echo "--- P=${p} exchange-k=4 mode=shrink: crash ---"
+  (cd build-ci-relwithdebinfo &&
+    ./examples/quickstart --ranks="${p}" --keys-per-rank=4000 \
+      --fault=crash --fault-rank=1 --fault-op=12 \
+      --exchange-k=4 --recovery=shrink | head -1)
 done
 
 # Recovery gate: BENCH_recovery.json must validate, fault-free checkpoint

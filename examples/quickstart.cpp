@@ -51,6 +51,7 @@
 #include <iostream>
 
 #include "check/race_detector.h"
+#include "common/args.h"
 #include "core/histogram_sort.h"
 #include "model/scenarios.h"
 #include "model/schedule_file.h"
@@ -73,82 +74,51 @@ const char* histogram_mode_name(hds::core::HistogramMode m) {
 
 int main(int argc, char** argv) {
   using namespace hds;
-  int ranks = 8;
-  usize keys_per_rank = 100000;
-  double epsilon = 0.0;
-  std::string trace_path;
-  std::string ledger_path;
-  bool check = false;
-  int exchange_k = 0;  // 0 = alltoallv (the default exchange)
+  const Args args(argc, argv);
+  const int ranks = static_cast<int>(args.get_int("ranks", 8));
+  const usize keys_per_rank =
+      static_cast<usize>(args.get_int("keys-per-rank", 100000));
+  const double epsilon = args.get_double("epsilon", 0.0);
+  const std::string trace_path = args.get_string("trace", "");
+  const std::string ledger_path = args.get_string("ledger", "");
+  const bool check = args.has("check");
+  // 0 = alltoallv (the default exchange)
+  const int exchange_k = static_cast<int>(args.get_int("exchange-k", 0));
+  if (args.has("exchange-k") && exchange_k < 2) {
+    std::cerr << "--exchange-k must be >= 2\n";
+    return 2;
+  }
   core::HistogramMode histogram = core::HistogramMode::Dense;
-  usize oversample = 8;
-  std::string fault;
-  int fault_rank = 1;
-  u64 fault_op = 20;
-  u64 fault_seed = 7;
-  double straggle_s = 0.0;
-  double drop_p = 0.0;
+  if (const std::string v = args.get_string("histogram", "dense");
+      v == "hybrid") {
+    histogram = core::HistogramMode::Hybrid;
+  } else if (v != "dense") {
+    std::cerr << "unknown --histogram value: " << v << " (dense|hybrid)\n";
+    return 2;
+  }
+  const usize oversample = static_cast<usize>(args.get_int("oversample", 8));
+  const std::string fault = args.get_string("fault", "");
+  const int fault_rank = static_cast<int>(args.get_int("fault-rank", 1));
+  const u64 fault_op = static_cast<u64>(args.get_int("fault-op", 20));
+  const u64 fault_seed = static_cast<u64>(args.get_int("fault-seed", 7));
+  const double straggle_s = args.get_double("straggle", 0.0);
+  const double drop_p = args.get_double("drop", 0.0);
   core::RecoveryMode recovery = core::RecoveryMode::ResumeCheckpoint;
-  std::string replay_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--replay-schedule=", 0) == 0) replay_path = arg.substr(18);
-    if (arg.rfind("--ranks=", 0) == 0) ranks = std::stoi(arg.substr(8));
-    if (arg.rfind("--keys-per-rank=", 0) == 0)
-      keys_per_rank = std::stoul(arg.substr(16));
-    if (arg.rfind("--epsilon=", 0) == 0) epsilon = std::stod(arg.substr(10));
-    if (arg.rfind("--trace=", 0) == 0) trace_path = arg.substr(8);
-    if (arg.rfind("--ledger=", 0) == 0) ledger_path = arg.substr(9);
-    if (arg == "--check") check = true;
-    if (arg.rfind("--exchange-k=", 0) == 0) {
-      exchange_k = std::stoi(arg.substr(13));
-      if (exchange_k < 2) {
-        std::cerr << "--exchange-k must be >= 2\n";
-        return 2;
-      }
-    }
-    if (arg.rfind("--histogram=", 0) == 0) {
-      const std::string v = arg.substr(12);
-      if (v == "dense") {
-        histogram = core::HistogramMode::Dense;
-      } else if (v == "hybrid") {
-        histogram = core::HistogramMode::Hybrid;
-      } else {
-        std::cerr << "unknown --histogram value: " << v
-                  << " (dense|hybrid)\n";
-        return 2;
-      }
-    }
-    if (arg.rfind("--oversample=", 0) == 0)
-      oversample = std::stoul(arg.substr(13));
-    if (arg.rfind("--fault=", 0) == 0) fault = arg.substr(8);
-    if (arg.rfind("--fault-rank=", 0) == 0)
-      fault_rank = std::stoi(arg.substr(13));
-    if (arg.rfind("--fault-op=", 0) == 0) fault_op = std::stoul(arg.substr(11));
-    if (arg.rfind("--fault-seed=", 0) == 0)
-      fault_seed = std::stoul(arg.substr(13));
-    if (arg.rfind("--straggle=", 0) == 0)
-      straggle_s = std::stod(arg.substr(11));
-    if (arg.rfind("--drop=", 0) == 0) drop_p = std::stod(arg.substr(7));
-    if (arg.rfind("--recovery=", 0) == 0) {
-      const std::string v = arg.substr(11);
-      if (v == "restart") {
-        recovery = core::RecoveryMode::RestartFull;
-      } else if (v == "resume") {
-        recovery = core::RecoveryMode::ResumeCheckpoint;
-      } else if (v == "shrink") {
-        recovery = core::RecoveryMode::ShrinkSurvivors;
-      } else {
-        std::cerr << "unknown --recovery value: " << v
-                  << " (restart|resume|shrink)\n";
-        return 2;
-      }
-    }
+  if (const std::string v = args.get_string("recovery", "resume");
+      v == "restart") {
+    recovery = core::RecoveryMode::RestartFull;
+  } else if (v == "shrink") {
+    recovery = core::RecoveryMode::ShrinkSurvivors;
+  } else if (v != "resume") {
+    std::cerr << "unknown --recovery value: " << v
+              << " (restart|resume|shrink)\n";
+    return 2;
   }
   if (!fault.empty() && fault != "crash") {
     std::cerr << "unknown --fault value: " << fault << " (crash)\n";
     return 2;
   }
+  const std::string replay_path = args.get_string("replay-schedule", "");
 
   if (!replay_path.empty()) {
     const auto sched = model::read_schedule(replay_path);

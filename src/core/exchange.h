@@ -148,237 +148,6 @@ ExchangeResult<T> exchange(runtime::Comm& comm,
   return out;
 }
 
-/// Hierarchical node-leader exchange (Sec. VI-E1: "A set of dedicated
-/// leader cores on a single node is responsible for communication while the
-/// others perform the merging"). Intra-node slices are delivered directly
-/// (PGAS memcpy semantics); off-node slices are funneled through one leader
-/// per node, exchanged leader-to-leader, and fanned out on the destination
-/// node — minimizing the number of processes that touch the NIC.
-///
-/// Requires `comm` to span whole nodes of the machine model (true for the
-/// world communicator, the only place superstep 3 runs).
-template <class T, class UK>
-ExchangeResult<T> exchange_hierarchical(runtime::Comm& comm,
-                                        std::span<const T> sorted_local,
-                                        const SplitterResult<UK>& sp) {
-  net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
-  const int P = comm.size();
-  const auto& machine = comm.machine();
-
-  ExchangeResult<T> out;
-  const std::vector<usize> send =
-      compute_send_counts(comm, sorted_local.size(), sp);
-  std::vector<usize> offsets(P + 1, 0);
-  for (int d = 0; d < P; ++d) offsets[d + 1] = offsets[d] + send[d];
-  out.elements_kept = send[comm.rank()];
-  for (int d = 0; d < P; ++d)
-    if (d != comm.rank()) out.elements_sent_off_rank += send[d];
-  note_exchange_metrics(comm, send, sizeof(T));
-
-  const int my_node = machine.node_of(comm.world_rank());
-  runtime::Comm node = comm.split(my_node, comm.rank());
-  const bool leader = node.rank() == 0;
-  runtime::Comm leaders = comm.split(leader ? 0 : 1, my_node);
-
-  constexpr u64 kIntraTag = 0x71e4ULL << 32;
-  constexpr u64 kFanLenTag = 0x71e5ULL << 32;
-  constexpr u64 kFanDataTag = 0x71e6ULL << 32;
-
-  // 1) Direct intra-node deliveries (every same-node pair, even if empty,
-  // so the receive count is deterministic). The slices are lent straight
-  // out of sorted_local — no staging through
-  // Message::data — and the loans are reclaimed after our own receives in
-  // step 5 (sorted_local outlives the whole exchange).
-  std::vector<runtime::BorrowToken> intra_loans;
-  for (int d = 0; d < P; ++d) {
-    if (d == comm.rank()) continue;
-    if (machine.node_of(comm.world_rank_of(d)) != my_node) continue;
-    const std::span<const T> slice(sorted_local.data() + offsets[d], send[d]);
-    intra_loans.push_back(
-        comm.send_borrowed(d, kIntraTag + comm.rank(), slice));
-  }
-
-  // 2) Funnel off-node slices to the node leader: payload in ascending
-  // destination order plus the full per-destination count vector.
-  std::vector<T> to_leader;
-  std::vector<u64> my_counts(P, 0);
-  for (int d = 0; d < P; ++d) {
-    if (machine.node_of(comm.world_rank_of(d)) == my_node) continue;
-    my_counts[d] = send[d];
-    to_leader.insert(to_leader.end(), sorted_local.begin() + offsets[d],
-                     sorted_local.begin() + offsets[d + 1]);
-  }
-  std::vector<T> pooled = node.gatherv(std::span<const T>(to_leader), 0);
-  std::vector<u64> pooled_counts =
-      node.gatherv(std::span<const u64>(my_counts), 0);
-
-  // 3) Leaders exchange node-to-node bundles. Every leader knows the node
-  // id of every other leader (split key = node id, so member order == node
-  // order); bundle for node nd = runs for each dest rank on nd, from each
-  // member of this node, serialized as [ndests, (dest, nruns, lens...)...].
-  if (leader) {
-    const int NL = leaders.size();
-    const int members = node.size();
-    std::vector<u64> node_ids(NL);
-    const u64 mine_id = my_node;
-    leaders.allgather(&mine_id, 1, node_ids.data());
-
-    // Per-member cursor into its pooled payload (ascending dest order).
-    std::vector<usize> member_off(members + 1, 0);
-    {
-      usize acc = 0;
-      for (int m = 0; m < members; ++m) {
-        member_off[m] = acc;
-        for (int d = 0; d < P; ++d)
-          acc += pooled_counts[usize(m) * P + d];
-      }
-      member_off[members] = acc;
-      HDS_CHECK(acc == pooled.size());
-    }
-    std::vector<usize> cursor(member_off.begin(),
-                              member_off.begin() + members);
-
-    std::vector<u64> header;
-    std::vector<usize> header_counts(NL, 0);
-    std::vector<T> payload;
-    std::vector<usize> payload_counts(NL, 0);
-    for (int li = 0; li < NL; ++li) {
-      const usize h0 = header.size();
-      const usize p0 = payload.size();
-      if (node_ids[li] != static_cast<u64>(my_node)) {
-        for (int d = 0; d < P; ++d) {
-          if (machine.node_of(comm.world_rank_of(d)) !=
-              static_cast<int>(node_ids[li]))
-            continue;
-          header.push_back(static_cast<u64>(d));
-          header.push_back(members);
-          for (int m = 0; m < members; ++m) {
-            const u64 len = pooled_counts[usize(m) * P + d];
-            header.push_back(len);
-            payload.insert(payload.end(), pooled.begin() + cursor[m],
-                           pooled.begin() + cursor[m] + len);
-            cursor[m] += len;
-          }
-        }
-      }
-      header_counts[li] = header.size() - h0;
-      payload_counts[li] = payload.size() - p0;
-    }
-    std::vector<usize> rheader_counts, rpayload_counts;
-    std::vector<u64> rheader;
-    std::vector<T> rpayload;
-    // Leader-to-leader bundles pulled straight from the peers' publish
-    // spans into the local vectors (sized once, filled in place).
-    leaders.alltoallv_into(std::span<const u64>(header),
-                           std::span<const usize>(header_counts), rheader,
-                           rheader_counts, net::Traffic::Control);
-    leaders.alltoallv_into(std::span<const T>(payload),
-                           std::span<const usize>(payload_counts), rpayload,
-                           rpayload_counts);
-
-    // 4) Fan received runs out to their destination ranks on this node.
-    usize hoff = 0, poff = 0;
-    for (int src_li = 0; src_li < NL; ++src_li) {
-      const usize hend = hoff + rheader_counts[src_li];
-      // Collect this source node's runs per destination, then forward.
-      std::vector<std::vector<u64>> lens_by_dest;
-      std::vector<std::vector<T>> data_by_dest;
-      std::vector<int> dests;
-      while (hoff < hend) {
-        const int d = static_cast<int>(rheader[hoff++]);
-        const u64 nruns = rheader[hoff++];
-        std::vector<u64> lens;
-        std::vector<T> data;
-        for (u64 k = 0; k < nruns; ++k) {
-          const u64 len = rheader[hoff++];
-          lens.push_back(len);
-          data.insert(data.end(), rpayload.begin() + poff,
-                      rpayload.begin() + poff + len);
-          poff += len;
-        }
-        dests.push_back(d);
-        lens_by_dest.push_back(std::move(lens));
-        data_by_dest.push_back(std::move(data));
-      }
-      // Forward (possibly empty) bundles to every rank on this node so the
-      // receive count per rank is deterministic: one bundle per src node.
-      if (node_ids[src_li] == static_cast<u64>(my_node)) continue;
-      for (int nr = 0; nr < node.size(); ++nr) {
-        const int d = /* comm rank of node member nr */
-            [&] {
-              // node comm members are ordered by comm rank (split key).
-              return node.world_rank_of(nr);  // world == comm rank at world
-            }();
-        std::vector<u64> lens;
-        std::vector<T> data;
-        for (usize i = 0; i < dests.size(); ++i) {
-          if (dests[i] == d) {
-            lens = std::move(lens_by_dest[i]);
-            data = std::move(data_by_dest[i]);
-            break;
-          }
-        }
-        node.send(nr, kFanLenTag + node_ids[src_li],
-                  std::span<const u64>(lens), net::Traffic::Control);
-        node.send(nr, kFanDataTag + node_ids[src_li],
-                  std::span<const T>(data));
-      }
-    }
-    HDS_CHECK(poff == rpayload.size());
-  }
-
-  // 5) Receive: own slice + intra-node direct slices + leader bundles.
-  // Every incoming payload is appended straight into out.data (recv_append
-  // copies once, from the sender's lent buffer or the mailbox, to its final
-  // offset).
-  out.data.assign(sorted_local.begin() + offsets[comm.rank()],
-                  sorted_local.begin() + offsets[comm.rank() + 1]);
-  out.recv_counts.assign(1, out.data.size());
-  for (int s = 0; s < P; ++s) {
-    if (s == comm.rank()) continue;
-    if (machine.node_of(comm.world_rank_of(s)) != my_node) continue;
-    out.recv_counts.push_back(comm.recv_append(s, kIntraTag + s, out.data));
-  }
-  // Our own intra-node loans are all consumed once every same-node peer
-  // has run the receive loop above; reclaim them before touching
-  // sorted_local's buffer again. (Waiting earlier — before our own
-  // receives — could deadlock the pairwise pattern.)
-  for (auto& loan : intra_loans) loan.wait();
-  {
-    // One bundle per remote node, from my leader. Node ids are dense in
-    // [0, machine.nodes), so a seen-flag array discovers them in O(P)
-    // instead of an O(P^2) find-scan.
-    std::vector<int> remote_nodes;
-    std::vector<u8> seen(static_cast<usize>(machine.nodes), 0);
-    for (int r = 0; r < P; ++r) {
-      const int nd = machine.node_of(comm.world_rank_of(r));
-      if (nd == my_node || seen[static_cast<usize>(nd)]) continue;
-      seen[static_cast<usize>(nd)] = 1;
-      remote_nodes.push_back(nd);
-    }
-    for (int nd : remote_nodes) {
-      const std::vector<u64> lens = node.recv<u64>(0, kFanLenTag + nd);
-      // The bundle is the concatenation of its runs, so appending it whole
-      // preserves the per-run chunk layout recv_counts describes.
-      usize expect = 0;
-      for (u64 len : lens) {
-        out.recv_counts.push_back(len);
-        expect += len;
-      }
-      const usize got = node.recv_append(0, kFanDataTag + nd, out.data);
-      HDS_CHECK(got == expect);
-    }
-  }
-  // Drop leading zero-length chunk bookkeeping noise.
-  std::erase(out.recv_counts, usize{0});
-  if (out.recv_counts.empty() && !out.data.empty())
-    out.recv_counts.push_back(out.data.size());
-  usize total = 0;
-  for (usize c : out.recv_counts) total += c;
-  HDS_CHECK(total == out.data.size());
-  return out;
-}
-
 /// Per-round group sizes of the k-ary swap schedule for P ranks: a greedy
 /// factorization of P into the largest factors <= k, so the schedule runs
 /// ceil(log_k P) rounds whenever P is k-smooth. When the remaining cofactor

@@ -40,8 +40,6 @@ namespace hds::core {
 /// How superstep 3 moves the data.
 enum class ExchangeAlgorithm : u8 {
   Alltoallv,  ///< single collective ALL-TO-ALLV (the paper's evaluated path)
-  Hierarchical,  ///< node-leader funneling (Sec. VI-E1): only one core per
-                 ///< node touches the NIC; world communicator only
   KAry,  ///< tunable k-ary swap schedule (DESIGN.md sec. 13): store-and-
          ///< forward in ceil(log_k P) rounds of k-1 group partners each,
          ///< spanning the hypercube (k = 2, Sec. VI-E1's log2(P) rounds for
@@ -155,9 +153,6 @@ void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
   const std::span<const T> sorted_view(st.data.data(), st.data.size());
   ExchangeResult<T> ex;
   switch (cfg.exchange) {
-    case ExchangeAlgorithm::Hierarchical:
-      ex = exchange_hierarchical(comm, sorted_view, st.splitters);
-      break;
     case ExchangeAlgorithm::KAry:
       ex = exchange_kary(comm, sorted_view, st.splitters, key,
                          cfg.exchange_k, cfg.overlap_merge);
@@ -303,54 +298,6 @@ inline SortStats aggregate_rank_stats(std::span<const SortStats> per_rank) {
 
 }  // namespace detail
 
-/// Resilient end-to-end sort: runs the full histogram sort on `team` with
-/// bounded retries. The caller's input partitions are preserved across
-/// attempts — each attempt sorts a fresh copy — so a rank failure (e.g. an
-/// injected crash, see runtime/fault.h) mid-superstep simply discards the
-/// attempt and re-runs from the original input. After a successful run the
-/// global sort invariant is verified collectively before the result is
-/// committed back into `partitions`; a violated invariant counts as a
-/// failed attempt. Returns rank-aggregated stats
-/// (detail::aggregate_rank_stats); `attempts`, if non-null, receives the
-/// number of attempts used.
-template <class T, class KeyFn>
-SortStats sort_resilient(runtime::Team& team,
-                         std::vector<std::vector<T>>& partitions, KeyFn key,
-                         const SortConfig& cfg = {},
-                         const runtime::RetryPolicy& policy = {},
-                         int* attempts = nullptr) {
-  HDS_CHECK_MSG(partitions.size() == static_cast<usize>(team.size()),
-                "sort_resilient: need one input partition per rank ("
-                    << partitions.size() << " given, team size "
-                    << team.size() << ")");
-  std::vector<std::vector<T>> work(partitions.size());
-  std::vector<SortStats> per_rank(partitions.size());
-  const int used = team.run_with_retry(
-      [&](runtime::Comm& c) {
-        auto& mine = work[c.rank()];
-        per_rank[c.rank()] = sort_by_key(c, mine, key, cfg);
-        HDS_CHECK_MSG(
-            is_globally_sorted(
-                c, std::span<const T>(mine.data(), mine.size()), key),
-            "sort_resilient: output violates the global sort invariant");
-      },
-      policy, [&](int) { work = partitions; });
-  partitions = std::move(work);
-  if (attempts) *attempts = used;
-  return detail::aggregate_rank_stats(per_rank);
-}
-
-/// Key-less convenience overload of sort_resilient.
-template <class T>
-SortStats sort_resilient(runtime::Team& team,
-                         std::vector<std::vector<T>>& partitions,
-                         const SortConfig& cfg = {},
-                         const runtime::RetryPolicy& policy = {},
-                         int* attempts = nullptr) {
-  return sort_resilient(team, partitions, IdentityKey{}, cfg, policy,
-                        attempts);
-}
-
 /// Distributed nth_element: the value of 0-based global rank k, via the
 /// weighted-median selection of Alg. 1 (dash::nth_element). Reorders
 /// `local`.
@@ -400,7 +347,7 @@ bool is_globally_sorted(runtime::Comm& comm, std::span<const T> local,
 /// How sort_resilient reacts to a rank failure.
 enum class RecoveryMode : u8 {
   /// Discard the attempt and re-run from the caller's input on the full
-  /// team (the legacy retry semantics; no checkpointing overhead).
+  /// team (no checkpointing overhead).
   RestartFull,
   /// Checkpoint every superstep boundary; after a failure, re-run on the
   /// same rank count resuming from the last boundary every rank can
@@ -457,6 +404,16 @@ struct ResilienceReport {
 };
 
 namespace detail {
+
+/// ResilienceReport::recomputed_fraction from the superstep counts, clamped
+/// at 0: an attempt that dies early executes fewer supersteps than the
+/// fault-free floor, which is no recomputation at all.
+inline double recomputed_fraction(const ResilienceReport& rep) {
+  if (rep.supersteps_minimum == 0) return 0.0;
+  const double executed = static_cast<double>(rep.supersteps_executed);
+  const double minimum = static_cast<double>(rep.supersteps_minimum);
+  return std::max(0.0, (executed - minimum) / minimum);
+}
 
 /// Restore a survivor's SortState after a shrink agreement: every survivor
 /// marks the dead ranks' memory lost, picks the deepest superstep boundary
@@ -545,14 +502,18 @@ SortState<T, UK> shrink_restore(runtime::Comm& c,
 
 }  // namespace detail
 
-/// Resilient end-to-end sort with an explicit recovery mode (the legacy
-/// RetryPolicy overloads below keep the restart-only semantics). The
-/// caller's input partitions are preserved until success; on success they
+/// Resilient end-to-end sort: runs the full histogram sort on `team` and
+/// recovers from rank failures (e.g. an injected crash, see runtime/fault.h)
+/// as `rcfg.mode` says. Every attempt starts from a fresh copy of the
+/// caller's input, and the global sort invariant is verified collectively
+/// before the output is committed; a violated invariant fails the attempt.
+/// The caller's input partitions are preserved until success; on success they
 /// are replaced by the sorted output — under ShrinkSurvivors the failed
 /// ranks' entries come back empty and the survivors hold rebalanced even
 /// shares, in rank order, so the concatenation over all P entries is still
 /// the globally sorted sequence. Rethrows the last error once more than
-/// `rcfg.fault_budget` failures have been spent.
+/// `rcfg.fault_budget` failures have been spent. Returns rank-aggregated
+/// stats (detail::aggregate_rank_stats).
 template <class T, class KeyFn>
 SortStats sort_resilient(runtime::Team& team,
                          std::vector<std::vector<T>>& partitions, KeyFn key,
@@ -649,10 +610,7 @@ SortStats sort_resilient(runtime::Team& team,
           throw;  // budget exhausted: let the run fail
         c = c.recover_survivors();  // throws team_aborted if unrecoverable
         st = detail::shrink_restore<T, UK>(c, store, key);
-        // Post-shrink supersteps run on a subteam: the hierarchical
-        // exchange (world-only) is invalid there, and the restored runs
-        // are already sorted or about to be re-sorted.
-        ccfg.exchange = ExchangeAlgorithm::Alltoallv;
+        // The restored runs are already sorted or about to be re-sorted.
         ccfg.input_is_sorted = false;
       }
     }
@@ -678,12 +636,7 @@ SortStats sort_resilient(runtime::Team& team,
       failures_spent += new_failures;
       if (failures_spent > rcfg.fault_budget) {
         if (report) {
-          rep.recomputed_fraction =
-              rep.supersteps_minimum == 0
-                  ? 0.0
-                  : (static_cast<double>(rep.supersteps_executed) -
-                     static_cast<double>(rep.supersteps_minimum)) /
-                        static_cast<double>(rep.supersteps_minimum);
+          rep.recomputed_fraction = detail::recomputed_fraction(rep);
           *report = rep;
         }
         throw;
@@ -703,12 +656,7 @@ SortStats sort_resilient(runtime::Team& team,
   for (rank_t r = 0; r < static_cast<rank_t>(P); ++r)
     if (std::find(failed.begin(), failed.end(), r) == failed.end())
       rep.final_ranks.push_back(r);
-  rep.recomputed_fraction =
-      rep.supersteps_minimum == 0
-          ? 0.0
-          : std::max(0.0, (static_cast<double>(rep.supersteps_executed) -
-                           static_cast<double>(rep.supersteps_minimum)) /
-                              static_cast<double>(rep.supersteps_minimum));
+  rep.recomputed_fraction = detail::recomputed_fraction(rep);
 
   partitions = std::move(work);
   if (report) *report = rep;

@@ -5,8 +5,9 @@
 //                  (what the paper's evaluated implementation does);
 //  * BinaryTree  — out-of-place pairwise merge tree, O(n log k), each element
 //                  moves log k times;
-//  * Tournament  — loser-tree k-way merge, O(n log k) comparisons but each
-//                  element moves once (cache-efficient for small k).
+//  * Tournament  — loser-tree k-way merge (kway_merge_into), O(n log k)
+//                  comparisons but each element moves once (cache-efficient
+//                  for small k).
 #pragma once
 
 #include <algorithm>
@@ -56,90 +57,6 @@ constexpr std::string_view merge_name(MergeStrategy m) {
   }
   return "?";
 }
-
-/// Loser tree over k sorted runs: pop() yields the globally smallest head in
-/// O(log k) comparisons with a single replay path per extraction (Knuth's
-/// tournament of losers).
-template <class T, class Less>
-class LoserTree {
- public:
-  LoserTree(std::vector<std::span<const T>> runs, Less less)
-      : runs_(std::move(runs)), less_(less) {
-    k_ = runs_.size();
-    cursor_.assign(k_, 0);
-    if (k_ == 0) return;
-    m_ = 1;
-    while (m_ < k_) m_ <<= 1;  // leaves padded to a power of two
-    tree_.assign(2 * m_, kEmpty);
-    rebuild();
-  }
-
-  bool empty() const { return tree_.empty() || tree_[0] == kEmpty; }
-
-  /// Extract the smallest element across all runs.
-  T pop() {
-    HDS_CHECK(!empty());
-    const usize w = tree_[0];
-    const T out = runs_[w][cursor_[w]];
-    ++cursor_[w];
-    replay(w);
-    return out;
-  }
-
- private:
-  static constexpr usize kEmpty = static_cast<usize>(-1);
-
-  const T& head(usize run) const { return runs_[run][cursor_[run]]; }
-  bool exhausted(usize run) const {
-    return run >= k_ || cursor_[run] >= runs_[run].size();
-  }
-
-  /// The run with the smaller head; exhausted/empty runs always lose.
-  usize winner_of(usize a, usize b) {
-    if (a == kEmpty) return b;
-    if (b == kEmpty) return a;
-    return less_(head(b), head(a)) ? b : a;
-  }
-
-  /// Rebuild the whole tree from the current cursors (O(k)); used at init.
-  void rebuild() {
-    std::vector<usize> level(m_);
-    for (usize i = 0; i < m_; ++i)
-      level[i] = (i < k_ && !exhausted(i)) ? i : kEmpty;
-    // Bottom-up: compute winners per node, store losers.
-    std::vector<usize> win(2 * m_, kEmpty);
-    for (usize i = 0; i < m_; ++i) win[m_ + i] = level[i];
-    for (usize node = m_ - 1; node >= 1; --node) {
-      const usize a = win[2 * node];
-      const usize b = win[2 * node + 1];
-      const usize w = winner_of(a, b);
-      win[node] = w;
-      tree_[node] = (w == a) ? b : a;  // store the loser
-    }
-    tree_[0] = win[1];
-  }
-
-  /// After consuming from run w, replay w's path to the root.
-  void replay(usize w) {
-    usize contender = exhausted(w) ? kEmpty : w;
-    usize node = (m_ + w) / 2;
-    while (node >= 1) {
-      const usize other = tree_[node];
-      const usize win = winner_of(contender, other);
-      tree_[node] = (win == contender) ? other : contender;
-      contender = win;
-      node /= 2;
-    }
-    tree_[0] = contender;
-  }
-
-  std::vector<std::span<const T>> runs_;
-  Less less_;
-  usize k_ = 0;
-  usize m_ = 0;               ///< leaves (power of two)
-  std::vector<usize> cursor_;
-  std::vector<usize> tree_;   ///< losers per internal node; winner at [0]
-};
 
 /// Merge `k` sorted runs (concatenated in `data`, lengths in `counts`) into
 /// a single sorted sequence, charging simulated time per strategy. The Sort
@@ -230,9 +147,9 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
       return;
     }
     case MergeStrategy::Tournament: {
-      // The loser tree reads the runs in place and extracts into the pooled
-      // arena, which is then copied back over `data` — no per-call output
-      // allocation.
+      // kway_merge_into (the k-ary exchange's merge kernel) reads the runs
+      // in place and writes into the pooled arena, which is then copied
+      // back over `data` — no per-call output allocation.
       std::vector<std::span<const T>> runs;
       usize off = 0;
       for (usize c : counts) {
@@ -240,11 +157,10 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
           runs.emplace_back(std::span<const T>(data.data() + off, c));
         off += c;
       }
-      LoserTree<T, decltype(less)> tree(std::move(runs), less);
       std::span<T> out = detail::pooled_scratch<T>(comm, n);
-      usize w = 0;
-      while (!tree.empty()) out[w++] = tree.pop();
-      HDS_CHECK(w == n);
+      kway_merge_into(out, runs[0],
+                      std::span<const std::span<const T>>(runs).subspan(1),
+                      less);
       std::copy(out.begin(), out.end(), data.begin());
       comm.charge_kway_merge(n, nonempty);
       comm.metrics().add(obs::Counter::MergeComparisons, comparisons);

@@ -48,20 +48,11 @@ enum class HistogramMode : u8 {
 struct MultiselectConfig {
   /// Load-balance threshold epsilon of Def. 1; 0 = perfect partitioning.
   double epsilon = 0.0;
-  /// Safety cap on histogram rounds; 0 = automatic (4 * key bits + 16).
-  usize max_iterations = 0;
   HistogramMode histogram = HistogramMode::Dense;
   /// Oversampling factor of the sampled rounds (Hybrid only): each
   /// rank contributes ~(oversample + 2) * sqrt(#boundaries in segment)
   /// systematically sampled keys per search segment per round.
   usize oversample = 8;
-  /// Cap on sampled rounds before dense refinement takes over; rounds also
-  /// stop early once the sampled CDF stops concentrating the brackets, so
-  /// the cap only bites on smoothly-converging inputs.
-  usize max_sampled_rounds = 8;
-  /// Seed of the per-(rank, round) sample-position jitter. Must be
-  /// identical on all ranks (the pooled sample is decoded redundantly).
-  u64 sample_seed = 0x9e3779b9;
 };
 
 /// Result of find_splitters. All vectors are indexed by boundary
@@ -94,6 +85,14 @@ struct SplitterResult {
 };
 
 namespace detail {
+
+/// Cap on sampled rounds before dense refinement takes over; rounds also
+/// stop early once the sampled CDF stops concentrating the brackets, so the
+/// cap only bites on smoothly-converging inputs.
+inline constexpr usize kMaxSampledRounds = 8;
+/// Seed of the per-(rank, round) sample-position jitter. Identical on all
+/// ranks (the pooled sample is decoded redundantly).
+inline constexpr u64 kSampleSeed = 0x9e3779b9;
 
 /// Per-boundary search state in uint key space. Invariant (once verified):
 /// f(cand_lo - 1) < K <= f(cand_hi) where f(v) = #keys <= v globally.
@@ -258,7 +257,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
                  std::ceil(std::sqrt(static_cast<double>(nb))));
     };
     for (usize round = 0;
-         round < cfg.max_sampled_rounds && !active.empty(); ++round) {
+         round < detail::kMaxSampledRounds && !active.empty(); ++round) {
       // Merge the active brackets into disjoint segments — identical on
       // every rank, because the brackets are replicated search state.
       segs.clear();
@@ -286,7 +285,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
       const T* base = sorted_local.data();
       contrib.clear();
       Xoshiro256 rng(hash_mix(
-          cfg.sample_seed,
+          detail::kSampleSeed,
           (static_cast<u64>(comm.rank()) << 8) | static_cast<u64>(round)));
       usize scan = 0;  // segments ascend, so searches narrow monotonically
       for (const Segment& g : segs) {
@@ -581,9 +580,8 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
     }
   }
 
-  const usize max_iter = cfg.max_iterations
-                             ? cfg.max_iterations
-                             : 4 * static_cast<usize>(Traits::key_bits) + 16;
+  // Safety cap on histogram rounds.
+  const usize max_iter = 4 * static_cast<usize>(Traits::key_bits) + 16;
 
   std::vector<UK> probes;
   std::vector<u64> hist;     // interleaved (lb, ub) per active boundary

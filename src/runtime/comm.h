@@ -657,12 +657,12 @@ class Comm {
   }
 
   /// Loaned-payload send: the payload never round-trips through
-  /// Message::data — the receiver's recv/recv_into/recv_append copies it
-  /// straight from the caller's buffer into its destination (one copy
-  /// total). Charges and traces exactly like send(). The returned token
-  /// MUST be waited on before the buffer is mutated or freed; the send
-  /// itself never blocks on the receiver (a blocking send would deadlock
-  /// pairwise exchanges), so post your own receives first, then wait().
+  /// Message::data — the receiver's recv/recv_into copies it straight from
+  /// the caller's buffer into its destination (one copy total). Charges and
+  /// traces exactly like send(). The returned token MUST be waited on before
+  /// the buffer is mutated or freed; the send itself never blocks on the
+  /// receiver (a blocking send would deadlock pairwise exchanges), so post
+  /// your own receives first, then wait().
   template <class T>
   [[nodiscard]] BorrowToken send_borrowed(
       int dst, u64 tag, std::span<const T> data,
@@ -696,21 +696,6 @@ class Comm {
                     "recv_into: destination span too small (" << dst.size()
                         << " elements for " << nb << " bytes)");
       return reinterpret_cast<std::byte*>(dst.data());
-    });
-    return nbytes / sizeof(T);
-  }
-
-  /// Receive and append to `dst` (grown exactly once). Returns the element
-  /// count received.
-  template <class T>
-  usize recv_append(int src, u64 tag, std::vector<T>& dst) {
-    check_trivial<T>();
-    const usize nbytes = recv_bytes_into(src, tag, [&](usize nb) {
-      HDS_CHECK_MSG(nb % sizeof(T) == 0,
-                    "recv_append: payload is not a whole element count");
-      const usize old = dst.size();
-      dst.resize(old + nb / sizeof(T));
-      return reinterpret_cast<std::byte*>(dst.data() + old);
     });
     return nbytes / sizeof(T);
   }

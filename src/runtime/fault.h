@@ -10,7 +10,7 @@
 // be keyed on the k-th op *within a phase* (crash the 2nd op of the
 // Exchange superstep, regardless of how many histogram rounds ran first).
 // Each action is one-shot — once triggered it is consumed, which is what
-// makes Team::run_with_retry converge after an injected failure — but a
+// makes core::sort_resilient converge after an injected failure — but a
 // plan may hold many actions, so multi-fault schedules (back-to-back
 // crashes during a recovery, or correlated same-op crashes of several
 // ranks) are expressed by arming several actions at once.

@@ -3,11 +3,12 @@
 // the receiver's clock advances consistently with the cost model.
 //
 // Messages are indexed by (src, tag) channel so pop() is O(log channels)
-// instead of O(pending): a hierarchical exchange parks hundreds of fan-out
-// payloads in a leader's mailbox, and the old linear scan re-walked all of
-// them on every wakeup. push() pairs with a targeted notify_one — each
-// mailbox has exactly one consumer (the owning rank), so waking more than
-// one waiter is never useful.
+// instead of O(pending): the k-ary exchange at k = P posts a header and a
+// payload from every peer in one round, so a rank's mailbox holds up to
+// 2(P-1) parked messages, and a linear scan would re-walk all of them on
+// every wakeup. push() pairs with a targeted notify_one — each mailbox has
+// exactly one consumer (the owning rank), so waking more than one waiter
+// is never useful.
 #pragma once
 
 #include <chrono>

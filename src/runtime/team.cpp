@@ -207,26 +207,6 @@ void Team::run(const std::function<void(Comm&)>& fn) {
     throw check::pgas_violation(detector_->report().summary());
 }
 
-int Team::run_with_retry(const std::function<void(Comm&)>& fn,
-                         const RetryPolicy& policy,
-                         const std::function<void(int)>& before_attempt) {
-  HDS_CHECK(policy.max_attempts >= 1);
-  double backoff = policy.backoff_s;
-  for (int attempt = 1;; ++attempt) {
-    if (before_attempt) before_attempt(attempt);
-    try {
-      run(fn);
-      return attempt;
-    } catch (...) {
-      if (attempt >= policy.max_attempts) throw;
-    }
-    if (backoff > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      backoff *= policy.backoff_multiplier;
-    }
-  }
-}
-
 void Team::watchdog_loop(const std::atomic<int>& done) {
   using clock = std::chrono::steady_clock;
   const double timeout = cfg_.watchdog_timeout_s;

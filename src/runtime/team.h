@@ -97,15 +97,6 @@ struct TeamConfig {
   model::ScheduleRecorder* recorder = nullptr;
 };
 
-/// Bounded-retry policy for Team::run_with_retry. Backoff is wall-clock:
-/// attempt i (0-based) sleeps backoff_s * backoff_multiplier^(i-1) before
-/// re-running.
-struct RetryPolicy {
-  int max_attempts = 3;
-  double backoff_s = 0.0;
-  double backoff_multiplier = 2.0;
-};
-
 namespace detail {
 
 /// One rank's contribution to the collective in flight.
@@ -252,15 +243,6 @@ class Team {
   /// With a watchdog timeout configured, a wall-clock hang (lost message,
   /// mismatched op sequence) is converted into a watchdog_timeout abort.
   void run(const std::function<void(Comm&)>& fn);
-
-  /// Run `fn` with bounded retries: on failure the run is repeated (after
-  /// the policy's backoff) up to max_attempts times; the last error is
-  /// rethrown if every attempt fails. `before_attempt`, if set, runs before
-  /// each attempt (1-based) so the caller can restore per-attempt state.
-  /// Returns the number of attempts used.
-  int run_with_retry(const std::function<void(Comm&)>& fn,
-                     const RetryPolicy& policy = {},
-                     const std::function<void(int)>& before_attempt = {});
 
   int size() const { return cfg_.nranks; }
   const TeamConfig& config() const { return cfg_; }

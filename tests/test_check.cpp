@@ -249,9 +249,8 @@ TEST(CheckedRunTest, HistogramSortAndAllBaselinesAreViolationFree) {
 TEST(CheckedRunTest, ExchangeKernelGridIsViolationFree) {
   const int P = 8;
   auto shards = make_shards(P, 300);
-  for (auto ex : {core::ExchangeAlgorithm::Alltoallv,
-                  core::ExchangeAlgorithm::KAry,
-                  core::ExchangeAlgorithm::Hierarchical}) {
+  for (auto ex :
+       {core::ExchangeAlgorithm::Alltoallv, core::ExchangeAlgorithm::KAry}) {
     for (auto kern :
          {core::LocalSortKernel::Comparison, core::LocalSortKernel::Radix}) {
       core::SortConfig scfg;

@@ -1,4 +1,4 @@
-// Tests for the local k-way merge strategies (Sec. V-C): loser tree,
+// Tests for the local k-way merge strategies (Sec. V-C): tournament,
 // binary merge tree, and re-sort, against std::merge / std::sort oracles.
 #include <gtest/gtest.h>
 
@@ -95,6 +95,43 @@ TEST_P(MergeStrategyTest, DuplicateHeavy) {
   EXPECT_EQ(data, expected);
 }
 
+TEST_P(MergeStrategyTest, TiesKeepRunOrder) {
+  // Records tagged with their position in the concatenation, keys drawn
+  // from a 5-value alphabet so every key is tied across many runs. The
+  // merging strategies must emit equal keys in run order, i.e. exactly
+  // std::stable_sort of the concatenation; the re-sort strategy promises
+  // key order only.
+  struct Rec {
+    u32 key;
+    u32 origin;
+  };
+  auto by_key = [](const Rec& a, const Rec& b) { return a.key < b.key; };
+  Xoshiro256 rng(11);
+  std::vector<Rec> data;
+  std::vector<usize> counts;
+  for (usize len : {40, 0, 7, 63, 1, 25}) {
+    std::vector<u32> keys(len);
+    for (auto& k : keys) k = static_cast<u32>(rng() % 5);
+    std::sort(keys.begin(), keys.end());
+    for (u32 k : keys) data.push_back({k, static_cast<u32>(data.size())});
+    counts.push_back(len);
+  }
+  std::vector<Rec> expected = data;
+  std::stable_sort(expected.begin(), expected.end(), by_key);
+  Team team({.nranks = 1});
+  team.run([&](Comm& c) {
+    merge_chunks(c, data, std::span<const usize>(counts), GetParam(),
+                 [](const Rec& r) { return r.key; });
+  });
+  ASSERT_EQ(data.size(), expected.size());
+  for (usize i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(data[i].key, expected[i].key) << "position " << i;
+    if (GetParam() != MergeStrategy::Sort) {
+      EXPECT_EQ(data[i].origin, expected[i].origin) << "position " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MergeStrategyTest,
                          ::testing::Values(MergeStrategy::Sort,
                                            MergeStrategy::BinaryTree,
@@ -107,48 +144,6 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, MergeStrategyTest,
                                       ? "BinaryTree"
                                       : "Tournament";
                          });
-
-TEST(LoserTreeTest, PopsInGlobalOrder) {
-  std::vector<u32> a{1, 4, 9}, b{2, 3, 10}, c{0, 5};
-  std::vector<std::span<const u32>> runs = {a, b, c};
-  auto less = [](u32 x, u32 y) { return x < y; };
-  LoserTree<u32, decltype(less)> tree(runs, less);
-  std::vector<u32> out;
-  while (!tree.empty()) out.push_back(tree.pop());
-  EXPECT_EQ(out, (std::vector<u32>{0, 1, 2, 3, 4, 5, 9, 10}));
-}
-
-TEST(LoserTreeTest, SingleRun) {
-  std::vector<u32> a{3, 7, 11};
-  std::vector<std::span<const u32>> runs = {a};
-  auto less = [](u32 x, u32 y) { return x < y; };
-  LoserTree<u32, decltype(less)> tree(runs, less);
-  std::vector<u32> out;
-  while (!tree.empty()) out.push_back(tree.pop());
-  EXPECT_EQ(out, a);
-}
-
-TEST(LoserTreeTest, StressAgainstSort) {
-  Xoshiro256 rng(10);
-  for (int trial = 0; trial < 20; ++trial) {
-    const usize k = 1 + rng() % 12;
-    std::vector<std::vector<u64>> chunks(k);
-    std::vector<u64> expected;
-    for (auto& ch : chunks) {
-      const usize n = rng() % 40;
-      for (usize i = 0; i < n; ++i) ch.push_back(rng() % 1000);
-      std::sort(ch.begin(), ch.end());
-      expected.insert(expected.end(), ch.begin(), ch.end());
-    }
-    std::sort(expected.begin(), expected.end());
-    std::vector<std::span<const u64>> runs(chunks.begin(), chunks.end());
-    auto less = [](u64 x, u64 y) { return x < y; };
-    LoserTree<u64, decltype(less)> tree(runs, less);
-    std::vector<u64> out;
-    while (!tree.empty()) out.push_back(tree.pop());
-    EXPECT_EQ(out, expected) << "trial " << trial;
-  }
-}
 
 TEST(MergeCosts, TournamentChargedByLogK) {
   // The simulated charge for a tournament merge grows with the chunk count,

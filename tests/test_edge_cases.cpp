@@ -1,6 +1,6 @@
 // Edge-case and regression tests across modules: team reuse, clock reset,
 // nested phase scopes, subteam poisoning, self-messaging, empty-span
-// searches, loser trees over empty runs, and split ordering stability.
+// searches, and split ordering stability.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "core/histogram_sort.h"
 #include "core/local_sort.h"
-#include "core/merge.h"
 #include "runtime/comm.h"
 #include "runtime/team.h"
 
@@ -140,27 +139,6 @@ TEST(SearchEdge, BoundsAtExtremes) {
   EXPECT_EQ(core::count_below_equal(s, u64{4}, identity), 3u);
   EXPECT_EQ(core::count_below(s, u64{7}, identity), 4u);
   EXPECT_EQ(core::count_below_equal(s, u64{7}, identity), 4u);
-}
-
-TEST(LoserTreeEdge, AllRunsEmpty) {
-  std::vector<u64> a, b;
-  std::vector<std::span<const u64>> runs = {a, b};
-  auto less = [](u64 x, u64 y) { return x < y; };
-  core::LoserTree<u64, decltype(less)> tree(runs, less);
-  EXPECT_TRUE(tree.empty());
-}
-
-TEST(LoserTreeEdge, DuplicateHeadsStable) {
-  std::vector<u64> a{5, 5}, b{5}, c{5, 5, 5};
-  std::vector<std::span<const u64>> runs = {a, b, c};
-  auto less = [](u64 x, u64 y) { return x < y; };
-  core::LoserTree<u64, decltype(less)> tree(runs, less);
-  usize n = 0;
-  while (!tree.empty()) {
-    EXPECT_EQ(tree.pop(), 5u);
-    ++n;
-  }
-  EXPECT_EQ(n, 6u);
 }
 
 TEST(SortEdgeMore, RepeatSortIsIdempotent) {

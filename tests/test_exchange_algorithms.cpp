@@ -1,9 +1,9 @@
 // Tests for the point-to-point exchange schedules of superstep 3: the k-ary
 // swap schedule at its two extremes — k = 2, the store-and-forward
 // hypercube (Sec. VI-E1's log2(P) rounds for small N/P), and k >= P, the
-// direct pairwise exchange the 1-factor rounds used to schedule — plus the
-// hierarchical node-leader exchange. Each suite checks the full sort
-// contract through the schedule, with and without merge overlap.
+// direct pairwise exchange the 1-factor rounds used to schedule. Each suite
+// checks the full sort contract through the schedule, with and without
+// merge overlap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,104 +159,6 @@ TEST(HypercubeExchange, CheaperLatencyForTinyPartitions) {
     return team.stats().phase_seconds(net::Phase::Exchange);
   };
   EXPECT_LT(time_with(hypercube()), time_with(SortConfig{}));
-}
-
-TEST(HierarchicalExchange, SortsOnMultiNodeMachine) {
-  // 4 nodes x 4 ranks: intra-node slices go direct, the rest through the
-  // node leaders.
-  runtime::TeamConfig tcfg;
-  tcfg.nranks = 16;
-  tcfg.machine = net::MachineModel::supermuc_phase2(4, 4);
-  Team team(tcfg);
-  workload::GenConfig gen;
-  std::vector<std::vector<u64>> shards(16);
-  std::vector<u64> all;
-  for (int r = 0; r < 16; ++r) {
-    shards[r] = workload::generate_u64(gen, r, 16, 400);
-    all.insert(all.end(), shards[r].begin(), shards[r].end());
-  }
-  std::sort(all.begin(), all.end());
-  std::vector<std::vector<u64>> out(16);
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::Hierarchical;
-    sort(c, local, cfg);
-    out[c.rank()] = std::move(local);
-  });
-  std::vector<u64> merged;
-  for (const auto& o : out) {
-    EXPECT_EQ(o.size(), 400u);
-    merged.insert(merged.end(), o.begin(), o.end());
-  }
-  std::sort(merged.begin(), merged.end());
-  EXPECT_EQ(merged, all);
-}
-
-TEST(HierarchicalExchange, SingleNodeDegeneratesToDirect) {
-  SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::Hierarchical;
-  check_sort(6, cfg, {}, 500);  // default machine: one node
-}
-
-TEST(HierarchicalExchange, UnevenNodesAndDuplicates) {
-  runtime::TeamConfig tcfg;
-  tcfg.nranks = 12;
-  tcfg.machine = net::MachineModel::supermuc_phase2(3, 4);
-  Team team(tcfg);
-  workload::GenConfig gen;
-  gen.dist = workload::Dist::FewDistinct;
-  gen.alphabet = 3;
-  std::vector<std::vector<u64>> shards(12);
-  std::vector<u64> all;
-  for (int r = 0; r < 12; ++r) {
-    shards[r] = workload::generate_u64(gen, r, 12, 100 * (r % 3 + 1));
-    all.insert(all.end(), shards[r].begin(), shards[r].end());
-  }
-  std::sort(all.begin(), all.end());
-  std::vector<std::vector<u64>> out(12);
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::Hierarchical;
-    sort(c, local, cfg);
-    out[c.rank()] = std::move(local);
-  });
-  std::vector<u64> merged;
-  for (const auto& o : out)
-    merged.insert(merged.end(), o.begin(), o.end());
-  std::sort(merged.begin(), merged.end());
-  EXPECT_EQ(merged, all);
-}
-
-TEST(HierarchicalExchange, SparseInputAcrossNodes) {
-  runtime::TeamConfig tcfg;
-  tcfg.nranks = 8;
-  tcfg.machine = net::MachineModel::supermuc_phase2(2, 4);
-  Team team(tcfg);
-  workload::GenConfig gen;
-  gen.sparsity = 0.5;
-  gen.seed = 21;
-  std::vector<std::vector<u64>> shards(8);
-  std::vector<u64> all;
-  for (int r = 0; r < 8; ++r) {
-    shards[r] = workload::generate_u64(gen, r, 8, 300);
-    all.insert(all.end(), shards[r].begin(), shards[r].end());
-  }
-  std::sort(all.begin(), all.end());
-  std::vector<std::vector<u64>> out(8);
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::Hierarchical;
-    sort(c, local, cfg);
-    out[c.rank()] = std::move(local);
-  });
-  std::vector<u64> merged;
-  for (const auto& o : out)
-    merged.insert(merged.end(), o.begin(), o.end());
-  std::sort(merged.begin(), merged.end());
-  EXPECT_EQ(merged, all);
 }
 
 }  // namespace

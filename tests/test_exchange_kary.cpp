@@ -323,7 +323,7 @@ TEST(KAryCheck, ElidedAlltoallJoinIsNoticed) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash during a k-ary exchange: both checkpoint recovery modes
+// Crash during a k-ary exchange: both checkpoint recovery modes, across k
 
 TEST(KAryRecovery, CrashDuringKAryExchangeRecovers) {
   constexpr int P = 8;
@@ -339,34 +339,41 @@ TEST(KAryRecovery, CrashDuringKAryExchangeRecovers) {
     expected.insert(expected.end(), p.begin(), p.end());
   std::sort(expected.begin(), expected.end());
 
-  for (RecoveryMode mode :
-       {RecoveryMode::ResumeCheckpoint, RecoveryMode::ShrinkSurvivors}) {
-    auto plan = std::make_shared<runtime::FaultPlan>();
-    // A few ops into the Exchange phase: mid k-ary rounds, after local
-    // sort and splitters are checkpointed.
-    plan->crash_rank_at_phase_op(1, net::Phase::Exchange, 2);
-    runtime::TeamConfig tcfg;
-    tcfg.nranks = P;
-    tcfg.fault = plan;
-    tcfg.watchdog_timeout_s = 10.0;
-    Team team(tcfg);
-    auto parts = original;
-    SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::KAry;
-    cfg.exchange_k = 4;
-    cfg.overlap_merge = true;
-    ResilienceConfig rcfg;
-    rcfg.mode = mode;
-    ResilienceReport rep;
-    (void)sort_resilient(team, parts, cfg, rcfg, &rep);
+  // After a shrink the configured k-ary exchange runs on the 7 survivors:
+  // a prime team size, so every k here takes kary_round_factors' one-wide-
+  // round fallback on a subteam.
+  for (int k : {2, 4, P}) {
+    for (RecoveryMode mode :
+         {RecoveryMode::ResumeCheckpoint, RecoveryMode::ShrinkSurvivors}) {
+      SCOPED_TRACE(::testing::Message()
+                   << recovery_mode_name(mode) << " k=" << k);
+      auto plan = std::make_shared<runtime::FaultPlan>();
+      // A few ops into the Exchange phase: mid k-ary rounds, after local
+      // sort and splitters are checkpointed.
+      plan->crash_rank_at_phase_op(1, net::Phase::Exchange, 2);
+      runtime::TeamConfig tcfg;
+      tcfg.nranks = P;
+      tcfg.fault = plan;
+      tcfg.watchdog_timeout_s = 10.0;
+      Team team(tcfg);
+      auto parts = original;
+      SortConfig cfg;
+      cfg.exchange = ExchangeAlgorithm::KAry;
+      cfg.exchange_k = k;
+      cfg.overlap_merge = true;
+      ResilienceConfig rcfg;
+      rcfg.mode = mode;
+      ResilienceReport rep;
+      (void)sort_resilient(team, parts, cfg, rcfg, &rep);
 
-    EXPECT_GE(rep.failures, 1u) << recovery_mode_name(mode);
-    std::vector<u64> flat;
-    for (const auto& p : parts) flat.insert(flat.end(), p.begin(), p.end());
-    EXPECT_EQ(flat, expected) << recovery_mode_name(mode);
-    if (mode == RecoveryMode::ShrinkSurvivors) {
-      EXPECT_GE(rep.recoveries, 1u);
-      EXPECT_TRUE(parts[1].empty());  // the dead rank holds no output
+      EXPECT_GE(rep.failures, 1u);
+      std::vector<u64> flat;
+      for (const auto& p : parts) flat.insert(flat.end(), p.begin(), p.end());
+      EXPECT_EQ(flat, expected);
+      if (mode == RecoveryMode::ShrinkSurvivors) {
+        EXPECT_GE(rep.recoveries, 1u);
+        EXPECT_TRUE(parts[1].empty());  // the dead rank holds no output
+      }
     }
   }
 }

@@ -1,8 +1,8 @@
 // Fault-tolerance tests: deterministic fault injection (crash, straggler,
 // message drop/delay), the release-mode collective-mismatch guard, the
-// no-progress watchdog, retryable team runs, and the resilient end-to-end
-// sort. These exercise every abort path in barrier.h / mailbox.h / team.cpp
-// that the seed runtime had but never reached from tests.
+// no-progress watchdog, and the resilient end-to-end sort. These exercise
+// every abort path in barrier.h / mailbox.h / team.cpp that the seed
+// runtime had but never reached from tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -295,62 +295,9 @@ TEST(Abort, RerunAfterAbortHasFreshMailboxes) {
   team.run([&](Comm& c) { c.barrier(); });
 }
 
-// --- retryable runs ----------------------------------------------------------
-
-TEST(Retry, OneShotFaultSucceedsOnSecondAttempt) {
-  auto plan = std::make_shared<FaultPlan>();
-  plan->crash_rank_at_op(1, 2);
-  Team team(cfg_with(4, plan));
-  std::atomic<int> runs{0};
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  const int attempts = team.run_with_retry(
-      [&](Comm& c) {
-        for (int i = 0; i < 5; ++i) c.barrier();
-        if (c.rank() == 0) runs.fetch_add(1);
-      },
-      policy);
-  EXPECT_EQ(attempts, 2);
-  EXPECT_EQ(runs.load(), 1);  // only the successful attempt completed rank 0
-}
-
-TEST(Retry, ExhaustedAttemptsRethrowLastError) {
-  auto plan = std::make_shared<FaultPlan>();
-  // Three armed crashes at the same spot: every attempt dies.
-  for (int i = 0; i < 3; ++i) plan->crash_rank_at_op(0, 1);
-  Team team(cfg_with(2, plan));
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  EXPECT_THROW(team.run_with_retry(
-                   [&](Comm& c) {
-                     c.barrier();
-                     c.barrier();
-                   },
-                   policy),
-               rank_failed);
-}
-
-TEST(Retry, BeforeAttemptRestoresState) {
-  auto plan = std::make_shared<FaultPlan>();
-  plan->crash_rank_at_op(0, 0);
-  Team team(cfg_with(2, plan));
-  std::vector<int> state;
-  std::vector<int> attempts_seen;
-  (void)team.run_with_retry(
-      [&](Comm& c) {
-        if (c.rank() == 0) state.push_back(1);
-        c.barrier();
-      },
-      RetryPolicy{},
-      [&](int attempt) {
-        state.clear();
-        attempts_seen.push_back(attempt);
-      });
-  EXPECT_EQ(state.size(), 1u);
-  EXPECT_EQ(attempts_seen, (std::vector<int>{1, 2}));
-}
-
 // --- resilient end-to-end sort ----------------------------------------------
+
+const core::ResilienceConfig kRestart{core::RecoveryMode::RestartFull};
 
 std::vector<std::vector<u64>> random_partitions(int p, usize per_rank,
                                                 u64 seed) {
@@ -375,10 +322,10 @@ TEST(SortResilient, CleanRunSortsAndPreservesElements) {
   Team team(cfg_with(P));
   auto parts = random_partitions(P, 512, 11);
   const std::vector<u64> expected = flatten_sorted(parts);
-  int attempts = 0;
+  core::ResilienceReport rep;
   const core::SortStats stats = core::sort_resilient(
-      team, parts, core::SortConfig{}, RetryPolicy{}, &attempts);
-  EXPECT_EQ(attempts, 1);
+      team, parts, core::SortConfig{}, kRestart, &rep);
+  EXPECT_EQ(rep.attempts, 1);
   EXPECT_EQ(stats.elements_before, expected.size());
   EXPECT_EQ(stats.elements_after, expected.size());
   std::vector<u64> got;
@@ -403,7 +350,7 @@ TEST(SortResilient, RecoversFromCrashAtEverySuperstepOp) {
   {
     Team team(cfg_with(P, probe_plan));
     auto parts = random_partitions(P, kPerRank, seed);
-    (void)core::sort_resilient(team, parts);
+    (void)core::sort_resilient(team, parts, core::SortConfig{}, kRestart);
     total_ops = probe_plan->ops_observed(1);
     ASSERT_GT(total_ops, 4u);
   }
@@ -418,10 +365,10 @@ TEST(SortResilient, RecoversFromCrashAtEverySuperstepOp) {
     plan->crash_rank_at_op(1, k);
     Team team(cfg_with(P, plan, /*watchdog_s=*/10.0));
     auto parts = original;
-    int attempts = 0;
-    (void)core::sort_resilient(team, parts, core::SortConfig{},
-                               RetryPolicy{}, &attempts);
-    EXPECT_EQ(attempts, 2) << "crash at op " << k;
+    core::ResilienceReport rep;
+    (void)core::sort_resilient(team, parts, core::SortConfig{}, kRestart,
+                               &rep);
+    EXPECT_EQ(rep.attempts, 2) << "crash at op " << k;
     std::vector<u64> got;
     for (const auto& p : parts) got.insert(got.end(), p.begin(), p.end());
     EXPECT_EQ(got, expected) << "crash at op " << k;
@@ -435,9 +382,9 @@ TEST(SortResilient, InputPreservedWhenAllAttemptsFail) {
   Team team(cfg_with(P, plan));
   auto parts = random_partitions(P, 64, 3);
   const auto original = parts;
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  EXPECT_THROW(core::sort_resilient(team, parts, core::SortConfig{}, policy),
+  core::ResilienceConfig rcfg = kRestart;
+  rcfg.fault_budget = 1;
+  EXPECT_THROW(core::sort_resilient(team, parts, core::SortConfig{}, rcfg),
                rank_failed);
   // The caller's partitions were never clobbered by a failed attempt.
   EXPECT_EQ(parts, original);

@@ -411,9 +411,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(
             ExchangeCell{"Alltoallv", ExchangeAlgorithm::Alltoallv, 0},
             ExchangeCell{"OneFactor", ExchangeAlgorithm::KAry, 8},
-            ExchangeCell{"Hypercube", ExchangeAlgorithm::KAry, 2},
-            ExchangeCell{"Hierarchical", ExchangeAlgorithm::Hierarchical,
-                         0})),
+            ExchangeCell{"Hypercube", ExchangeAlgorithm::KAry, 2})),
     grid_name);
 
 // ---------------------------------------------------------------------------

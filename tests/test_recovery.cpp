@@ -297,6 +297,31 @@ TEST(ResumeCheckpoint, FaultBudgetExhaustionRethrows) {
   EXPECT_EQ(parts, original);  // input preserved across failed attempts
 }
 
+TEST(ResilienceReport, BudgetExhaustionKeepsRecomputedFractionNonNegative) {
+  // Every attempt dies at rank 0's first op, so fewer supersteps execute
+  // than a fault-free run needs: the failure exit must clamp the fraction
+  // at 0 exactly like the success exit does.
+  constexpr int P = 2;
+  for (core::RecoveryMode mode : {core::RecoveryMode::RestartFull,
+                                  core::RecoveryMode::ResumeCheckpoint}) {
+    SCOPED_TRACE(core::recovery_mode_name(mode));
+    auto plan = std::make_shared<FaultPlan>();
+    for (int i = 0; i < 4; ++i) plan->crash_rank_at_op(0, 0);
+    Team team(cfg_with(P, plan));
+    auto parts = random_partitions(P, 64, 5);
+    core::ResilienceConfig rcfg;
+    rcfg.mode = mode;
+    rcfg.fault_budget = 1;
+    core::ResilienceReport rep;
+    EXPECT_THROW(
+        core::sort_resilient(team, parts, core::SortConfig{}, rcfg, &rep),
+        rank_failed);
+    EXPECT_EQ(rep.attempts, 2);
+    EXPECT_LT(rep.supersteps_executed, rep.supersteps_minimum);
+    EXPECT_GE(rep.recomputed_fraction, 0.0);
+  }
+}
+
 // Multi-fault schedule (satellite: fault matrices): two distinct ranks are
 // armed to crash; recovery pays both from the fault budget and completes.
 TEST(ResumeCheckpoint, MultiFaultScheduleWithinBudget) {
@@ -545,8 +570,8 @@ TEST(HybridHistogram, RecoveryModesSurviveCrashInSampledRounds) {
   // Crash inside the histogram phase while the hybrid's sampled rounds are
   // running: the SplitterResult checkpointed at the superstep boundary
   // carries the sampled-round telemetry, and both recovery modes must
-  // replay the search deterministically (same sample_seed) to the same
-  // sorted output as a fault-free run.
+  // replay the search deterministically (same sample positions) to the
+  // same sorted output as a fault-free run.
   constexpr int P = 8;
   constexpr usize kPerRank = 128;
   const auto original = random_partitions(P, kPerRank, 41);

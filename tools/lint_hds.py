@@ -81,7 +81,6 @@ COMM_OP_METHODS = [
     "send_uncharged",
     "recv",
     "recv_into",
-    "recv_append",
     # Failure-recovery entry points (PR 6): the agreement rendezvous and
     # both checkpoint transfers are simulated operations too.
     "recover_survivors",
