@@ -8,7 +8,7 @@
 #     otherwise only surface as flaky collectives
 #   - AddressSanitizer + UndefinedBehaviorSanitizer, because the exchange
 #     and kernel paths do manual buffer arithmetic TSan does not check
-#   - the hds::check happens-before wall: histogram sort and all five
+#   - the hds::check happens-before wall: histogram sort and both
 #     baselines must run violation-free at P in {4, 8, 16} (the ctest
 #     suite covers this; the smoke below exercises the CLI path too)
 #
@@ -88,6 +88,16 @@ echo "=== perf gate: bench_table_iterations histogram sweep ==="
     --out=BENCH_histogram.json --ledger=LEDGER_histogram.json)
 python3 tools/validate_bench.py histogram \
   build-ci-relwithdebinfo/BENCH_histogram.json
+# The sweep is deterministic simulated time, so the regenerated file must
+# match the committed snapshot byte for byte: any drift is a change to a
+# reproduced number and must be committed deliberately.
+if ! cmp build-ci-relwithdebinfo/BENCH_histogram.json BENCH_histogram.json; then
+  echo "histogram snapshot FAIL: build-ci-relwithdebinfo/BENCH_histogram.json" \
+    "differs from the committed BENCH_histogram.json; if the change is" \
+    "intended, regenerate the file (bench_table_iterations --skip-table" \
+    "--out=BENCH_histogram.json) and commit it" >&2
+  exit 1
+fi
 
 # Trace smoke: a traced quickstart run must produce Chrome trace JSON whose
 # per-rank slice durations reconcile exactly (<= 1e-9 relative) with the
@@ -102,8 +112,8 @@ python3 tools/validate_bench.py trace \
 
 # Check smoke: the quickstart under the happens-before checker must report
 # zero PGAS consistency violations at every CI rank count (the ctest suite
-# additionally covers all five baselines and the mutation tests that prove
-# the checker notices elided barriers/fences).
+# additionally covers both baselines and the mutation tests that prove the
+# checker notices elided barriers/fences).
 echo "=== check smoke: quickstart --check ==="
 for p in 4 8 16; do
   (cd build-ci-relwithdebinfo &&
@@ -112,7 +122,7 @@ for p in 4 8 16; do
 done
 
 # Model check (DESIGN.md sec. 15): the static schedule matcher over the
-# histogram sort's exchange schedules and the five baselines (plus the seeded
+# histogram sort's exchange schedules and the two baselines (plus the seeded
 # collective-order swap that must FAIL the lint), then bounded
 # schedule-space exploration of the histogram sort at P in {2, 3} and the
 # mailbox/borrow/recovery micro-protocols at P = 4 — deadlock-freedom,

@@ -8,7 +8,7 @@
 //     capture: identical collective sequences across every communicator's
 //     members, every send paired with a recv, every borrowed-payload loan
 //     explicitly waited. The grid is histogram sort x {alltoallv, k-ary
-//     k in {2, 3, P}} plus the five baseline sorts, all at P = 8. A seeded
+//     k in {2, 3, P}} plus the two baseline sorts, all at P = 8. A seeded
 //     collective-order swap (--matcher-negative, also run by default) must
 //     FAIL the lint — it guards the matcher itself.
 //
@@ -44,11 +44,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/bitonic_sort.h"
 #include "baselines/hss_sort.h"
-#include "baselines/hyksort.h"
 #include "baselines/parallel_merge_sort.h"
-#include "baselines/sample_sort.h"
 #include "core/histogram_sort.h"
 #include "model/recorder.h"
 #include "model/scenarios.h"
@@ -72,8 +69,8 @@ std::vector<u64> grid_data(int rank, int nranks, usize n) {
 }
 
 /// The full matcher grid: histogram sort across the exchange schedules,
-/// plus the five baselines. P = 8 covers the power-of-two algorithms
-/// (k-ary at k = 2, bitonic, hss) and k-ary forwarding alike.
+/// plus the two baselines. P = 8 covers the power-of-two algorithms
+/// (k-ary at k = 2, hss) and k-ary forwarding alike.
 std::vector<GridCase> matcher_grid() {
   constexpr int P = 8;
   constexpr usize kPerRank = 64;
@@ -101,25 +98,13 @@ std::vector<GridCase> matcher_grid() {
                      }});
   }
 
-  cases.push_back({"baseline-bitonic", P, [](runtime::Comm& c) {
-                     auto local = grid_data(c.rank(), c.size(), kPerRank);
-                     baselines::bitonic_sort(c, local);
-                   }});
   cases.push_back({"baseline-hss", P, [](runtime::Comm& c) {
                      auto local = grid_data(c.rank(), c.size(), kPerRank);
                      baselines::hss_sort(c, local);
                    }});
-  cases.push_back({"baseline-hyksort", P, [](runtime::Comm& c) {
-                     auto local = grid_data(c.rank(), c.size(), kPerRank);
-                     baselines::hyksort(c, local);
-                   }});
   cases.push_back({"baseline-pmergesort", P, [](runtime::Comm& c) {
                      auto local = grid_data(c.rank(), c.size(), kPerRank);
                      baselines::parallel_merge_sort(c, local);
-                   }});
-  cases.push_back({"baseline-samplesort", P, [](runtime::Comm& c) {
-                     auto local = grid_data(c.rank(), c.size(), kPerRank);
-                     baselines::sample_sort(c, local);
                    }});
   return cases;
 }

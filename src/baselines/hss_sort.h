@@ -46,7 +46,6 @@ struct HssConfig {
   u64 seed = 1;
   usize max_rounds = 512;
   core::MergeStrategy merge = core::MergeStrategy::Sort;
-  core::LocalSortKernel kernel = core::LocalSortKernel::Auto;
 };
 
 struct HssStats {
@@ -72,7 +71,7 @@ HssStats hss_sort(runtime::Comm& comm, std::vector<T>& local,
   HssStats stats;
   {
     net::PhaseScope phase(comm.clock(), net::Phase::LocalSort);
-    core::local_sort(comm, local, identity, cfg.kernel);
+    core::local_sort(comm, local, identity);
   }
   const std::span<const T> sorted(local.data(), local.size());
 
@@ -262,14 +261,14 @@ HssStats hss_sort(runtime::Comm& comm, std::vector<T>& local,
   comm.metrics().add(obs::Counter::HistogramIterations, stats.rounds);
   comm.metrics().add(obs::Counter::SplitterProbes, stats.probes_total);
 
-  for (usize b = 1; b < B; ++b)
-    result.boundary[b] = std::max(result.boundary[b], result.boundary[b - 1]);
+  core::detail::make_boundaries_monotone(
+      result, std::span<const usize>(targets));
 
   // Exchange and merge exactly as hds does — the comparison isolates the
   // splitter-determination strategies.
   auto ex = core::exchange(comm, sorted, result);
   core::merge_chunks(comm, ex.data, std::span<const usize>(ex.recv_counts),
-                     cfg.merge, identity, cfg.kernel);
+                     cfg.merge, identity);
   local = std::move(ex.data);
   stats.elements_after = local.size();
   return stats;

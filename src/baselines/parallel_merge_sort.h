@@ -37,9 +37,6 @@ struct PMergeSortConfig {
   /// hyperthreading benefits the paper observed) — this is what makes PSTL
   /// win inside one NUMA domain in Fig. 4.
   double sort_s_per_elem_log = 1.5e-9;
-  /// Kernel for the real (uncharged) local sort; simulated time stays the
-  /// analytic TBB critical path above regardless.
-  core::LocalSortKernel kernel = core::LocalSortKernel::Auto;
 };
 
 struct PMergeSortStats {
@@ -98,8 +95,9 @@ PMergeSortStats parallel_merge_sort(runtime::Comm& comm,
   // merge: their collectives (and any recv-side clock sync) belong to the
   // Merge phase, not Other.
   net::PhaseScope real_phase(comm.clock(), net::Phase::Merge);
-  if (core::resolve_local_sort_kernel<T>(machine, local.size(), cfg.kernel) ==
-      core::LocalSortKernel::Radix) {
+  // The real local sort is uncharged: simulated time stays the analytic
+  // TBB critical path above whichever kernel runs.
+  if (core::use_radix<T>(machine, local.size())) {
     core::radix_sort_keys(local);
   } else {
     std::sort(local.begin(), local.end());

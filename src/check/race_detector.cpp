@@ -26,7 +26,6 @@ Shape shape_of(obs::OpKind op) {
     case obs::OpKind::Allgatherv:
     case obs::OpKind::Alltoall:
     case obs::OpKind::Alltoallv:
-    case obs::OpKind::Split:
     case obs::OpKind::Agree:  // survivor agreement: full join over survivors
     case obs::OpKind::SampleGather:  // every rank consumes every sample block
       return Shape::FullJoin;

@@ -12,7 +12,7 @@
 // clocks leave unordered.
 //
 // Happens-before model (per operation, on a communicator of members M):
-//   Barrier, Allreduce, Allgather(v), Alltoall(v), Split
+//   Barrier, Allreduce, Allgather(v), Alltoall(v)
 //                  : full join — every member joins every member's entry
 //                    clock (symmetric synchronizing collectives; for the
 //                    data ops every rank's output depends on every rank).

@@ -28,18 +28,18 @@ struct ExchangeResult {
   usize elements_kept = 0;
 };
 
-/// Compute this rank's refined cumulative cut for every boundary: exactly
-/// cuts[b] local elements end up left of boundary b, with Sum_r cuts[b][r]
-/// == sp.boundary[b]. Boundary b is "owned" by rank b (the paper's "i-th
-/// processor is responsible for the i-th row" of the permutation matrix);
-/// this requires sp.boundary.size() <= comm.size(), which holds for both the
-/// sort (P-1 boundaries) and k-way bucketing (k-1 <= P-1).
+/// Per-destination send counts for the sort's exchange: destination d
+/// receives the local slice [cut_{d-1}, cut_d), where cut_b is this rank's
+/// refined cumulative cut at boundary b — exactly cut_b local elements end
+/// up left of boundary b, with Sum_r cut_b[r] == sp.boundary[b]. Boundary b
+/// is "owned" by rank b (the paper's "i-th processor is responsible for the
+/// i-th row" of the permutation matrix); the last rank owns none.
 template <class UK>
-std::vector<usize> compute_boundary_cuts(runtime::Comm& comm, usize n_local,
-                                         const SplitterResult<UK>& sp) {
+std::vector<usize> compute_send_counts(runtime::Comm& comm, usize n_local,
+                                       const SplitterResult<UK>& sp) {
   const int P = comm.size();
-  const usize B = sp.boundary.size();
-  HDS_CHECK(B <= static_cast<usize>(P));
+  const usize B = static_cast<usize>(P - 1);
+  HDS_CHECK(sp.boundary.size() == B);
 
   struct Bounds {
     u64 lb, ub;
@@ -72,29 +72,12 @@ std::vector<usize> compute_boundary_cuts(runtime::Comm& comm, usize n_local,
   std::vector<u64> my_cuts(P);
   comm.alltoall(cuts.data(), 1, my_cuts.data());
 
-  std::vector<usize> out(B);
-  u64 prev = 0;
-  for (usize b = 0; b < B; ++b) {
-    HDS_CHECK_MSG(my_cuts[b] >= prev && my_cuts[b] <= n_local,
-                  "non-monotone cut at boundary " << b);
-    prev = my_cuts[b];
-    out[b] = my_cuts[b];
-  }
-  return out;
-}
-
-/// Per-destination send counts for the sort's exchange: destination d
-/// receives the local slice [cut_{d-1}, cut_d).
-template <class UK>
-std::vector<usize> compute_send_counts(runtime::Comm& comm, usize n_local,
-                                       const SplitterResult<UK>& sp) {
-  const int P = comm.size();
-  HDS_CHECK(sp.boundary.size() == static_cast<usize>(P - 1));
-  const std::vector<usize> cuts = compute_boundary_cuts(comm, n_local, sp);
   std::vector<usize> send(P, 0);
-  usize prev = 0;
+  u64 prev = 0;
   for (int d = 0; d < P; ++d) {
-    const usize cut = (d < P - 1) ? cuts[d] : n_local;
+    const u64 cut = (d < P - 1) ? my_cuts[d] : n_local;
+    HDS_CHECK_MSG(cut >= prev && cut <= n_local,
+                  "non-monotone cut at boundary " << d);
     send[d] = cut - prev;
     prev = cut;
   }

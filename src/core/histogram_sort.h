@@ -17,12 +17,10 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/exchange.h"
@@ -52,8 +50,6 @@ struct SortConfig {
   /// Load-balance threshold epsilon (Def. 1); 0 = perfect partitioning.
   double epsilon = 0.0;
   MergeStrategy merge = MergeStrategy::Sort;
-  /// Local-sort kernel for superstep 1 and the Sort merge strategy.
-  LocalSortKernel kernel = LocalSortKernel::Auto;
   /// Histogramming strategy of the splitter search (PR 10): Dense is the
   /// paper's probe-and-allreduce baseline; Hybrid runs HSS-style sampled
   /// rounds first and interpolates dense probes from the sampled CDF. Both
@@ -75,8 +71,6 @@ struct SortConfig {
   /// communication rounds (charged against the round's p2p window via
   /// CostModel::overlapped_merge).
   bool overlap_merge = false;
-  /// Skip superstep 1 when the caller guarantees sorted local input.
-  bool input_is_sorted = false;
 };
 
 /// The unsigned key image type the splitter search runs over, for a given
@@ -90,9 +84,9 @@ using SortKeyImage = typename KeyTraits<
 /// local partition.
 template <class T, class UK, class KeyFn>
 void superstep_local_sort(runtime::Comm& comm, SortState<T, UK>& st,
-                          KeyFn key, const SortConfig& cfg) {
+                          KeyFn key) {
   net::PhaseScope phase(comm.clock(), net::Phase::LocalSort);
-  if (!cfg.input_is_sorted) local_sort(comm, st.data, key, cfg.kernel);
+  local_sort(comm, st.data, key);
 }
 
 /// Superstep 2 (LocalSorted -> SplittersReady): exchange capacities, build
@@ -171,7 +165,7 @@ template <class T, class UK, class KeyFn>
 void superstep_merge(runtime::Comm& comm, SortState<T, UK>& st, KeyFn key,
                      const SortConfig& cfg) {
   merge_chunks(comm, st.data, std::span<const usize>(st.recv_counts),
-               cfg.merge, key, cfg.kernel);
+               cfg.merge, key);
   st.recv_counts.clear();
   st.stats.elements_after = st.data.size();
 }
@@ -187,7 +181,7 @@ void advance_superstep(runtime::Comm& comm, SortState<T, UK>& st, KeyFn key,
                        runtime::CheckpointStore* store = nullptr) {
   switch (st.completed) {
     case SuperstepId::Start:
-      superstep_local_sort(comm, st, key, cfg);
+      superstep_local_sort(comm, st, key);
       st.completed = SuperstepId::LocalSorted;
       break;
     case SuperstepId::LocalSorted:
@@ -375,10 +369,6 @@ struct ResilienceConfig {
   RecoveryMode mode = RecoveryMode::RestartFull;
   /// Rank failures tolerated before the sort gives up and rethrows.
   int fault_budget = 3;
-  /// Wall-clock backoff before a re-attempt, doubled (by `backoff_multiplier`)
-  /// after each failed attempt.
-  double backoff_s = 0.0;
-  double backoff_multiplier = 2.0;
 };
 
 /// What recovery actually cost, aggregated over every attempt of one
@@ -561,7 +551,6 @@ SortStats sort_resilient(runtime::Team& team,
   auto fn = [&](runtime::Comm& world) {
     const int wr = world.rank();
     runtime::Comm c = world;
-    SortConfig ccfg = cfg;
     SortState<T, UK> st;
     bool fresh = true;
 
@@ -597,8 +586,7 @@ SortStats sort_resilient(runtime::Team& team,
           fresh = false;
         }
         while (st.completed != SuperstepId::Done)
-          advance_superstep(c, st, key, ccfg,
-                            use_ckpt ? &store : nullptr);
+          advance_superstep(c, st, key, cfg, use_ckpt ? &store : nullptr);
         HDS_CHECK_MSG(
             is_globally_sorted(
                 c, std::span<const T>(st.data.data(), st.data.size()), key),
@@ -610,15 +598,12 @@ SortStats sort_resilient(runtime::Team& team,
           throw;  // budget exhausted: let the run fail
         c = c.recover_survivors();  // throws team_aborted if unrecoverable
         st = detail::shrink_restore<T, UK>(c, store, key);
-        // The restored runs are already sorted or about to be re-sorted.
-        ccfg.input_is_sorted = false;
       }
     }
     per_rank[wr] = st.stats;
     work[wr] = std::move(st.data);
   };
 
-  double backoff = rcfg.backoff_s;
   int failures_spent = 0;
   for (;;) {
     ++rep.attempts;
@@ -644,10 +629,6 @@ SortStats sort_resilient(runtime::Team& team,
       // The failed ranks' memory is gone: drop their primaries (and the
       // replicas they held) so the next attempt restores from buddies.
       for (rank_t f : team.failures()) store.mark_lost(f);
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff *= rcfg.backoff_multiplier;
-      }
     }
   }
 

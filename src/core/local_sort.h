@@ -3,19 +3,18 @@
 // local histogramming of Alg. 3 both go through here so every bench and the
 // phase breakdown see consistent costs.
 //
-// Sorting dispatches over a kernel layer: the comparison kernel (introsort,
-// the seed behaviour) or the LSD radix kernel of radix_sort.h, selected
-// explicitly or — under LocalSortKernel::Auto — by a crossover derived from
-// the machine model's calibrated per-element constants. Simulated charges
-// always reflect the kernel that actually ran, so phase breakdowns stay
-// comparable across kernels (see DESIGN.md, "Local-sort kernel layer").
+// Sorting dispatches over a kernel layer: the comparison kernel (introsort)
+// or the LSD radix kernel of radix_sort.h, chosen by use_radix — a
+// crossover derived from the machine model's calibrated per-element
+// constants. Simulated charges always reflect the kernel that actually ran,
+// so phase breakdowns stay comparable across kernels (see DESIGN.md,
+// "Local-sort kernel layer").
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/key_traits.h"
@@ -35,23 +34,6 @@ struct IdentityKey {
     return v;
   }
 };
-
-/// Which local-sort kernel to run.
-enum class LocalSortKernel : u8 {
-  Comparison,  ///< std::sort (introsort) — the seed behaviour
-  Radix,       ///< LSD radix over the KeyTraits projection (radix_sort.h)
-  Auto,        ///< Radix iff the key is Bisectable and n clears the
-               ///< calibrated crossover; Comparison otherwise
-};
-
-constexpr std::string_view kernel_name(LocalSortKernel k) {
-  switch (k) {
-    case LocalSortKernel::Comparison: return "comparison";
-    case LocalSortKernel::Radix: return "radix";
-    case LocalSortKernel::Auto: return "auto";
-  }
-  return "?";
-}
 
 /// Below this n the radix kernel's histogram setup (key_bytes * 256 counters
 /// plus one full read) dominates any pass savings.
@@ -74,33 +56,27 @@ inline usize radix_crossover_n(const net::MachineModel& m, int key_bits) {
   return std::max(kRadixMinN, static_cast<usize>(n));
 }
 
-/// Resolve Auto to a concrete kernel for key type K and input size n.
-/// Non-bisectable keys always resolve to Comparison (there is no uint
-/// projection to radix over), even when Radix was requested explicitly.
+/// Kernel choice for key type K and input size n: radix iff the key is
+/// Bisectable (there is a uint projection to radix over) and n clears the
+/// calibrated crossover; the comparison kernel otherwise.
 template <class K>
-LocalSortKernel resolve_local_sort_kernel(const net::MachineModel& m, usize n,
-                                          LocalSortKernel requested) {
-  if constexpr (!Bisectable<K>) {
+bool use_radix(const net::MachineModel& m, usize n) {
+  if constexpr (Bisectable<K>) {
+    return n >= radix_crossover_n(m, KeyTraits<K>::key_bits);
+  } else {
     (void)m;
     (void)n;
-    return LocalSortKernel::Comparison;
-  } else {
-    if (requested != LocalSortKernel::Auto) return requested;
-    return n >= radix_crossover_n(m, KeyTraits<K>::key_bits)
-               ? LocalSortKernel::Radix
-               : LocalSortKernel::Comparison;
+    return false;
   }
 }
 
 /// Sort the local partition by a key projection; charged as the shared
 /// memory sort of superstep 1 with the cost of the kernel that ran.
 template <class T, class KeyFn>
-void local_sort(runtime::Comm& comm, std::vector<T>& data, KeyFn key,
-                LocalSortKernel kernel = LocalSortKernel::Auto) {
+void local_sort(runtime::Comm& comm, std::vector<T>& data, KeyFn key) {
   using K = std::decay_t<decltype(key(std::declval<T>()))>;
   if constexpr (Bisectable<K>) {
-    if (resolve_local_sort_kernel<K>(comm.machine(), data.size(), kernel) ==
-        LocalSortKernel::Radix) {
+    if (use_radix<K>(comm.machine(), data.size())) {
       RadixSortStats st;
       if constexpr (std::is_same_v<KeyFn, IdentityKey> && Bisectable<T>) {
         st = radix_sort_keys(data);

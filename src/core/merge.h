@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -60,13 +61,12 @@ constexpr std::string_view merge_name(MergeStrategy m) {
 
 /// Merge `k` sorted runs (concatenated in `data`, lengths in `counts`) into
 /// a single sorted sequence, charging simulated time per strategy. The Sort
-/// strategy re-sorts through the local-sort kernel layer, so `kernel`
-/// selects the same comparison/radix dispatch as superstep 1.
+/// strategy re-sorts through the local-sort kernel layer, with the same
+/// comparison/radix dispatch as superstep 1.
 template <class T, class KeyFn>
 void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
                   std::span<const usize> counts, MergeStrategy strategy,
-                  KeyFn key,
-                  LocalSortKernel kernel = LocalSortKernel::Auto) {
+                  KeyFn key) {
   net::PhaseScope phase(comm.clock(), net::Phase::Merge);
   const usize n = data.size();
   // Comparator invocations feed the MergeComparisons counter for the
@@ -85,7 +85,7 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
 
   switch (strategy) {
     case MergeStrategy::Sort: {
-      local_sort(comm, data, key, kernel);
+      local_sort(comm, data, key);
       return;
     }
     case MergeStrategy::BinaryTree: {

@@ -123,6 +123,31 @@ struct BoundarySearch {
   usize last_miss = std::numeric_limits<usize>::max();
 };
 
+/// Make the resolved boundaries non-decreasing, as the exchange needs them
+/// for contiguous send ranges. With epsilon > 0, two boundaries whose
+/// targets lie less than two windows apart can be accepted at crossing
+/// splitters (b below b-1) when their probes are chosen per boundary
+/// (Hybrid interpolation, HSS sampling). Such a boundary adopts b-1's
+/// splitter and counts, which also lie inside b's window: L' < K_{b-1} + w
+/// <= K_b + w, and K_b <= U_b + w <= L' + w. Every boundary is then the
+/// target clamped into its splitter's tie range [L_b, U_b], which never
+/// decreases and which the tie refinement can always place.
+template <class UK>
+void make_boundaries_monotone(SplitterResult<UK>& res,
+                              std::span<const usize> targets) {
+  for (usize b = 1; b < targets.size(); ++b) {
+    if (res.splitter[b] < res.splitter[b - 1]) {
+      res.splitter[b] = res.splitter[b - 1];
+      res.local_lb[b] = res.local_lb[b - 1];
+      res.local_ub[b] = res.local_ub[b - 1];
+      res.global_lb[b] = res.global_lb[b - 1];
+      res.global_ub[b] = res.global_ub[b - 1];
+    }
+    res.boundary[b] =
+        std::clamp(targets[b], res.global_lb[b], res.global_ub[b]);
+  }
+}
+
 }  // namespace detail
 
 /// Find splitters for arbitrary non-decreasing global target ranks.
@@ -765,11 +790,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
                      res.hist_bytes_sampled);
   comm.metrics().add(obs::Counter::HistogramBytesDense, res.hist_bytes_dense);
 
-  // Boundaries must be non-decreasing for the exchange to produce
-  // contiguous send ranges (ties were resolved toward their targets).
-  for (usize b = 1; b < B; ++b)
-    res.boundary[b] = std::max(res.boundary[b], res.boundary[b - 1]);
-
+  detail::make_boundaries_monotone(res, targets);
   return res;
 }
 

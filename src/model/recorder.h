@@ -122,7 +122,7 @@ class ScheduleRecorder {
  private:
   /// FNV-1a over the member list: stable signature for "the same
   /// communicator" across ranks (every member publishes the identical,
-  /// split-ordered list).
+  /// member-ordered list).
   static u64 signature(const std::vector<rank_t>& members) {
     u64 h = 1469598103934665603ull;
     for (rank_t r : members) {

@@ -92,7 +92,7 @@ class CostModel {
 
   /// Sync class (Barrier): latency only, per_byte_s is 0.
   OpCost probe_sync(int P, int nodes_spanned) const;
-  /// Tree class (Broadcast / Allreduce / Scan / Split), B = payload bytes.
+  /// Tree class (Broadcast / Allreduce / Scan), B = payload bytes.
   OpCost probe_tree(int P, int nodes_spanned, Traffic t) const;
   /// Gather class (Allgather(v) / Gatherv), B = one rank's contribution.
   OpCost probe_gather(int P, int nodes_spanned, Traffic t) const;

@@ -26,10 +26,11 @@ enum class OpKind : u32 {
   Alltoallv,
   Exscan,
   Scan,
-  Split,
+  // Id 11 is retired: fault plans and archived traces name ops by number,
+  // so the ids below keep their values.
   // Point-to-point ops: never published into a collective slot, but they
   // share the id space so fault plans and the watchdog dump can name them.
-  Send,
+  Send = 12,
   Recv,
   /// Tracer-only pseudo-op: a charged local-computation slice between
   /// communication ops. Never passes through Comm::note_op, so fault-plan
@@ -63,7 +64,7 @@ enum class OpKind : u32 {
 enum class OpClass : u32 {
   None = 0,   ///< untagged / unknown (lint-rejected in Comm op bodies)
   Sync,       ///< zero-payload rendezvous (Barrier)
-  Tree,       ///< log-P tree collectives (Broadcast, Allreduce, Scan, Split)
+  Tree,       ///< log-P tree collectives (Broadcast, Allreduce, Scan)
   Gather,     ///< allgather-shaped collectives (Allgather(v), Gatherv)
   Alltoall,   ///< dense P×P exchanges (Alltoall, Alltoallv and pull variant)
   Send,       ///< charged point-to-point send (payload or header)
@@ -100,8 +101,7 @@ constexpr OpClass op_class_of(OpKind op) {
     case OpKind::Broadcast:
     case OpKind::Allreduce:
     case OpKind::Exscan:
-    case OpKind::Scan:
-    case OpKind::Split: return OpClass::Tree;
+    case OpKind::Scan: return OpClass::Tree;
     case OpKind::Allgather:
     case OpKind::Allgatherv:
     case OpKind::Gatherv:
@@ -130,7 +130,6 @@ constexpr std::string_view op_kind_name(OpKind op) {
     case OpKind::Alltoallv: return "Alltoallv";
     case OpKind::Exscan: return "Exscan";
     case OpKind::Scan: return "Scan";
-    case OpKind::Split: return "Split";
     case OpKind::Send: return "Send";
     case OpKind::Recv: return "Recv";
     case OpKind::Compute: return "compute";

@@ -7,13 +7,14 @@
 // thread and read only after Team::run joins (the join provides the
 // happens-before edge).
 //
-// Independently of the trace toggle, a small fixed-capacity ring of the
+// Independently of the trace toggle, a kRingCapacity-entry ring of the
 // most recent op entries is always maintained under a per-rank mutex so
 // the watchdog thread can snapshot "what was this rank doing" for its
 // abort dump without racing the rank.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -26,7 +27,8 @@ namespace hds::obs {
 
 class RankTracer final : public net::AdvanceSink {
  public:
-  explicit RankTracer(usize ring_capacity) : ring_(ring_capacity) {}
+  /// Recent ops kept for the watchdog's abort dump.
+  static constexpr usize kRingCapacity = 16;
 
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
@@ -46,9 +48,9 @@ class RankTracer final : public net::AdvanceSink {
   /// message-arrival waits) are folded into the op's [t0, t1] span.
   void op_begin(OpKind op, OpClass cls, net::Phase phase, double t, u64 bytes,
                 i32 peer, u64 tag, net::Traffic traffic) {
-    if (!ring_.empty()) {
+    {
       std::lock_guard lock(ring_mu_);
-      ring_[ring_seq_ % ring_.size()] =
+      ring_[ring_seq_ % kRingCapacity] =
           RingEntry{ring_seq_, op, phase, t, bytes, tag, peer};
       ++ring_seq_;
     }
@@ -129,11 +131,10 @@ class RankTracer final : public net::AdvanceSink {
   std::vector<RingEntry> ring_snapshot() const {
     std::vector<RingEntry> out;
     std::lock_guard lock(ring_mu_);
-    if (ring_.empty() || ring_seq_ == 0) return out;
-    const u64 n = std::min<u64>(ring_seq_, ring_.size());
+    const u64 n = std::min<u64>(ring_seq_, kRingCapacity);
     out.reserve(n);
     for (u64 i = ring_seq_ - n; i < ring_seq_; ++i)
-      out.push_back(ring_[i % ring_.size()]);
+      out.push_back(ring_[i % kRingCapacity]);
     return out;
   }
 
@@ -153,7 +154,7 @@ class RankTracer final : public net::AdvanceSink {
   std::vector<u64> details_;  ///< flattened (peer, bytes) pairs
 
   mutable std::mutex ring_mu_;
-  std::vector<RingEntry> ring_;
+  std::array<RingEntry, kRingCapacity> ring_{};
   u64 ring_seq_ = 0;
 };
 

@@ -296,41 +296,14 @@ class Comm {
   template <class T>
   std::vector<T> allgatherv(std::span<const T> in,
                             std::vector<usize>* counts = nullptr) {
-    check_trivial<T>();
-    auto& ep = collective(
-        detail::OpId::Allgatherv, obs::OpClass::Gather, in.data(),
-        in.size() * sizeof(T), nullptr,
-        [&](detail::EpochArena& a) {
-          usize total = 0;
-          usize max_bytes = 0;
-          for (int r = 0; r < size(); ++r) {
-            total += a.slots[r].bytes;
-            max_bytes = std::max(max_bytes, a.slots[r].bytes);
-          }
-          a.result.resize(total);
-          usize off = 0;
-          for (int r = 0; r < size(); ++r) {
-            if (a.slots[r].bytes > 0)
-              std::memcpy(a.result.data() + off, a.slots[r].in,
-                          a.slots[r].bytes);
-            off += a.slots[r].bytes;
-          }
-          fill_out(a, 0, total);
-          // A ring/dissemination allgatherv is gated by the largest single
-          // contribution per round, not the mean: charge max_bytes.
-          return cost().allgather(size(), nodes(), max_bytes,
-                                  net::Traffic::Control);
-        });
-    std::vector<T> out(ep.result.size() / sizeof(T));
-    if (!ep.result.empty())
-      std::memcpy(out.data(), ep.result.data(), ep.result.size());
-    if (counts) {
-      counts->resize(size());
-      for (int r = 0; r < size(); ++r)
-        (*counts)[r] = ep.slots[r].bytes / sizeof(T);
-    }
-    finish(ep);
-    return out;
+    // A ring/dissemination allgatherv is gated by the largest single
+    // contribution per round, not the mean: charge max_bytes.
+    return allgatherv_impl(detail::OpId::Allgatherv, in, counts,
+                           [&](usize max_bytes) {
+                             return cost().allgather(size(), nodes(),
+                                                     max_bytes,
+                                                     net::Traffic::Control);
+                           });
   }
 
   /// Sparse sampled-histogram gather (hybrid splitter search, PR 10):
@@ -342,38 +315,11 @@ class Comm {
   template <class T>
   std::vector<T> sample_gatherv(std::span<const T> in,
                                 std::vector<usize>* counts = nullptr) {
-    check_trivial<T>();
-    auto& ep = collective(
-        detail::OpId::SampleGather, obs::OpClass::Gather, in.data(),
-        in.size() * sizeof(T), nullptr,
-        [&](detail::EpochArena& a) {
-          usize total = 0;
-          usize max_bytes = 0;
-          for (int r = 0; r < size(); ++r) {
-            total += a.slots[r].bytes;
-            max_bytes = std::max(max_bytes, a.slots[r].bytes);
-          }
-          a.result.resize(total);
-          usize off = 0;
-          for (int r = 0; r < size(); ++r) {
-            if (a.slots[r].bytes > 0)
-              std::memcpy(a.result.data() + off, a.slots[r].in,
-                          a.slots[r].bytes);
-            off += a.slots[r].bytes;
-          }
-          fill_out(a, 0, total);
-          return cost().sample_gather(size(), nodes(), max_bytes);
-        });
-    std::vector<T> out(ep.result.size() / sizeof(T));
-    if (!ep.result.empty())
-      std::memcpy(out.data(), ep.result.data(), ep.result.size());
-    if (counts) {
-      counts->resize(size());
-      for (int r = 0; r < size(); ++r)
-        (*counts)[r] = ep.slots[r].bytes / sizeof(T);
-    }
-    finish(ep);
-    return out;
+    return allgatherv_impl(detail::OpId::SampleGather, in, counts,
+                           [&](usize max_bytes) {
+                             return cost().sample_gather(size(), nodes(),
+                                                         max_bytes);
+                           });
   }
 
   /// Gather variable-size contributions at `root` (member index). Non-root
@@ -608,11 +554,6 @@ class Comm {
   T scan_value(T v, Op op) {
     return scan_impl(v, op, T{}, /*inclusive=*/true);
   }
-
-  /// Split this communicator into subgroups by color; ranks with the same
-  /// color form a new communicator ordered by (key, current rank). Mirrors
-  /// MPI_Comm_split, including its linear-in-P cost (Sec. III-C).
-  Comm split(int color, int key);
 
   // --- point-to-point --------------------------------------------------------
 
@@ -1122,6 +1063,47 @@ class Comm {
     tracer().op_model(ep.model_cost);
     clock().sync_to(ep.sync_time);
     tracer().op_end(clock().now());
+  }
+
+  /// Shared body of allgatherv and sample_gatherv: concatenates every
+  /// member's contribution in member order under `op` (a Gather-class op),
+  /// charged as `cost_fn(max_bytes)` with max_bytes the largest single
+  /// contribution.
+  template <class T, class CostFn>
+  std::vector<T> allgatherv_impl(detail::OpId op, std::span<const T> in,
+                                 std::vector<usize>* counts,
+                                 CostFn&& cost_fn) {
+    check_trivial<T>();
+    auto& ep = collective(
+        op, obs::OpClass::Gather, in.data(), in.size() * sizeof(T), nullptr,
+        [&](detail::EpochArena& a) {
+          usize total = 0;
+          usize max_bytes = 0;
+          for (int r = 0; r < size(); ++r) {
+            total += a.slots[r].bytes;
+            max_bytes = std::max(max_bytes, a.slots[r].bytes);
+          }
+          a.result.resize(total);
+          usize off = 0;
+          for (int r = 0; r < size(); ++r) {
+            if (a.slots[r].bytes > 0)
+              std::memcpy(a.result.data() + off, a.slots[r].in,
+                          a.slots[r].bytes);
+            off += a.slots[r].bytes;
+          }
+          fill_out(a, 0, total);
+          return cost_fn(max_bytes);
+        });
+    std::vector<T> out(ep.result.size() / sizeof(T));
+    if (!ep.result.empty())
+      std::memcpy(out.data(), ep.result.data(), ep.result.size());
+    if (counts) {
+      counts->resize(size());
+      for (int r = 0; r < size(); ++r)
+        (*counts)[r] = ep.slots[r].bytes / sizeof(T);
+    }
+    finish(ep);
+    return out;
   }
 
   template <class T, class Op>

@@ -2,7 +2,7 @@
 // types the hardened runtime reports.
 //
 // A FaultPlan is armed on TeamConfig and consulted by Comm at every
-// communication operation (collectives, split, send, recv). Actions are
+// communication operation (collectives, send, recv). Actions are
 // keyed on (rank, k-th op on that rank) or on (src, dst, tag) message
 // coordinates, so a test can crash an exact superstep of a distributed
 // algorithm, straggle one rank's SimClock, or drop/delay a specific
@@ -82,8 +82,8 @@ class watchdog_timeout : public std::runtime_error {
 ///   plan->crash_rank_at_op(3, 17).delay_message(0, 1, kTag, 0.5);
 ///   cfg.fault = plan;
 ///
-/// Op indices are 0-based and count, per rank, every collective (including
-/// split) and every send/recv that rank issues within one Team::run.
+/// Op indices are 0-based and count, per rank, every collective and every
+/// send/recv that rank issues within one Team::run.
 /// Counters reset at the start of each run; consumed actions stay consumed
 /// until rearm().
 class FaultPlan {

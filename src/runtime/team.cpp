@@ -57,7 +57,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg) {
       static_cast<usize>(cfg_.nranks));
   tracers_.reserve(static_cast<usize>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r)
-    tracers_.push_back(std::make_unique<obs::RankTracer>(cfg_.trace_ring));
+    tracers_.push_back(std::make_unique<obs::RankTracer>());
   metrics_.resize(static_cast<usize>(cfg_.nranks));
   scratch_.resize(static_cast<usize>(cfg_.nranks));
   if (cfg_.check.enabled)
@@ -540,69 +540,6 @@ std::vector<std::string> Team::model_quiescence_issues() const {
       check_barrier(*subteams_[i], "subteam " + std::to_string(i));
   }
   return issues;
-}
-
-Comm Comm::split(int color, int key) {
-  struct CK {
-    int color;
-    int key;
-  };
-  struct Assignment {
-    detail::CommState* state;
-    int idx;
-  };
-  const CK my{color, key};
-  auto& ep = collective(
-      detail::OpId::Split, obs::OpClass::Tree, &my, sizeof(CK), nullptr,
-      [&](detail::EpochArena& a) {
-        const int P = size();
-        struct Ent {
-          int color;
-          int key;
-          int member;
-        };
-        std::vector<Ent> ents(P);
-        for (int r = 0; r < P; ++r) {
-          const CK* ck = static_cast<const CK*>(a.slots[r].in);
-          ents[r] = Ent{ck->color, ck->key, r};
-        }
-        std::sort(ents.begin(), ents.end(), [](const Ent& x, const Ent& y) {
-          return std::tie(x.color, x.key, x.member) <
-                 std::tie(y.color, y.key, y.member);
-        });
-        a.result.resize(sizeof(Assignment) * P);
-        auto* out = reinterpret_cast<Assignment*>(a.result.data());
-        usize i = 0;
-        while (i < ents.size()) {
-          usize j = i;
-          while (j < ents.size() && ents[j].color == ents[i].color) ++j;
-          std::vector<rank_t> group;
-          group.reserve(j - i);
-          for (usize k = i; k < j; ++k)
-            group.push_back(state_->members[ents[k].member]);
-          auto st = std::make_unique<detail::CommState>(
-              std::move(group), cost().machine(), &team_->abort_,
-              team_->cfg_.model);
-          detail::CommState* ptr = team_->register_subteam(std::move(st));
-          for (usize k = i; k < j; ++k)
-            out[ents[k].member] = Assignment{ptr, static_cast<int>(k - i)};
-          i = j;
-        }
-        for (int r = 0; r < P; ++r) {
-          a.out_off[r] = sizeof(Assignment) * static_cast<usize>(r);
-          a.out_len[r] = sizeof(Assignment);
-        }
-        // MPI_Comm_split: an allgather of (color, key) plus linear local
-        // processing — the blocking O(P) cost Sec. III-C warns about.
-        return cost().allgather(P, nodes(), sizeof(CK),
-                                net::Traffic::Control) +
-               5.0e-8 * static_cast<double>(P);
-      });
-  Assignment assign;
-  std::memcpy(&assign, ep.result.data() + ep.out_off[idx_],
-              sizeof(Assignment));
-  finish(ep);
-  return Comm(team_, assign.state, assign.idx);
 }
 
 }  // namespace hds::runtime

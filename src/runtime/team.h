@@ -69,9 +69,6 @@ struct TeamConfig {
   /// with the toggle on or off, and with it off the trace buffers are
   /// never allocated.
   bool trace = false;
-  /// Capacity of the always-on per-rank ring of recent ops that the
-  /// watchdog's abort dump prints (independent of `trace`); 0 disables it.
-  usize trace_ring = 16;
   /// PGAS happens-before race checking (see check/race_detector.h). Like
   /// tracing, checking observes the simulation without charging it:
   /// simulated times are bit-identical with the checker on or off, and
@@ -215,13 +212,13 @@ class SiteScope {
   ProgressState& ps_;
 };
 
-/// Shared state of one communicator (the world or a split subgroup).
+/// Shared state of one communicator (the world or a survivor subgroup).
 struct CommState {
   CommState(std::vector<rank_t> member_ranks, const net::MachineModel& m,
             const std::atomic<bool>* abort_flag,
             model::ScheduleHook* hook = nullptr);
 
-  std::vector<rank_t> members;  ///< world ranks, ordered by split key
+  std::vector<rank_t> members;  ///< world ranks, in member order
   int nodes_spanned = 1;
   Barrier barrier;
   std::array<EpochArena, 2> epochs;

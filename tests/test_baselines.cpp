@@ -1,15 +1,13 @@
-// Tests for the baseline sorters: sample sort, HSS, HykSort, bitonic, and
-// the shared-memory merge sort — correctness against oracles plus the
-// behavioural contrasts the paper draws (imbalance, constraints, timeouts).
+// Tests for the two baseline sorters the paper's evaluation compares
+// against: HSS (Figs. 2/3) and the shared-memory merge sort (Fig. 4) —
+// correctness against oracles plus the behavioural contrasts the paper
+// draws (constraints, convergence volatility, timeouts, NUMA crossover).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "baselines/bitonic_sort.h"
 #include "baselines/hss_sort.h"
-#include "baselines/hyksort.h"
 #include "baselines/parallel_merge_sort.h"
-#include "baselines/sample_sort.h"
 #include "core/histogram_sort.h"
 #include "runtime/team.h"
 #include "workload/distributions.h"
@@ -57,78 +55,6 @@ std::vector<usize> run_baseline(int P, std::vector<std::vector<u64>> shards,
   std::sort(merged.begin(), merged.end());
   EXPECT_EQ(merged, all);
   return sizes;
-}
-
-// --- sample sort -----------------------------------------------------------
-
-TEST(SampleSort, RegularSamplingSortsUniform) {
-  run_baseline(8, make_shards(8, 800), [](Comm& c, std::vector<u64>& v) {
-    sample_sort(c, v);
-  });
-}
-
-TEST(SampleSort, RandomSamplingSortsUniform) {
-  run_baseline(8, make_shards(8, 800), [](Comm& c, std::vector<u64>& v) {
-    SampleSortConfig cfg;
-    cfg.sampling = Sampling::Random;
-    sample_sort(c, v, cfg);
-  });
-}
-
-TEST(SampleSort, NonPowerOfTwoRanks) {
-  run_baseline(7, make_shards(7, 500), [](Comm& c, std::vector<u64>& v) {
-    sample_sort(c, v);
-  });
-}
-
-TEST(SampleSort, SkewedInputStillSorts) {
-  workload::GenConfig cfg;
-  cfg.dist = workload::Dist::Staircase;
-  run_baseline(8, make_shards(8, 600, cfg), [](Comm& c, std::vector<u64>& v) {
-    sample_sort(c, v);
-  });
-}
-
-TEST(SampleSort, RegularBeatsRandomOnBalance) {
-  // The literature result the paper cites (Sec. III-A): regular sampling
-  // achieves better practical balance than random sampling.
-  workload::GenConfig gen;
-  gen.seed = 5;
-  const int P = 8;
-  double imb_regular = 0.0, imb_random = 0.0;
-  for (auto [sampling, out] :
-       {std::pair{Sampling::Regular, &imb_regular},
-        std::pair{Sampling::Random, &imb_random}}) {
-    auto shards = make_shards(P, 2000, gen);
-    Team team({.nranks = P});
-    team.run([&, sampling = sampling, out = out](Comm& c) {
-      auto local = shards[c.rank()];
-      SampleSortConfig cfg;
-      cfg.sampling = sampling;
-      cfg.oversampling = 16;
-      const auto st = sample_sort(c, local, cfg);
-      if (c.rank() == 0) *out = st.imbalance;
-    });
-  }
-  EXPECT_LE(imb_regular, imb_random + 0.05);
-  EXPECT_GT(imb_random, 1.0);  // random sampling does not balance perfectly
-}
-
-TEST(SampleSort, ImbalanceWorseThanHistogramSort) {
-  // The paper's core claim: one-shot sampling cannot guarantee the balance
-  // histogramming enforces.
-  workload::GenConfig gen;
-  gen.seed = 31;
-  const int P = 8;
-  const auto sizes = run_baseline(P, make_shards(P, 1000, gen),
-                                  [](Comm& c, std::vector<u64>& v) {
-                                    SampleSortConfig cfg;
-                                    cfg.oversampling = 4;  // sparse sample
-                                    sample_sort(c, v, cfg);
-                                  });
-  const usize max_sz = *std::max_element(sizes.begin(), sizes.end());
-  const usize min_sz = *std::min_element(sizes.begin(), sizes.end());
-  EXPECT_NE(max_sz, min_sz);  // not perfectly partitioned
 }
 
 // --- HSS --------------------------------------------------------------------
@@ -207,99 +133,30 @@ TEST(HssSort, TimesOutWhenCapped) {
                hss_timeout);
 }
 
-// --- HykSort ----------------------------------------------------------------
-
-TEST(Hyksort, SortsUniformPowerOfTwo) {
-  run_baseline(8, make_shards(8, 700), [](Comm& c, std::vector<u64>& v) {
-    hyksort(c, v);
+TEST(HssSort, CrossingSplittersStillExchange) {
+  // Uneven ranks put targets 5 and 5 less than two epsilon windows apart;
+  // per-boundary sampling then accepts boundary 1 at a smaller key than
+  // boundary 0, which must not break the exchange's tie refinement.
+  const std::vector<std::vector<u64>> shards = {
+      {1, 2, 5, 5, 7}, {}, {12, 0, 10, 15}, {1, 13, 6, 6, 13, 8, 10}};
+  const int P = 4;
+  HssConfig cfg;
+  cfg.epsilon = 0.9;
+  cfg.seed = 4044;
+  const auto sizes = run_baseline(P, shards, [&](Comm& c, std::vector<u64>& v) {
+    hss_sort(c, v, cfg);
   });
-}
-
-TEST(Hyksort, KSmallerThanP) {
-  run_baseline(16, make_shards(16, 300), [](Comm& c, std::vector<u64>& v) {
-    HyksortConfig cfg;
-    cfg.k = 4;
-    hyksort(c, v);
-  });
-}
-
-TEST(Hyksort, KEqualsP) {
-  run_baseline(8, make_shards(8, 400), [](Comm& c, std::vector<u64>& v) {
-    HyksortConfig cfg;
-    cfg.k = 8;
-    hyksort(c, v, cfg);
-  });
-}
-
-TEST(Hyksort, RecursionDepthMatchesLogKP) {
-  const int P = 16;
-  auto shards = make_shards(P, 256);
-  Team team({.nranks = P});
-  usize levels = 0;
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    HyksortConfig cfg;
-    cfg.k = 4;
-    const auto st = hyksort(c, local, cfg);
-    if (c.rank() == 0) levels = st.levels;
-  });
-  EXPECT_EQ(levels, 2u);  // log_4(16)
-}
-
-TEST(Hyksort, DuplicateHeavyInput) {
-  workload::GenConfig gen;
-  gen.dist = workload::Dist::FewDistinct;
-  gen.alphabet = 3;
-  run_baseline(8, make_shards(8, 500, gen), [](Comm& c, std::vector<u64>& v) {
-    hyksort(c, v);
-  });
-}
-
-// --- bitonic ----------------------------------------------------------------
-
-TEST(Bitonic, SortsUniform) {
-  run_baseline(8, make_shards(8, 512), [](Comm& c, std::vector<u64>& v) {
-    bitonic_sort(c, v);
-  });
-}
-
-TEST(Bitonic, RoundCountIsLogSquared) {
-  const int P = 16;
-  auto shards = make_shards(P, 128);
-  Team team({.nranks = P});
-  usize rounds = 0;
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    const auto st = bitonic_sort(c, local);
-    if (c.rank() == 0) rounds = st.rounds;
-  });
-  EXPECT_EQ(rounds, 10u);  // log2(16) * (log2(16)+1) / 2
-}
-
-TEST(Bitonic, RejectsUnevenPartitions) {
-  Team team({.nranks = 4});
-  EXPECT_THROW(team.run([&](Comm& c) {
-                 std::vector<u64> v(c.rank() + 1, 0);
-                 bitonic_sort(c, v);
-               }),
-               argument_error);
-}
-
-TEST(Bitonic, RejectsNonPowerOfTwo) {
-  Team team({.nranks = 3});
-  EXPECT_THROW(team.run([&](Comm& c) {
-                 std::vector<u64> v(16, 0);
-                 bitonic_sort(c, v);
-               }),
-               argument_error);
-}
-
-TEST(Bitonic, ReverseSortedWorstCase) {
-  workload::GenConfig gen;
-  gen.dist = workload::Dist::ReverseSorted;
-  run_baseline(8, make_shards(8, 256, gen), [](Comm& c, std::vector<u64>& v) {
-    bitonic_sort(c, v);
-  });
+  usize n = 0;
+  for (const auto& s : shards) n += s.size();
+  const usize window = static_cast<usize>(cfg.epsilon * static_cast<double>(n) /
+                                          (2.0 * P));
+  usize target = 0, prefix = 0;
+  for (int r = 0; r + 1 < P; ++r) {
+    target += shards[r].size();
+    prefix += sizes[r];
+    EXPECT_LE(prefix, target + window) << "boundary " << r;
+    EXPECT_LE(target, prefix + window) << "boundary " << r;
+  }
 }
 
 // --- shared-memory merge sort -----------------------------------------------

@@ -1,9 +1,10 @@
 // Tests for hds::check — the PGAS happens-before race checker: vector-clock
 // algebra, the logical synchronization shapes (full-join / star / prefix /
 // pairwise), shadow-memory conflict detection on GlobalVector, clean-run
-// assertions over the histogram sort and all five baselines, the
-// barrier/fence-elision mutation hooks (detector teeth), and the
-// bit-identical-time invariant of disabled checking.
+// assertions over the histogram sort and both baselines (HSS and the
+// shared-memory merge sort), the barrier/fence-elision mutation hooks
+// (detector teeth), and the bit-identical-time invariant of disabled
+// checking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +12,8 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/bitonic_sort.h"
 #include "baselines/hss_sort.h"
-#include "baselines/hyksort.h"
 #include "baselines/parallel_merge_sort.h"
-#include "baselines/sample_sort.h"
 #include "check/race_detector.h"
 #include "check/vector_clock.h"
 #include "core/histogram_sort.h"
@@ -91,7 +89,7 @@ struct Harness {
   explicit Harness(int P) : members(P) {
     for (int r = 0; r < P; ++r) {
       members[r] = r;
-      tracers.push_back(std::make_unique<obs::RankTracer>(16));
+      tracers.push_back(std::make_unique<obs::RankTracer>());
     }
     rd = std::make_unique<RaceDetector>(CheckConfig{.enabled = true});
     rd->begin_run(P, tracers);
@@ -218,14 +216,8 @@ TEST(CheckedRunTest, HistogramSortAndAllBaselinesAreViolationFree) {
     const std::vector<Algo> algos = {
         {"histogram_sort",
          [](Comm& c, std::vector<u64>& v) { core::sort(c, v); }},
-        {"sample_sort",
-         [](Comm& c, std::vector<u64>& v) { baselines::sample_sort(c, v); }},
         {"hss_sort",
          [](Comm& c, std::vector<u64>& v) { baselines::hss_sort(c, v); }},
-        {"hyksort",
-         [](Comm& c, std::vector<u64>& v) { baselines::hyksort(c, v); }},
-        {"bitonic_sort",
-         [](Comm& c, std::vector<u64>& v) { baselines::bitonic_sort(c, v); }},
         {"parallel_merge_sort",
          [](Comm& c, std::vector<u64>& v) {
            baselines::parallel_merge_sort(c, v);
@@ -251,18 +243,14 @@ TEST(CheckedRunTest, ExchangeKernelGridIsViolationFree) {
   auto shards = make_shards(P, 300);
   for (auto ex :
        {core::ExchangeAlgorithm::Alltoallv, core::ExchangeAlgorithm::KAry}) {
-    for (auto kern :
-         {core::LocalSortKernel::Comparison, core::LocalSortKernel::Radix}) {
-      core::SortConfig scfg;
-      scfg.exchange = ex;
-      scfg.kernel = kern;
-      const CheckReport rep = run_checked(P, [&](Comm& c) {
-        auto local = shards[c.rank()];
-        core::sort(c, local, scfg);
-      });
-      EXPECT_TRUE(rep.clean()) << rep.summary();
-      EXPECT_GT(rep.collectives_checked, 0u);
-    }
+    core::SortConfig scfg;
+    scfg.exchange = ex;
+    const CheckReport rep = run_checked(P, [&](Comm& c) {
+      auto local = shards[c.rank()];
+      core::sort(c, local, scfg);
+    });
+    EXPECT_TRUE(rep.clean()) << rep.summary();
+    EXPECT_GT(rep.collectives_checked, 0u);
   }
 }
 
@@ -464,8 +452,8 @@ TEST(MutationTest, EveryBaselineElisionIsFlagged) {
     std::function<void(Comm&, std::vector<u64>&)> run;
   };
   const std::vector<Case> cases = {
-      {"sample_sort/broadcast", obs::OpKind::Broadcast,
-       [](Comm& c, std::vector<u64>& v) { baselines::sample_sort(c, v); }},
+      {"hss_sort/broadcast", obs::OpKind::Broadcast,
+       [](Comm& c, std::vector<u64>& v) { baselines::hss_sort(c, v); }},
       {"hss_sort/allreduce", obs::OpKind::Allreduce,
        [](Comm& c, std::vector<u64>& v) { baselines::hss_sort(c, v); }},
       {"histogram/alltoallv", obs::OpKind::Alltoallv,

@@ -409,6 +409,51 @@ TEST(HybridHistogram, FewDistinctPlateauConvergesWithoutOversampling) {
   EXPECT_LE(iterations, 64u);
 }
 
+TEST(HybridHistogram, CrossingSplittersStillExchange) {
+  // Regression: rank sizes 65/8/1/2 put targets 73 and 74 less than two
+  // epsilon windows apart, and Hybrid's per-boundary interpolation accepted
+  // boundary 2 at a smaller key (13) than boundary 1 (14). Lifting boundary
+  // 2 to boundary 1's count then left it outside its splitter's tie range,
+  // and the exchange's tie refinement could not place the elements.
+  constexpr int P = 4;
+  const std::vector<std::vector<u64>> shards = {
+      {11, 3, 13, 9, 2, 9, 2, 11, 6, 8, 3, 2, 6, 0, 0, 2, 0, 9, 10, 10, 14, 9,
+       4, 2, 9, 9, 6, 4, 8, 4, 12, 12, 13, 0, 9, 6, 1, 7, 10, 1, 2, 15, 1, 0,
+       2, 7, 6, 9, 1, 5, 6, 5, 10, 10, 15, 1, 2, 11, 5, 10, 2, 9, 11, 10, 4},
+      {11, 12, 0, 1, 14, 3, 11, 1},
+      {0},
+      {2, 1}};
+  SortConfig cfg;
+  cfg.histogram = HistogramMode::Hybrid;
+  cfg.epsilon = 0.3;
+  std::vector<std::vector<u64>> out(P);
+  Team team({.nranks = P});
+  team.run([&](Comm& c) {
+    auto local = shards[c.rank()];
+    sort(c, local, cfg);
+    EXPECT_TRUE(
+        is_globally_sorted(c, std::span<const u64>(local), identity));
+    out[c.rank()] = std::move(local);
+  });
+
+  std::vector<u64> all, merged;
+  for (const auto& s : shards) all.insert(all.end(), s.begin(), s.end());
+  for (const auto& o : out) merged.insert(merged.end(), o.begin(), o.end());
+  std::sort(all.begin(), all.end());
+  std::sort(merged.begin(), merged.end());
+  EXPECT_EQ(merged, all);
+
+  const usize window = static_cast<usize>(
+      cfg.epsilon * static_cast<double>(all.size()) / (2.0 * P));
+  usize target = 0, prefix = 0;
+  for (int r = 0; r + 1 < P; ++r) {
+    target += shards[r].size();
+    prefix += out[r].size();
+    EXPECT_LE(prefix, target + window) << "boundary " << r;
+    EXPECT_LE(target, prefix + window) << "boundary " << r;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Exchange (Alg. 4).
 // ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ SortConfig hypercube() {
 }
 
 /// The k >= P k-ary schedule: one round in which every rank exchanges
-/// directly with each of its P - 1 partners. The OneFactorExchange suite
+/// directly with each of its P - 1 partners. The KAryDirectExchange suite
 /// runs it: the 1-factor exchange spread the same pairwise transfers over
 /// P - 1 matched rounds, and KAry now covers that engine.
 SortConfig direct(int P, bool overlap_merge = false) {
@@ -71,37 +71,37 @@ SortConfig direct(int P, bool overlap_merge = false) {
   return cfg;
 }
 
-TEST(OneFactorExchange, SortsEvenP) { check_sort(8, direct(8), {}, 700); }
+TEST(KAryDirectExchange, SortsEvenP) { check_sort(8, direct(8), {}, 700); }
 
-TEST(OneFactorExchange, SortsOddP) { check_sort(7, direct(7), {}, 500); }
+TEST(KAryDirectExchange, SortsOddP) { check_sort(7, direct(7), {}, 500); }
 
-TEST(OneFactorExchange, OverlapMergeProducesSameResult) {
+TEST(KAryDirectExchange, OverlapMergeProducesSameResult) {
   check_sort(8, direct(8, true), {}, 900);
   check_sort(5, direct(5, true), {}, 400);
 }
 
-TEST(OneFactorExchange, OverlapWithDuplicatesAndSkew) {
+TEST(KAryDirectExchange, OverlapWithDuplicatesAndSkew) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Zipf;
   check_sort(6, direct(6, true), gen, 800);
 }
 
-TEST(OneFactorExchange, SparseInput) {
+TEST(KAryDirectExchange, SparseInput) {
   workload::GenConfig gen;
   gen.sparsity = 0.4;
   gen.seed = 9;
   check_sort(10, direct(10), gen, 300);
 }
 
-TEST(OneFactorExchange, TwoRanks) { check_sort(2, direct(2, true), {}, 1000); }
+TEST(KAryDirectExchange, TwoRanks) { check_sort(2, direct(2, true), {}, 1000); }
 
-TEST(OneFactorExchange, EpsilonBalanced) {
+TEST(KAryDirectExchange, EpsilonBalanced) {
   SortConfig cfg = direct(8);
   cfg.epsilon = 0.1;
   check_sort(8, cfg, {}, 1500);
 }
 
-TEST(OneFactorExchange, OverlapSkipsSeparateMergePhase) {
+TEST(KAryDirectExchange, OverlapSkipsSeparateMergePhase) {
   // With overlap the final data is one sorted run, so merge_chunks is a
   // no-op; the Merge phase time comes from the arrival merge instead.
   const int P = 4;
@@ -118,13 +118,13 @@ TEST(OneFactorExchange, OverlapSkipsSeparateMergePhase) {
   EXPECT_GT(team.stats().phase_seconds(net::Phase::Exchange), 0.0);
 }
 
-TEST(HypercubeExchange, SortsPowerOfTwo) {
+TEST(KAryRadix2Exchange, SortsPowerOfTwo) {
   check_sort(8, hypercube(), {}, 700);
   check_sort(16, hypercube(), {}, 300);
   check_sort(2, hypercube(), {}, 500);
 }
 
-TEST(HypercubeExchange, DuplicatesAndSkew) {
+TEST(KAryRadix2Exchange, DuplicatesAndSkew) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Staircase;
   check_sort(8, hypercube(), gen, 600);
@@ -132,14 +132,14 @@ TEST(HypercubeExchange, DuplicatesAndSkew) {
   check_sort(4, hypercube(), gen, 400);
 }
 
-TEST(HypercubeExchange, SparseInput) {
+TEST(KAryRadix2Exchange, SparseInput) {
   workload::GenConfig gen;
   gen.sparsity = 0.5;
   gen.seed = 77;
   check_sort(8, hypercube(), gen, 250);
 }
 
-TEST(HypercubeExchange, CheaperLatencyForTinyPartitions) {
+TEST(KAryRadix2Exchange, CheaperLatencyForTinyPartitions) {
   // The Sec. VI-E1 trade: for very small N/P the log2(P)-round
   // store-and-forward beats the single ALL-TO-ALLV, whose latency grows
   // with the P - 1 messages every rank sends.

@@ -167,17 +167,28 @@ TEST(CollectiveGuard, MismatchedOpsProduceStructuredError) {
 }
 
 TEST(CollectiveGuard, MismatchDetectedOnSubcommunicator) {
-  Team team(cfg_with(4));
+  // The survivor communicator of a shrink recovery is a non-world
+  // communicator: rank 3 crashes entering the first barrier, and the three
+  // survivors then disagree on their next collective.
+  auto plan = std::make_shared<FaultPlan>();
+  plan->crash_rank_at_op(3, 0);
+  TeamConfig cfg = cfg_with(4, plan);
+  cfg.recoverable = true;
+  Team team(cfg);
   EXPECT_THROW(team.run([&](Comm& c) {
-                 Comm half = c.split(c.rank() / 2, c.rank());
-                 if (c.rank() == 0)
-                   half.barrier();
-                 else if (c.rank() == 1)
-                   (void)half.allreduce_value<int>(1, std::plus<>{});
+                 try {
+                   c.barrier();
+                 } catch (const team_aborted&) {
+                 }
+                 Comm sub = c.recover_survivors();
+                 ASSERT_EQ(sub.size(), 3);
+                 if (sub.rank() == 1)
+                   (void)sub.allreduce_value<int>(1, std::plus<>{});
                  else
-                   half.barrier();
+                   sub.barrier();
                }),
                collective_mismatch);
+  team.run([&](Comm& c) { c.barrier(); });  // team reusable
 }
 
 // --- watchdog ----------------------------------------------------------------

@@ -87,7 +87,7 @@ TEST(ModelExplorer, HistogramSortP3Deterministic) {
   expect_clean(explore(find_scenario("sort3"), cfg));
 }
 
-TEST(ModelExplorer, HypercubeExchangeDeterministic) {
+TEST(ModelExplorer, KAry2ExchangeDeterministic) {
   // The k = 2 k-ary exchange: the hypercube's store-and-forward schedule.
   ExploreConfig cfg;
   cfg.max_runs = 32;

@@ -10,11 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/bitonic_sort.h"
 #include "baselines/hss_sort.h"
-#include "baselines/hyksort.h"
 #include "baselines/parallel_merge_sort.h"
-#include "baselines/sample_sort.h"
 #include "core/histogram_sort.h"
 #include "obs/report.h"
 #include "obs/tracer.h"
@@ -107,7 +104,7 @@ TEST(TraceEvents, ReportDeterministicForSameSeed) {
 }
 
 TEST(TraceEvents, DisabledTracerNeverAllocatesEventStorage) {
-  obs::RankTracer tracer(/*ring_capacity=*/16);
+  obs::RankTracer tracer;
   tracer.set_enabled(false);
   for (int i = 0; i < 100; ++i) {
     tracer.op_begin(obs::OpKind::Barrier, obs::OpClass::Sync,
@@ -257,14 +254,8 @@ TEST(CounterRegistry, BaselinesAttributePhasesAwayFromOther) {
     void (*run)(Comm&, std::vector<u64>&);
   };
   const Case cases[] = {
-      {"sample_sort",
-       [](Comm& c, std::vector<u64>& v) { baselines::sample_sort(c, v); }},
       {"hss_sort",
        [](Comm& c, std::vector<u64>& v) { baselines::hss_sort(c, v); }},
-      {"hyksort",
-       [](Comm& c, std::vector<u64>& v) { baselines::hyksort(c, v); }},
-      {"bitonic_sort",
-       [](Comm& c, std::vector<u64>& v) { baselines::bitonic_sort(c, v); }},
       {"parallel_merge_sort",
        [](Comm& c, std::vector<u64>& v) {
          baselines::parallel_merge_sort(c, v);

@@ -1,13 +1,15 @@
 // The local-sort kernel layer: LSD radix sort property tests against
 // std::sort over every KeyTraits type (including IEEE specials), stability,
-// pass-skipping stats, batched binary searches, the Auto crossover, and the
-// kernel x exchange-algorithm grid through the full distributed sort.
+// pass-skipping stats, batched binary searches, the radix crossover, and a
+// size x exchange-algorithm grid that runs both kernels through the full
+// distributed sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -259,34 +261,19 @@ TEST(BatchedCounts, EmptyHaystackAndProbes) {
 }
 
 // ---------------------------------------------------------------------------
-// Auto crossover and kernel resolution.
+// Radix crossover: the kernel choice.
 // ---------------------------------------------------------------------------
-
-TEST(KernelDispatch, ExplicitRequestsAreHonoured) {
-  const net::MachineModel m;
-  EXPECT_EQ(resolve_local_sort_kernel<u64>(m, 10, LocalSortKernel::Radix),
-            LocalSortKernel::Radix);
-  EXPECT_EQ(resolve_local_sort_kernel<u64>(m, usize{1} << 24,
-                                           LocalSortKernel::Comparison),
-            LocalSortKernel::Comparison);
-}
 
 TEST(KernelDispatch, AutoUsesComparisonBelowFloor) {
   const net::MachineModel m;
-  EXPECT_EQ(
-      resolve_local_sort_kernel<u64>(m, kRadixMinN - 1, LocalSortKernel::Auto),
-      LocalSortKernel::Comparison);
-  EXPECT_EQ(resolve_local_sort_kernel<u64>(m, usize{1} << 20,
-                                           LocalSortKernel::Auto),
-            LocalSortKernel::Radix);
+  EXPECT_FALSE(use_radix<u64>(m, kRadixMinN - 1));
+  EXPECT_TRUE(use_radix<u64>(m, usize{1} << 20));
 }
 
 TEST(KernelDispatch, SlowRadixConstantDisablesAuto) {
   net::MachineModel m;
   m.radix_s_per_elem_pass = 1e-3;  // pathological calibration
-  EXPECT_EQ(resolve_local_sort_kernel<u64>(m, usize{1} << 20,
-                                           LocalSortKernel::Auto),
-            LocalSortKernel::Comparison);
+  EXPECT_FALSE(use_radix<u64>(m, usize{1} << 20));
   EXPECT_EQ(radix_crossover_n(m, 64), std::numeric_limits<usize>::max());
 }
 
@@ -297,9 +284,7 @@ TEST(KernelDispatch, NonBisectableKeyAlwaysComparison) {
   };
   static_assert(!Bisectable<Opaque>);
   const net::MachineModel m;
-  EXPECT_EQ(resolve_local_sort_kernel<Opaque>(m, usize{1} << 20,
-                                              LocalSortKernel::Radix),
-            LocalSortKernel::Comparison);
+  EXPECT_FALSE(use_radix<Opaque>(m, usize{1} << 20));
 }
 
 TEST(KernelDispatch, CrossoverRespectsFloor) {
@@ -318,19 +303,25 @@ TEST(LocalSortKernels, SameOutputDifferentCharge) {
   std::vector<u64> base(n);
   for (auto& v : base) v = rng();
 
-  auto run = [&](LocalSortKernel k) {
+  // The default model picks radix at this n; a pathological radix constant
+  // forces the comparison kernel (the comparison charge does not read it).
+  const net::MachineModel radix_model;
+  net::MachineModel cmp_model;
+  cmp_model.radix_s_per_elem_pass = 1e-3;
+  ASSERT_TRUE(use_radix<u64>(radix_model, n));
+  ASSERT_FALSE(use_radix<u64>(cmp_model, n));
+
+  auto run = [&](const net::MachineModel& m) {
     std::vector<u64> data = base;
     double elapsed = 0.0;
-    Team team({.nranks = 1});
-    team.run([&](Comm& c) {
-      local_sort(c, data, IdentityKey{}, k);
-    });
+    Team team({.nranks = 1, .machine = m});
+    team.run([&](Comm& c) { local_sort(c, data, IdentityKey{}); });
     elapsed = team.stats().makespan_s;
     EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
     return std::make_pair(data, elapsed);
   };
-  const auto [cmp_data, cmp_t] = run(LocalSortKernel::Comparison);
-  const auto [rad_data, rad_t] = run(LocalSortKernel::Radix);
+  const auto [cmp_data, cmp_t] = run(cmp_model);
+  const auto [rad_data, rad_t] = run(radix_model);
   EXPECT_EQ(cmp_data, rad_data);
   EXPECT_GT(cmp_t, 0.0);
   EXPECT_GT(rad_t, 0.0);
@@ -340,9 +331,12 @@ TEST(LocalSortKernels, SameOutputDifferentCharge) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel x exchange grid: the full sort's output must not depend on either
-// choice. Exchange cells are named by schedule: Hypercube is the k-ary
-// exchange at k = 2, OneFactor the direct pairwise exchange (k = P).
+// Size x exchange grid: the full sort's output must not depend on the
+// kernel or the exchange. 300 and 900 keys per rank sit on either side of
+// kRadixMinN, so the local sort and the re-sort merge run the comparison
+// kernel in one size and the radix kernel in the other. Exchange cells are
+// named by k: KAryK2 is the k-ary exchange at k = 2, KAryKP the direct
+// exchange (k = P).
 // ---------------------------------------------------------------------------
 
 struct ExchangeCell {
@@ -355,12 +349,12 @@ struct ExchangeCell {
 // included, into the registered test names).
 void PrintTo(const ExchangeCell& cell, std::ostream* os) { *os << cell.name; }
 
-using GridParam = std::tuple<LocalSortKernel, ExchangeCell>;
+using GridParam = std::tuple<usize, ExchangeCell>;
 
 class KernelExchangeGrid : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(KernelExchangeGrid, InvariantsAndIdenticalOutput) {
-  const auto [kernel, exchange] = GetParam();
+  const auto [keys_per_rank, exchange] = GetParam();
   const int P = 8;
   workload::GenConfig gen;
   gen.dist = workload::Dist::Normal;
@@ -368,13 +362,12 @@ TEST_P(KernelExchangeGrid, InvariantsAndIdenticalOutput) {
   std::vector<std::vector<u64>> shards(P);
   std::vector<u64> all;
   for (int r = 0; r < P; ++r) {
-    shards[r] = workload::generate_u64(gen, r, P, 900);
+    shards[r] = workload::generate_u64(gen, r, P, keys_per_rank);
     all.insert(all.end(), shards[r].begin(), shards[r].end());
   }
   std::sort(all.begin(), all.end());
 
   SortConfig cfg;
-  cfg.kernel = kernel;
   cfg.exchange = exchange.algo;
   if (exchange.k > 0) cfg.exchange_k = exchange.k;
   std::vector<std::vector<u64>> out(P);
@@ -392,30 +385,30 @@ TEST_P(KernelExchangeGrid, InvariantsAndIdenticalOutput) {
     EXPECT_TRUE(std::is_sorted(o.begin(), o.end()));
     merged.insert(merged.end(), o.begin(), o.end());
   }
-  // Identical output across every (kernel, exchange) cell: with epsilon == 0
+  // Identical output across every (size, exchange) cell: with epsilon == 0
   // the sorted permutation and the per-rank capacities pin the result
   // exactly, so comparing against the one reference covers all cells.
   EXPECT_EQ(merged, all);
 }
 
 std::string grid_name(const ::testing::TestParamInfo<GridParam>& info) {
-  const auto [kernel, exchange] = info.param;
-  return std::string(kernel_name(kernel)) + "_" + exchange.name;
+  const auto [keys_per_rank, exchange] = info.param;
+  return "n" + std::to_string(keys_per_rank) + "_" + exchange.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCells, KernelExchangeGrid,
     ::testing::Combine(
-        ::testing::Values(LocalSortKernel::Comparison, LocalSortKernel::Radix,
-                          LocalSortKernel::Auto),
+        ::testing::Values(usize{300}, usize{900}),
         ::testing::Values(
             ExchangeCell{"Alltoallv", ExchangeAlgorithm::Alltoallv, 0},
-            ExchangeCell{"OneFactor", ExchangeAlgorithm::KAry, 8},
-            ExchangeCell{"Hypercube", ExchangeAlgorithm::KAry, 2})),
+            ExchangeCell{"KAryKP", ExchangeAlgorithm::KAry, 8},
+            ExchangeCell{"KAryK2", ExchangeAlgorithm::KAry, 2})),
     grid_name);
 
 // ---------------------------------------------------------------------------
-// sort_by_key exercises the pairs path end to end when Radix is forced.
+// sort_by_key exercises the radix pairs path end to end (800 records per
+// rank clear the crossover).
 // ---------------------------------------------------------------------------
 
 TEST(KernelDispatch, SortByKeyRadixEndToEnd) {
@@ -431,13 +424,11 @@ TEST(KernelDispatch, SortByKeyRadixEndToEnd) {
     for (int i = 0; i < 800; ++i, ++total)
       s.push_back(Rec{rng(), static_cast<u32>(total)});
 
-  SortConfig cfg;
-  cfg.kernel = LocalSortKernel::Radix;
   std::vector<std::vector<Rec>> out(P);
   Team team({.nranks = P});
   team.run([&](Comm& c) {
     auto local = shards[c.rank()];
-    sort_by_key(c, local, [](const Rec& r) { return r.key; }, cfg);
+    sort_by_key(c, local, [](const Rec& r) { return r.key; });
     out[c.rank()] = std::move(local);
   });
   u64 prev = 0;

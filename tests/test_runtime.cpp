@@ -1,6 +1,6 @@
 // Tests for the thread-backed message-passing runtime: collectives against
-// sequential oracles, split semantics, point-to-point, error propagation,
-// and simulated-clock behaviour.
+// sequential oracles, point-to-point, error propagation, and
+// simulated-clock behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,47 +257,6 @@ TEST(Collectives, MixedSequenceStress) {
     // Every rank must have seen identical collective results where the
     // result is rank-independent; sanity: reduce the accumulators.
     (void)c.allreduce_value<u64>(acc, std::plus<>{});
-  });
-}
-
-TEST(Split, GroupsByColorOrderedByKey) {
-  Team team(small_cfg(8));
-  team.run([&](Comm& c) {
-    // Even ranks -> color 0, odd -> color 1; key reverses order.
-    Comm sub = c.split(c.rank() % 2, -c.rank());
-    EXPECT_EQ(sub.size(), 4);
-    // Reversed key: world rank 6 is member 0 of color 0.
-    const int expected_idx = (7 - c.rank()) / 2;
-    EXPECT_EQ(sub.rank(), expected_idx);
-    // Collectives on the subcomm see only the subgroup.
-    const int sum = sub.allreduce_value<int>(c.rank(), std::plus<>{});
-    if (c.rank() % 2 == 0)
-      EXPECT_EQ(sum, 0 + 2 + 4 + 6);
-    else
-      EXPECT_EQ(sum, 1 + 3 + 5 + 7);
-  });
-}
-
-TEST(Split, RecursiveSplits) {
-  Team team(small_cfg(8));
-  team.run([&](Comm& c) {
-    Comm half = c.split(c.rank() / 4, c.rank());
-    Comm quarter = half.split(half.rank() / 2, half.rank());
-    EXPECT_EQ(quarter.size(), 2);
-    const int partner_sum =
-        quarter.allreduce_value<int>(c.world_rank(), std::plus<>{});
-    // Partners are adjacent world ranks {0,1},{2,3},...
-    EXPECT_EQ(partner_sum, (c.world_rank() / 2) * 4 + 1);
-  });
-}
-
-TEST(Split, SingletonColors) {
-  Team team(small_cfg(4));
-  team.run([&](Comm& c) {
-    Comm solo = c.split(c.rank(), 0);
-    EXPECT_EQ(solo.size(), 1);
-    EXPECT_EQ(solo.allreduce_value<int>(c.rank() * 5, std::plus<>{}),
-              c.rank() * 5);
   });
 }
 

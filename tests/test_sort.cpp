@@ -284,10 +284,8 @@ TEST(SortEdge, AlreadySortedInputFastPath) {
   u64 v = 0;
   for (auto& s : shards)
     for (int i = 0; i < 500; ++i) s.push_back(v += 3);
-  SortConfig cfg;
-  cfg.input_is_sorted = true;
   SortStats stats;
-  run_and_verify<u64>(P, std::move(shards), cfg, &stats);
+  run_and_verify<u64>(P, std::move(shards), {}, &stats);
   // Globally sorted input with equal capacities: nothing moves off-rank.
   EXPECT_EQ(stats.elements_sent_off_rank, 0u);
 }

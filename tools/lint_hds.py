@@ -90,13 +90,14 @@ COMM_OP_METHODS = [
 
 # A method body satisfies comm-note-op if it hits the hook directly or
 # delegates to one of the internal helpers that do (the single-copy pull
-# protocol and the shared P2P receive path).
+# protocol, the shared allgatherv body and the shared P2P receive path).
 NOTE_OP_HOOKS = (
     "collective(",
     "note_op(",
     "collective_pull(",
     "alltoallv_pull(",
     "alltoallv_pull<",
+    "allgatherv_impl(",
     "recv_bytes_into(",
 )
 
@@ -107,6 +108,7 @@ OP_CLASS_HOOKS = (
     "OpClass::",
     "alltoallv_pull(",
     "alltoallv_pull<",
+    "allgatherv_impl(",
     "recv_bytes_into(",
     "scan_impl(",
 )
