@@ -324,8 +324,7 @@ int main(int argc, char** argv) {
         static_cast<u64>(grid_n) * 16,
         {{"dist", "uniform"},
          {"epsilon", "0.01"},
-         {"histogram", "hybrid"},
-         {"oversample", "8"}},
+         {"histogram", "hybrid"}},
         {{"sim_hist_dense_s", dense.histogram_s},
          {"sim_hist_hybrid_s", hybrid.histogram_s},
          {"sim_hist_speedup",

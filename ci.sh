@@ -78,9 +78,10 @@ python3 tools/validate_bench.py exchange \
 
 # Perf gate: hybrid sampled histogramming (DESIGN.md sec. 16) must cut the
 # histogram-phase simulated time by >= 1.2x AND the probe volume vs the
-# dense baseline on the canonical uniform u64 P=16 eps=0.01 cell, and may
+# dense baseline on the canonical uniform u64 P=16 eps=0.01 cell, may
 # never regress the end-to-end makespan by more than 5% in any sweep cell
-# (all distributions x epsilons x P). The sweep's headline numbers feed the
+# (all distributions x epsilons x P), and must resolve every few-distinct
+# cell in <= 8 histogram rounds. The sweep's headline numbers feed the
 # perf-history stage through LEDGER_histogram.json.
 echo "=== perf gate: bench_table_iterations histogram sweep ==="
 (cd build-ci-relwithdebinfo &&
@@ -196,6 +197,15 @@ echo "=== recovery gate: bench_recovery ==="
     --ledger=LEDGER_recovery.json)
 python3 tools/validate_bench.py recovery \
   build-ci-relwithdebinfo/BENCH_recovery.json
+# Deterministic simulated time again: the regenerated file must match the
+# committed snapshot byte for byte.
+if ! cmp build-ci-relwithdebinfo/BENCH_recovery.json BENCH_recovery.json; then
+  echo "recovery snapshot FAIL: build-ci-relwithdebinfo/BENCH_recovery.json" \
+    "differs from the committed BENCH_recovery.json; if the change is" \
+    "intended, regenerate the file (bench_recovery" \
+    "--out=BENCH_recovery.json) and commit it" >&2
+  exit 1
+fi
 
 # Perf history: validate the run ledgers the benches above emitted, then
 # compare their scalar cells against the committed BENCH_history.jsonl

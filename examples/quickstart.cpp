@@ -9,7 +9,7 @@
 //
 //   ./quickstart [--ranks=8] [--keys-per-rank=100000] [--epsilon=0.0]
 //               [--trace=trace.json] [--ledger=ledger.json] [--check]
-//               [--exchange-k=4] [--histogram=dense|hybrid] [--oversample=K]
+//               [--exchange-k=4] [--histogram=dense|hybrid]
 //               [--fault=crash] [--fault-rank=1] [--fault-op=20]
 //               [--fault-seed=7] [--straggle=0.5] [--drop=0.05]
 //               [--recovery=restart|resume|shrink]
@@ -28,10 +28,9 @@
 // round. Without the flag the paper's single-alltoallv exchange is used.
 // --histogram selects the splitter-search strategy (DESIGN.md sec. 16):
 // "dense" is the paper's probe-and-allreduce baseline, "hybrid" runs
-// HSS-style sampled bracket rounds first and then interpolated dense probes
-// seeded from the sampled CDF. Both modes sort identically; they differ in
-// histogram rounds and bytes. --oversample=K scales the sample keys drawn
-// per rank per sampled round.
+// HSS-style sampled bracket rounds first and then dense rounds that probe
+// each bracket's midpoint plus one interpolated key. Both modes sort
+// identically; they differ in histogram rounds and bytes.
 // --fault=crash kills --fault-rank at its --fault-op'th communication op;
 // --straggle=S delays it by S simulated seconds instead; --drop=P drops
 // each message with probability P (seeded by --fault-seed). Any of these
@@ -96,7 +95,6 @@ int main(int argc, char** argv) {
     std::cerr << "unknown --histogram value: " << v << " (dense|hybrid)\n";
     return 2;
   }
-  const usize oversample = static_cast<usize>(args.get_int("oversample", 8));
   const std::string fault = args.get_string("fault", "");
   const int fault_rank = static_cast<int>(args.get_int("fault-rank", 1));
   const u64 fault_op = static_cast<u64>(args.get_int("fault-op", 20));
@@ -194,7 +192,6 @@ int main(int argc, char** argv) {
   core::SortConfig cfg;
   cfg.epsilon = epsilon;
   cfg.histogram = histogram;
-  cfg.oversample = oversample;
   if (exchange_k > 0) {
     cfg.exchange = core::ExchangeAlgorithm::KAry;
     cfg.exchange_k = exchange_k;
@@ -292,7 +289,7 @@ int main(int argc, char** argv) {
   std::cout << "sorted " << ranks << " x " << keys_per_rank
             << " keys: " << (ok ? "globally sorted" : "FAILED") << "\n"
             << "  histogram mode       : " << histogram_mode_name(histogram)
-            << " (oversample " << oversample << ")\n"
+            << "\n"
             << "  histogram iterations : " << stats.histogram_iterations
             << " (" << stats.sampled_rounds << " sampled)\n"
             << "  splitter probes      : " << stats.splitter_probes << "\n"
@@ -325,8 +322,7 @@ int main(int argc, char** argv) {
           static_cast<u64>(ranks) * static_cast<u64>(keys_per_rank);
       led.config = {{"epsilon", std::to_string(epsilon)},
                     {"exchange_k", std::to_string(exchange_k)},
-                    {"histogram", histogram_mode_name(histogram)},
-                    {"oversample", std::to_string(oversample)}};
+                    {"histogram", histogram_mode_name(histogram)}};
       led.scalars = {{"sim_makespan_s", team.stats().makespan_s}};
       obs::attach_features(led, team.cost());
       std::ofstream out(ledger_path);

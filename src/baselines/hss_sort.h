@@ -95,51 +95,16 @@ HssStats hss_sort(runtime::Comm& comm, std::vector<T>& local,
   const usize window = static_cast<usize>(
       cfg.epsilon * static_cast<double>(N) / (2.0 * P));
 
+  core::SplitterResult<UK> result;
+  auto [gmin, gmax, active] = core::detail::start_search(
+      comm, sorted, identity, std::span<const usize>(targets), N, result);
+
   // Per-boundary active key ranges, in bisection space.
   struct Range {
     UK lo;  // exclusive-below bound: all keys <= lo are left of the target
     UK hi;
-    bool resolved;
   };
-  core::SplitterResult<UK> result;
-  result.splitter.assign(B, UK{0});
-  result.boundary.assign(B, 0);
-  result.local_lb.assign(B, 0);
-  result.local_ub.assign(B, 0);
-  result.global_lb.assign(B, 0);
-  result.global_ub.assign(B, 0);
-
-  UK my_min = std::numeric_limits<UK>::max();
-  UK my_max = std::numeric_limits<UK>::min();
-  if (!local.empty()) {
-    my_min = Traits::to_uint(identity(local.front()));
-    my_max = Traits::to_uint(identity(local.back()));
-  }
-  UK range_in[2] = {my_min, static_cast<UK>(~my_max)};
-  UK range_out[2];
-  comm.allreduce(range_in, range_out, 2,
-                 [](UK a, UK b) { return std::min(a, b); });
-  const UK gmin = range_out[0];
-  const UK gmax = static_cast<UK>(~range_out[1]);
-
-  std::vector<Range> ranges(B);
-  std::vector<usize> active;
-  for (usize b = 0; b < B; ++b) {
-    if (targets[b] == 0 || N == 0) {
-      ranges[b] = {UK{0}, UK{0}, true};
-      result.splitter[b] = gmin;
-      result.boundary[b] = 0;
-    } else if (targets[b] == N) {
-      ranges[b] = {UK{0}, UK{0}, true};
-      result.splitter[b] = gmax;
-      result.boundary[b] = N;
-      result.local_lb[b] = result.local_ub[b] = local.size();
-      result.global_lb[b] = result.global_ub[b] = N;
-    } else {
-      ranges[b] = {gmin, gmax, false};
-      active.push_back(b);
-    }
-  }
+  std::vector<Range> ranges(B, Range{gmin, gmax});
 
   Xoshiro256 rng(hash_mix(cfg.seed, comm.rank()));
   std::vector<UK> probes;
@@ -236,13 +201,8 @@ HssStats hss_sort(runtime::Comm& comm, std::vector<T>& local,
       const usize U = ghist[2 * a + 1];
       const usize K = targets[b];
       if (L < K + window && K <= U + window) {
-        r.resolved = true;
-        result.splitter[b] = probes[a];
-        result.local_lb[b] = hist[2 * a];
-        result.local_ub[b] = hist[2 * a + 1];
-        result.global_lb[b] = L;
-        result.global_ub[b] = U;
-        result.boundary[b] = std::clamp(K, L, U);
+        core::detail::accept_probe(result, b, probes[a], hist[2 * a],
+                                   hist[2 * a + 1], L, U, K);
       } else if (L >= K + window) {
         round_err = std::max(round_err, static_cast<double>(L - K) /
                                             static_cast<double>(N));

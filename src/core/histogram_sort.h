@@ -52,13 +52,9 @@ struct SortConfig {
   MergeStrategy merge = MergeStrategy::Sort;
   /// Histogramming strategy of the splitter search (PR 10): Dense is the
   /// paper's probe-and-allreduce baseline; Hybrid runs HSS-style sampled
-  /// rounds first and interpolates dense probes from the sampled CDF. Both
-  /// modes produce identical sorted output.
+  /// rounds first, then dense rounds that probe each bracket's midpoint
+  /// plus one interpolated key. Both modes produce identical sorted output.
   HistogramMode histogram = HistogramMode::Dense;
-  /// Oversampling factor of the sampled rounds (Hybrid only): each rank
-  /// contributes ~(oversample + 2) * sqrt(#boundaries in segment)
-  /// systematically sampled keys per search segment per round.
-  usize oversample = 8;
   ExchangeAlgorithm exchange = ExchangeAlgorithm::Alltoallv;
   /// With ExchangeAlgorithm::KAry: per-round group size ("radix") of the
   /// swap schedule. 2 gives the hypercube's log2(P) rounds of one partner;
@@ -125,7 +121,6 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
   MultiselectConfig mcfg;
   mcfg.epsilon = cfg.epsilon;
   mcfg.histogram = cfg.histogram;
-  mcfg.oversample = cfg.oversample;
   st.splitters = find_splitters(
       comm, std::span<const T>(st.data.data(), st.data.size()), key,
       std::span<const usize>(targets), mcfg);

@@ -38,10 +38,12 @@ enum class HistogramMode : u8 {
   /// HSS-style sampled rounds first: each round pools a seeded per-rank
   /// sample of the still-unresolved key range via a sparse gather and
   /// shrinks every boundary's bracket from the weighted sample CDF. Dense
-  /// refinement then finishes inside the narrowed brackets, with probes
-  /// interpolated from the sample-CDF anchors; a boundary falls back to
-  /// strict midpoint bisection once interpolation stalls, so worst-case
-  /// round counts stay within ~2x of Dense.
+  /// rounds then finish inside the narrowed brackets: each probes its
+  /// bracket's midpoint plus one interpolated key, and the allreduce also
+  /// returns the nearest real key on either side of each probe, onto which
+  /// the bracket ends snap. The midpoint halves every bracket per round, so
+  /// the dense rounds stay within the key width plus one restart for each
+  /// sampled bracket side that turns out wrong.
   Hybrid,
 };
 
@@ -49,10 +51,6 @@ struct MultiselectConfig {
   /// Load-balance threshold epsilon of Def. 1; 0 = perfect partitioning.
   double epsilon = 0.0;
   HistogramMode histogram = HistogramMode::Dense;
-  /// Oversampling factor of the sampled rounds (Hybrid only): each
-  /// rank contributes ~(oversample + 2) * sqrt(#boundaries in segment)
-  /// systematically sampled keys per search segment per round.
-  usize oversample = 8;
 };
 
 /// Result of find_splitters. All vectors are indexed by boundary
@@ -93,35 +91,98 @@ inline constexpr usize kMaxSampledRounds = 8;
 /// Seed of the per-(rank, round) sample-position jitter. Identical on all
 /// ranks (the pooled sample is decoded redundantly).
 inline constexpr u64 kSampleSeed = 0x9e3779b9;
+/// Oversampling factor of the sampled rounds: each rank contributes
+/// ~(kOversample + 2) * sqrt(#boundaries in segment) systematically sampled
+/// keys per search segment per round.
+inline constexpr usize kOversample = 8;
 
-/// Per-boundary search state in uint key space. Invariant (once verified):
-/// f(cand_lo - 1) < K <= f(cand_hi) where f(v) = #keys <= v globally.
+/// Per-boundary search state in uint key space. The target lies in the
+/// bracket: f(cand_lo - 1) < K <= f(cand_hi), f(v) = #keys <= v globally.
+/// Dense probes keep this exact; a bracket end set by a sampled round is an
+/// estimate until a dense probe moves it, and a dense probe that crosses it
+/// disproves it.
 template <class UK>
 struct BoundarySearch {
   UK cand_lo = 0;
   UK cand_hi = 0;
   usize target = 0;
-  bool resolved = false;
-  bool lo_verified = true;   ///< f(cand_lo - 1) < K known to hold
-  bool hi_verified = true;   ///< f(cand_hi) >= K known to hold
-  // Hybrid interpolation state (PR 10): a pair of rank anchors straddling
-  // the target, seeded from the sampled CDF and tightened to exact counts
-  // by every dense probe. Invariant while both exist: ra_lo < K <= ra_hi.
-  UK ka_lo = 0;              ///< low anchor key
-  UK ka_hi = 0;              ///< high anchor key
-  double ra_lo = 0.0;        ///< (estimated) rank at/below ka_lo
-  double ra_hi = 0.0;        ///< (estimated) rank just below ka_hi
-  bool has_lo = false;       ///< low anchor seeded
-  bool has_hi = false;       ///< high anchor seeded
-  bool lo_exact = false;     ///< ra_lo came from a dense probe, not the CDF
-  bool hi_exact = false;     ///< ra_hi came from a dense probe, not the CDF
-  bool force_hi = false;     ///< next probe jumps to cand_hi (empty gap)
-  u32 penalty = 0;           ///< interpolation misses; >= 2 locks midpoint
-  UK last_probe = 0;         ///< previous probe (repeat guard)
-  bool has_last = false;
-  bool last_was_interp = false;
-  usize last_miss = std::numeric_limits<usize>::max();
+  // Hybrid only: the bracket-end counts (exact once a dense probe set the
+  // end, a sample-CDF estimate before) and the next interpolated probe.
+  double c_lo = 0.0;  ///< #keys < cand_lo
+  double c_hi = 0.0;  ///< #keys <= cand_hi
+  UK guess = 0;
 };
+
+/// The key where rank k falls on the line through (lo, r_lo) and
+/// (hi, r_hi), clamped into [lo, hi]; the midpoint when r_hi <= r_lo.
+template <class UK>
+UK interpolate_key(UK lo, UK hi, double r_lo, double r_hi, double k) {
+  if (!(r_hi > r_lo)) return key_midpoint(lo, hi);
+  const double frac = std::clamp((k - r_lo) / (r_hi - r_lo), 0.0, 1.0);
+  const double span = static_cast<double>(static_cast<UK>(hi - lo));
+  const double step = frac * span;
+  return step >= span ? hi : static_cast<UK>(lo + static_cast<UK>(step));
+}
+
+/// Record probe `key` as boundary b's splitter: local counts (lb, ub),
+/// global counts (L, U), and the boundary as close to target K as the ties
+/// at the splitter allow (always inside the epsilon window when accepted;
+/// exactly K when epsilon == 0).
+template <class UK>
+void accept_probe(SplitterResult<UK>& res, usize b, UK key, usize lb,
+                  usize ub, usize L, usize U, usize K) {
+  res.splitter[b] = key;
+  res.local_lb[b] = lb;
+  res.local_ub[b] = ub;
+  res.global_lb[b] = L;
+  res.global_ub[b] = U;
+  res.boundary[b] = std::clamp(K, L, U);
+}
+
+template <class UK>
+struct SearchStart {
+  UK gmin, gmax;             ///< global key range (bisection space)
+  std::vector<usize> active;  ///< boundaries left to search
+};
+
+/// Shared set-up of a splitter search: sizes `res` for the targets, reduces
+/// the global key range with one allreduce (line 3), and resolves targets 0
+/// and N outright. Collective over `comm`.
+template <class UK, class T, class KeyFn>
+SearchStart<UK> start_search(runtime::Comm& comm, std::span<const T> sorted,
+                             KeyFn key, std::span<const usize> targets,
+                             usize N, SplitterResult<UK>& res) {
+  using Traits = KeyTraits<std::decay_t<decltype(key(std::declval<T>()))>>;
+  const usize B = targets.size();
+  res.splitter.assign(B, UK{0});
+  res.boundary.assign(B, 0);
+  res.local_lb.assign(B, 0);
+  res.local_ub.assign(B, 0);
+  res.global_lb.assign(B, 0);
+  res.global_ub.assign(B, 0);
+
+  // (min, ~max) reduce with one min op; an empty rank sends the identity.
+  UK range[2] = {std::numeric_limits<UK>::max(),
+                 std::numeric_limits<UK>::max()};
+  if (!sorted.empty()) {
+    range[0] = Traits::to_uint(key(sorted.front()));
+    range[1] = static_cast<UK>(~Traits::to_uint(key(sorted.back())));
+  }
+  UK grange[2];
+  comm.allreduce(range, grange, 2,
+                 [](UK a, UK b) { return std::min(a, b); });
+  SearchStart<UK> st{grange[0], static_cast<UK>(~grange[1]), {}};
+  const usize n = sorted.size();
+  for (usize b = 0; b < B; ++b) {
+    if (targets[b] == 0)  // every key is right of this boundary
+      accept_probe(res, b, st.gmin, 0, 0, 0, 0, 0);
+    else if (targets[b] == N)
+      accept_probe(res, b, st.gmax, n, n, N, N, N);
+    else
+      st.active.push_back(b);
+  }
+  return st;
+}
 
 /// Make the resolved boundaries non-decreasing, as the exchange needs them
 /// for contiguous send ranges. With epsilon > 0, two boundaries whose
@@ -177,59 +238,25 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
   for (usize t : targets) HDS_CHECK_MSG(t <= N, "target rank exceeds N");
 
   SplitterResult<UK> res;
-  res.splitter.assign(B, UK{0});
-  res.boundary.assign(B, 0);
-  res.local_lb.assign(B, 0);
-  res.local_ub.assign(B, 0);
-  res.global_lb.assign(B, 0);
-  res.global_ub.assign(B, 0);
   if (B == 0) return res;
-
-  // Global key range: one (min, max) reduction in bisection space (line 3).
-  UK my_min = std::numeric_limits<UK>::max();
-  UK my_max = std::numeric_limits<UK>::min();
-  if (n_local > 0) {
-    my_min = Traits::to_uint(key(sorted_local.front()));
-    my_max = Traits::to_uint(key(sorted_local.back()));
-  }
-  UK range[2] = {my_min, static_cast<UK>(~my_max)};
-  UK grange[2];
-  comm.allreduce(range, grange, 2,
-                 [](UK a, UK b) { return std::min(a, b); });
-  const UK gmin = grange[0];
-  const UK gmax = static_cast<UK>(~grange[1]);
+  // `active`: the boundaries still being searched.
+  auto [gmin, gmax, active] =
+      detail::start_search(comm, sorted_local, key, targets, N, res);
 
   // Epsilon window (Def. 1): each boundary may deviate by N*eps/(2P).
   const usize window = static_cast<usize>(
       cfg.epsilon * static_cast<double>(N) / (2.0 * static_cast<double>(P)));
 
+  const bool hybrid = cfg.histogram == HistogramMode::Hybrid;
   std::vector<detail::BoundarySearch<UK>> search(B);
-  std::vector<usize> active;  // boundaries still being bisected
-  for (usize b = 0; b < B; ++b) {
+  for (usize b : active) {
     auto& s = search[b];
     s.target = targets[b];
-    if (s.target == 0) {
-      // All elements are right of this boundary; no histogramming needed.
-      s.resolved = true;
-      res.splitter[b] = gmin;
-      res.boundary[b] = 0;
-      continue;
-    }
-    if (s.target == N) {
-      s.resolved = true;
-      res.splitter[b] = gmax;
-      res.boundary[b] = N;
-      res.local_lb[b] = res.local_ub[b] = n_local;
-      res.global_lb[b] = res.global_ub[b] = N;
-      continue;
-    }
-    if (N == 0) {
-      s.resolved = true;
-      continue;
-    }
     s.cand_lo = gmin;
     s.cand_hi = gmax;
-    active.push_back(b);
+    s.c_hi = static_cast<double>(N);
+    s.guess = detail::interpolate_key(gmin, gmax, 0.0, s.c_hi,
+                                      static_cast<double>(s.target));
   }
 
   // --- sampled rounds (Hybrid) ---------------------------------------------
@@ -238,9 +265,8 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
   // counts ride along with the keys, so the pooled CDF is exact outside the
   // sampled range and only the in-range interpolation carries sampling
   // error — which the slack term absorbs before a bracket is trusted.
-  // Sampled brackets are unverified; if a dense round disproves one, its
-  // failing side is reset to the verified global extreme.
-  const bool hybrid = cfg.histogram == HistogramMode::Hybrid;
+  // Sampled bracket ends are estimates; a dense probe that crosses one
+  // disproves it and reopens it to the global extreme.
   if (hybrid && !active.empty() && gmin < gmax) {
     struct WeightedKey {
       u64 key;
@@ -275,9 +301,9 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
     // covering many boundaries, where evenly spread samples serve them all
     // at once) from gathering far more keys than the CDF resolution needs,
     // while a segment holding a single boundary still gets the full
-    // oversample.
-    const auto seg_budget = [&](usize nb) {
-      return (cfg.oversample + 2) *
+    // kOversample + 2 keys.
+    const auto seg_budget = [](usize nb) {
+      return (detail::kOversample + 2) *
              static_cast<usize>(
                  std::ceil(std::sqrt(static_cast<double>(nb))));
     };
@@ -305,7 +331,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
 
       // Local block, segment-major: [keys below lo, keys in [lo, hi],
       // sampled keys...] per segment. The sample count is min(keys in
-      // range, (oversample + 2) * boundaries-in-segment) — derivable by
+      // range, seg_budget(boundaries in segment)) — derivable by
       // every receiver from the replicated budget, so it does not travel.
       const T* base = sorted_local.data();
       contrib.clear();
@@ -465,38 +491,29 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         // The below / in-range counts ride the gather exactly, so a target
         // outside (c_below, c_below + w] disproves the bracket outright —
         // an earlier slack-guarded shrink lost the splitter (the rare tail
-        // beyond the slack). Reopen the failing side; the exact edge rank
-        // seeds the interpolation anchor for the jump back out.
+        // beyond the slack). Reopen the failing side.
         if (kt <= g.c_below || kt > le_hi) {
           if (kt <= g.c_below) {
             s.cand_lo = gmin;
-            s.lo_verified = true;
-            if (g.lo > std::numeric_limits<UK>::min()) {
-              s.ka_hi = static_cast<UK>(g.lo - 1);
-              s.ra_hi = g.c_below;
-              s.has_hi = true;
-              s.hi_exact = true;
-            }
+            s.c_lo = 0.0;
           } else {
             s.cand_hi = gmax;
-            s.hi_verified = true;
-            s.ka_lo = g.hi;
-            s.ra_lo = le_hi;
-            s.has_lo = true;
-            s.lo_exact = true;
+            s.c_hi = static_cast<double>(N);
           }
+          s.guess = detail::interpolate_key(s.cand_lo, s.cand_hi, s.c_lo,
+                                            s.c_hi, kt);
           mass += g.w;
           round_err = std::max(
               round_err, g.w / (2.0 * static_cast<double>(N)));
           continue;
         }
         // cross = first sample position whose estimated rank reaches the
-        // target; the raw crossing seeds the interpolation anchors (no
-        // safety margin needed — bad anchors only misdirect probes, and the
-        // penalty counter catches that), while bracket shrinks below are
-        // slack-guarded because a wrong bracket costs a reset. The
-        // half-key shift makes the full-coverage case land on the key
-        // whose tie class spans the target rank (est == rank - 1/2 there).
+        // target; the raw crossing yields the first dense round's
+        // interpolated probe (no safety margin needed — a bad guess only
+        // costs a probe), while bracket shrinks below are slack-guarded
+        // because a wrong bracket costs a restart. The half-key shift makes
+        // the full-coverage case land on the key whose tie class spans the
+        // target rank (est == rank - 1/2 there).
         const usize cross = static_cast<usize>(
             std::lower_bound(e0, e0 + g.s_n, kt - 0.5) - e0);
         // Full coverage: every in-range key of every rank fit the budget,
@@ -509,7 +526,6 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
           const UK k = static_cast<UK>(k0[cross].key);
           if (k >= s.cand_lo && k <= s.cand_hi) {
             s.cand_lo = s.cand_hi = k;
-            s.lo_verified = s.hi_verified = true;
             continue;
           }
         }
@@ -517,9 +533,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         // run alone accounts for the target rank with slack to spare on
         // both sides, so it must be the splitter (Def. 4 places the
         // boundary inside its tie run). Collapse without waiting for full
-        // coverage — for few-distinct inputs this is the common case, and
-        // the value-space bisection it replaces is the dense phase's worst
-        // case.
+        // coverage — for few-distinct inputs this is the common case.
         if (cross < g.s_n) {
           usize run_lo = cross;
           while (run_lo > 0 && k0[run_lo - 1].key == k0[cross].key)
@@ -536,35 +550,18 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
             const UK k = static_cast<UK>(k0[cross].key);
             if (k >= s.cand_lo && k <= s.cand_hi) {
               s.cand_lo = s.cand_hi = k;
-              s.lo_verified = s.hi_verified = true;
               continue;
             }
           }
         }
-        if (cross > 0) {
-          s.ka_lo = static_cast<UK>(k0[cross - 1].key);
-          s.ra_lo = e0[cross - 1];
-          s.has_lo = true;
-          s.lo_exact = false;
-        } else if (g.lo > std::numeric_limits<UK>::min()) {
-          // Target at or below the first sample: the segment's lower edge
-          // carries an exact rank (#keys < lo rode the gather).
-          s.ka_lo = static_cast<UK>(g.lo - 1);
-          s.ra_lo = g.c_below;
-          s.has_lo = true;
-          s.lo_exact = true;
-        }
-        if (cross < g.s_n) {
-          s.ka_hi = static_cast<UK>(k0[cross].key);
-          s.ra_hi = e0[cross];
-          s.has_hi = true;
-          s.hi_exact = false;
-        } else {
-          s.ka_hi = g.hi;
-          s.ra_hi = le_hi;
-          s.has_hi = true;
-          s.hi_exact = true;
-        }
+        // Sample-CDF guess: the target interpolated between the pooled keys
+        // that straddle it, or the segment edge (exact rank) where the
+        // target lies outside the pool.
+        s.guess = detail::interpolate_key(
+            cross > 0 ? static_cast<UK>(k0[cross - 1].key) : g.lo,
+            cross < g.s_n ? static_cast<UK>(k0[cross].key) : g.hi,
+            cross > 0 ? e0[cross - 1] : g.c_below,
+            cross < g.s_n ? e0[cross] : le_hi, kt);
         usize lo = cross;
         while (lo > 0 && e0[lo - 1] + g.slack >= kt) --lo;
         const bool lo_safe = lo > 0;  // position lo-1 is safely below
@@ -575,14 +572,14 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
           const UK k = static_cast<UK>(k0[lo - 1].key);
           if (k > s.cand_lo && k <= s.cand_hi) {
             s.cand_lo = k;
-            s.lo_verified = false;
+            s.c_lo = e0[lo - 1];
           }
         }
         if (hi_safe) {
           const UK k = static_cast<UK>(k0[hi].key);
           if (k < s.cand_hi && k >= s.cand_lo) {
             s.cand_hi = k;
-            s.hi_verified = false;
+            s.c_hi = e0[hi];
           }
         }
         const double lo_est = lo_safe ? e0[lo - 1] : g.c_below;
@@ -608,9 +605,16 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
   // Safety cap on histogram rounds.
   const usize max_iter = 4 * static_cast<usize>(Traits::key_bits) + 16;
 
+  // One probe's counts and the nearest real keys around it: pred < probe <
+  // succ. Only Hybrid reduces the keys; Dense moves the paper's (lb, ub).
+  struct ProbeCount {
+    u64 lb, ub;
+    UK pred, succ;
+  };
   std::vector<UK> probes;
-  std::vector<u64> hist;     // interleaved (lb, ub) per active boundary
-  std::vector<u64> ghist;
+  std::vector<usize> first;  // active[a] owns probes [first[a], first[a+1])
+  std::vector<ProbeCount> loc, glob;
+  std::vector<u64> hist, ghist;  // Dense: interleaved (lb, ub) per probe
   std::vector<u32> order;    // probe indices in ascending probe order
   std::vector<K> probe_keys;
   std::vector<usize> lb_s, ub_s;
@@ -622,159 +626,129 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
     ++res.iterations;
 
     // Probe the midpoint of every unresolved boundary and build the local
-    // histogram (lines 6-7). Boundary targets are non-decreasing, so the
-    // probes of one iteration are already (nearly) sorted: ordering them by
-    // value lets a single forward sweep answer every probe over a
-    // successively narrowed subrange instead of running two independent
-    // full-width binary searches per probe.
+    // histogram (lines 6-7); Hybrid also probes its interpolated key when
+    // that differs. Boundary targets are non-decreasing, so the probes of
+    // one iteration are already (nearly) sorted: ordering them by value
+    // lets a single forward sweep answer every probe over a successively
+    // narrowed subrange instead of running two independent full-width
+    // binary searches per probe.
     probes.clear();
+    first.clear();
     for (usize b : active) {
-      auto& s = search[b];
-      UK probe = key_midpoint(s.cand_lo, s.cand_hi);
-      bool interp = false;
-      if (hybrid) {
-        if (s.force_hi) {
-          // An empty key gap was detected below: interpolation would land
-          // in the same plateau again, so jump to the bracket's upper end.
-          probe = s.cand_hi;
-          s.force_hi = false;
-        } else if (s.penalty < 2 && s.has_lo && s.has_hi &&
-                   s.ka_lo < s.ka_hi &&
-                   s.ra_lo < static_cast<double>(s.target) &&
-                   s.ra_hi > s.ra_lo) {
-          // Interpolation-search probe between the rank anchors, clamped
-          // into the verified bracket; repeat probes degrade to midpoint.
-          const double frac =
-              std::clamp((static_cast<double>(s.target) - s.ra_lo) /
-                             (s.ra_hi - s.ra_lo),
-                         0.0, 1.0);
-          const double span = static_cast<double>(s.ka_hi - s.ka_lo);
-          const UK cand = std::clamp(
-              static_cast<UK>(s.ka_lo + static_cast<UK>(span * frac)),
-              s.cand_lo, s.cand_hi);
-          if (!(s.has_last && cand == s.last_probe)) {
-            probe = cand;
-            interp = true;
-          }
-        }
-      }
-      s.last_was_interp = interp;
-      s.last_probe = probe;
-      s.has_last = true;
-      probes.push_back(probe);
+      const auto& s = search[b];
+      first.push_back(probes.size());
+      const UK mid = key_midpoint(s.cand_lo, s.cand_hi);
+      const UK guess = std::clamp(s.guess, s.cand_lo, s.cand_hi);
+      probes.push_back(mid);
+      if (hybrid && guess != mid) probes.push_back(guess);
     }
-    const usize A = active.size();
-    order.resize(A);
-    for (usize i = 0; i < A; ++i) order[i] = static_cast<u32>(i);
+    first.push_back(probes.size());
+    const usize M = probes.size();
+    order.resize(M);
+    for (usize i = 0; i < M; ++i) order[i] = static_cast<u32>(i);
     std::sort(order.begin(), order.end(),
               [&](u32 x, u32 y) { return probes[x] < probes[y]; });
     probe_keys.clear();
     for (u32 i : order) probe_keys.push_back(Traits::from_uint(probes[i]));
-    lb_s.resize(A);
-    ub_s.resize(A);
+    lb_s.resize(M);
+    ub_s.resize(M);
     batched_counts(sorted_local, std::span<const K>(probe_keys), key,
                    lb_s.data(), ub_s.data());
-    hist.assign(2 * A, 0);
-    for (usize j = 0; j < A; ++j) {
-      hist[2 * order[j]] = lb_s[j];
-      hist[2 * order[j] + 1] = ub_s[j];
+    // pred is the largest local key < probe, succ the smallest > probe.
+    loc.resize(M);
+    for (usize j = 0; j < M; ++j) {
+      const usize lb = lb_s[j], ub = ub_s[j];
+      loc[order[j]] = {
+          lb, ub, lb ? Traits::to_uint(key(sorted_local[lb - 1])) : UK{0},
+          ub < n_local ? Traits::to_uint(key(sorted_local[ub]))
+                       : std::numeric_limits<UK>::max()};
     }
-    res.probes_total += A;
-    res.round_probes.push_back(static_cast<u32>(A));
-    res.hist_bytes_dense += 2 * A * sizeof(u64);
-    comm.charge_control_sort(A);
-    comm.charge_batched_search(n_local, 2 * A);
+    res.probes_total += M;
+    res.round_probes.push_back(static_cast<u32>(M));
+    comm.charge_control_sort(M);
+    comm.charge_batched_search(n_local, 2 * M);
 
-    // Global histogram: one allreduce (line 8).
-    ghist.assign(hist.size(), 0);
-    comm.allreduce(hist.data(), ghist.data(), hist.size(),
-                   [](u64 a, u64 b) { return a + b; });
+    // Global histogram: one allreduce (line 8). Hybrid reduces
+    // (lb, ub, pred, succ) by (sum, sum, max, min); the key sentinels of
+    // empty sides are never read, since a probe with too many keys below
+    // has L >= 1 and one with too few at or below has U < N. Dense knows
+    // no neighbouring keys: the probe itself bounds the bracket from above
+    // and probe + 1 from below.
+    glob.resize(M);
+    if (hybrid) {
+      comm.allreduce(loc.data(), glob.data(), M,
+                     [](const ProbeCount& x, const ProbeCount& y) {
+                       return ProbeCount{x.lb + y.lb, x.ub + y.ub,
+                                         std::max(x.pred, y.pred),
+                                         std::min(x.succ, y.succ)};
+                     });
+      res.hist_bytes_dense += M * sizeof(ProbeCount);
+    } else {
+      hist.resize(2 * M);
+      for (usize i = 0; i < M; ++i) {
+        hist[2 * i] = loc[i].lb;
+        hist[2 * i + 1] = loc[i].ub;
+      }
+      ghist.assign(2 * M, 0);
+      comm.allreduce(hist.data(), ghist.data(), 2 * M,
+                     [](u64 a, u64 b) { return a + b; });
+      for (usize i = 0; i < M; ++i)
+        glob[i] = {ghist[2 * i], ghist[2 * i + 1], probes[i],
+                   static_cast<UK>(probes[i] + 1)};
+      res.hist_bytes_dense += 2 * M * sizeof(u64);
+    }
 
-    // Validate each splitter (Alg. 2, with the epsilon window).
+    // Validate each splitter (Alg. 2, with the epsilon window). A probe
+    // that misses moves one bracket end onto the nearest key its exact
+    // counts allow, and only ever narrows the bracket. If that crosses the
+    // other end, the other end was a sampled estimate these counts
+    // disprove: reopen it to the global extreme.
     double round_err = 0.0;
     std::vector<usize> still_active;
     for (usize a = 0; a < active.size(); ++a) {
       const usize b = active[a];
       auto& s = search[b];
-      const UK probe = probes[a];
-      const usize L = ghist[2 * a];
-      const usize U = ghist[2 * a + 1];
       const usize KT = s.target;
-
-      const bool accept = (L < KT + window) && (KT <= U + window);
-      if (accept) {
-        s.resolved = true;
-        res.splitter[b] = probe;
-        res.local_lb[b] = hist[2 * a];
-        res.local_ub[b] = hist[2 * a + 1];
-        res.global_lb[b] = L;
-        res.global_ub[b] = U;
-        // Number of elements ending up left of the boundary: as close to the
-        // target as the ties at the splitter allow (always inside the
-        // epsilon window when accepted; exactly KT when epsilon == 0).
-        res.boundary[b] = std::clamp(KT, L, U);
-        continue;
+      bool accepted = false;
+      usize miss = std::numeric_limits<usize>::max();
+      for (usize i = first[a]; i < first[a + 1] && !accepted; ++i) {
+        const usize L = glob[i].lb, U = glob[i].ub;
+        if (L < KT + window && KT <= U + window) {
+          detail::accept_probe(res, b, probes[i], loc[i].lb, loc[i].ub, L,
+                               U, KT);
+          accepted = true;
+        } else if (L >= KT + window) {
+          // Too many keys below the probe: move the upper end down.
+          miss = std::min(miss, L - KT);
+          if (glob[i].pred < s.cand_hi) {
+            s.cand_hi = glob[i].pred;
+            s.c_hi = static_cast<double>(L);
+            if (s.cand_hi < s.cand_lo) {
+              s.cand_lo = gmin;
+              s.c_lo = 0.0;
+            }
+          }
+        } else {
+          // Too few keys at or below the probe: move the lower end up.
+          miss = std::min(miss, KT - U);
+          if (glob[i].succ > s.cand_lo) {
+            s.cand_lo = glob[i].succ;
+            s.c_lo = static_cast<double>(U);
+            if (s.cand_lo > s.cand_hi) {
+              s.cand_hi = gmax;
+              s.c_hi = static_cast<double>(N);
+            }
+          }
+        }
       }
+      if (accepted) continue;
       // Unresolved boundary: distance of the achievable rank interval
       // [L, U] from the target, relative to N (a global quantity — L, U,
       // KT, N are identical on every rank, so the series is too).
-      const usize miss = (L >= KT + window) ? L - KT : KT - U;
       round_err = std::max(
           round_err, static_cast<double>(miss) / static_cast<double>(N));
-      if (hybrid && s.last_was_interp) {
-        // Interpolation must keep (at least) halving the rank miss; two
-        // failures permanently lock this boundary to strict midpoint
-        // bisection. The penalty is sticky on purpose — letting a key
-        // distribution that defeats interpolation (plateaus, heavy ties)
-        // earn the probe back after one lucky round costs ~2x the
-        // bisection rounds in the worst case.
-        if (miss * 2 > s.last_miss) ++s.penalty;
-      }
-      s.last_miss = miss;
-      if (L >= KT + window) {
-        // Too many keys below the probe: move the upper bound down.
-        s.cand_hi = probe;
-        s.hi_verified = true;
-        s.ka_hi = probe;
-        s.ra_hi = static_cast<double>(L);
-        s.hi_exact = true;
-        s.has_hi = true;
-        if (!s.lo_verified && probe <= s.cand_lo) {
-          // Sampled bracket was wrong on the low side: reopen it to the
-          // verified global minimum (a disproved bracket never converges).
-          s.cand_lo = gmin;
-          s.lo_verified = true;
-        }
-      } else {
-        // Too few keys at or below the probe: move the lower bound up.
-        if (probe == s.cand_hi && !s.hi_verified) {
-          // Sampled bracket was wrong on the high side: reopen it to the
-          // verified global maximum.
-          s.cand_hi = gmax;
-          s.hi_verified = true;
-        }
-        if (hybrid && s.lo_exact && s.has_lo &&
-            static_cast<double>(U) == s.ra_lo && probe > s.ka_lo) {
-          // f(<= probe) did not move past the previous exact low anchor:
-          // the whole gap (ka_lo, probe] holds no keys, so interpolation
-          // would stall inside this plateau — probe the bracket's upper
-          // end next round instead. The plateau counts as a miss: the
-          // force_hi probe re-probes a key whose counts are already exact
-          // and resets last_miss, so without it the penalty never locks
-          // the boundary to bisection and interpolation creeps.
-          s.force_hi = true;
-          ++s.penalty;
-        }
-        s.ka_lo = probe;
-        s.ra_lo = static_cast<double>(U);
-        s.lo_exact = true;
-        s.has_lo = true;
-        s.cand_lo = (probe == std::numeric_limits<UK>::max())
-                        ? probe
-                        : static_cast<UK>(probe + 1);
-        s.lo_verified = true;
-        if (s.cand_lo > s.cand_hi && s.hi_verified) s.cand_hi = gmax;
-      }
+      s.guess = detail::interpolate_key(s.cand_lo, s.cand_hi, s.c_lo, s.c_hi,
+                                        static_cast<double>(KT));
       still_active.push_back(b);
     }
     res.convergence.push_back(round_err);

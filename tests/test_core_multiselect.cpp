@@ -212,16 +212,18 @@ TEST(Multiselect, SampledInitConvergesAndIsNoWorse) {
 }
 
 TEST(Multiselect, SampledInitSurvivesAdversarialSample) {
-  // Staircase input with a minimal sample budget: per-rank samples are
-  // clustered and sparse, so the sampled brackets are coarse; the search
-  // must still converge to the Def. 4 splitters.
+  // Staircase input: per-rank samples are clustered, so the sampled
+  // brackets are coarse; the search must still converge to the Def. 4
+  // splitters, and in no more rounds than dense bisection.
   workload::GenConfig cfg;
   cfg.dist = workload::Dist::Staircase;
   const auto shards = make_shards(6, 700, cfg);
   MultiselectConfig sampled;
   sampled.histogram = HistogramMode::Hybrid;
-  sampled.oversample = 0;
-  check_splitters(6, shards, even_targets(6, 700), sampled);
+  usize it_sampled = 0, it_dense = 0;
+  check_splitters(6, shards, even_targets(6, 700), sampled, &it_sampled);
+  check_splitters(6, shards, even_targets(6, 700), {}, &it_dense);
+  EXPECT_LE(it_sampled, it_dense);
 }
 
 TEST(Multiselect, SignedAndFloatKeys) {
@@ -361,52 +363,82 @@ TEST(HistogramModes, SampledStallsFallBackToDenseOnAllEqual) {
   EXPECT_LE(iters, 5u);
 }
 
-TEST(HistogramModes, OversampleKnobIsHonoured) {
-  // A larger oversampling factor gathers more keys per sampled round.
-  constexpr int P = 8;
-  workload::GenConfig gen;
-  const auto shards = make_shards(P, 512, gen);
-  const auto targets = even_targets(P, 512);
-  MultiselectConfig lo, hi;
-  lo.histogram = hi.histogram = HistogramMode::Hybrid;
-  lo.oversample = 4;
-  hi.oversample = 32;
-  const auto small = run_mode(P, shards, targets, lo);
-  const auto big = run_mode(P, shards, targets, hi);
-  ASSERT_GT(small.sampled_rounds, 0u);
-  ASSERT_GT(big.sampled_rounds, 0u);
-  EXPECT_GT(big.sample_keys_total / big.sampled_rounds,
-            small.sample_keys_total / small.sampled_rounds);
+TEST(HistogramModes, HybridNoMoreRoundsThanDenseOnSortedKeys) {
+  // Globally (reverse-)sorted full-range keys give each rank one narrow
+  // band of the key space. The dense rounds do most of the search here,
+  // and must still need no more rounds than Dense's bisection.
+  constexpr int P = 16;
+  constexpr usize n = 512;
+  for (workload::Dist d :
+       {workload::Dist::ReverseSorted, workload::Dist::NearlySorted}) {
+    SCOPED_TRACE(workload::dist_name(d));
+    workload::GenConfig gen;
+    gen.dist = d;
+    gen.hi = ~u64{0} >> 1;
+    gen.seed = 7;
+    const auto shards = make_shards(P, n, gen);
+    MultiselectConfig hcfg;
+    hcfg.histogram = HistogramMode::Hybrid;
+    usize it_hybrid = 0, it_dense = 0;
+    check_splitters(P, shards, even_targets(P, n), hcfg, &it_hybrid);
+    check_splitters(P, shards, even_targets(P, n), {}, &it_dense);
+    EXPECT_LE(it_hybrid, it_dense);
+  }
 }
 
-TEST(HybridHistogram, FewDistinctPlateauConvergesWithoutOversampling) {
-  // Regression: on a few-distinct plateau the force_hi probe re-probes
-  // cand_hi, whose counts are already exact, and resets the miss tracker —
-  // so the penalty never reached 2, interpolation crept ~1% of the bracket
-  // every two rounds, and the search hit its iteration cap. Each plateau
-  // hit now counts as a miss, locking the boundary to bisection.
-  constexpr int P = 4;
+TEST(HybridHistogram, FewDistinctResolvesInFewRounds) {
+  // Few distinct keys leave wide empty key gaps between the tie classes.
+  // Snapping each bracket end onto the nearest real key jumps every gap in
+  // one round, so the search needs a handful of rounds, not the key width.
+  struct Case {
+    int P;
+    usize n;
+    u64 seed;
+  };
+  for (const Case& k : {Case{4, 500, 15}, Case{16, 512, 7}}) {
+    SCOPED_TRACE(k.P);
+    workload::GenConfig gen;
+    gen.dist = workload::Dist::FewDistinct;
+    gen.alphabet = 16;
+    gen.seed = k.seed;
+    std::vector<std::vector<u64>> shards(k.P);
+    for (int r = 0; r < k.P; ++r)
+      shards[r] = workload::generate_u64(gen, r, k.P, k.n);
+    SortConfig cfg;
+    cfg.histogram = HistogramMode::Hybrid;
+    usize iterations = 0;
+    Team team({.nranks = k.P});
+    team.run([&](Comm& c) {
+      auto local = shards[c.rank()];
+      const SortStats st = sort(c, local, cfg);
+      EXPECT_TRUE(
+          is_globally_sorted(c, std::span<const u64>(local), identity));
+      if (c.rank() == 0) iterations = st.histogram_iterations;
+    });
+    EXPECT_LE(iterations, 8u);
+  }
+}
+
+TEST(HybridHistogram, SampledReopenMatchesDense) {
+  // Regression seed: on this input a slack-guarded sampled shrink loses a
+  // splitter, and a later sampled round's exact segment counts disprove
+  // the bracket and reopen it. The search must still land on Dense's
+  // splitters (eps = 0 admits only one).
+  constexpr int P = 20;
+  constexpr usize n = 52;
   workload::GenConfig gen;
-  gen.dist = workload::Dist::FewDistinct;
-  gen.alphabet = 16;
-  gen.seed = 15;
-  std::vector<std::vector<u64>> shards(P);
-  for (int r = 0; r < P; ++r)
-    shards[r] = workload::generate_u64(gen, r, P, 500);
-  SortConfig cfg;
+  gen.dist = workload::Dist::Exponential;
+  gen.hi = ~u64{0} >> 1;
+  gen.seed = 17540786804517835618ULL;
+  const auto shards = make_shards(P, n, gen);
+  const auto targets = even_targets(P, n);
+  MultiselectConfig cfg;
+  const auto dense = run_mode(P, shards, targets, cfg);
   cfg.histogram = HistogramMode::Hybrid;
-  cfg.oversample = 0;
-  usize iterations = 0;
-  Team team({.nranks = P});
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    const SortStats st = sort(c, local, cfg);
-    EXPECT_TRUE(
-        is_globally_sorted(c, std::span<const u64>(local), identity));
-    if (c.rank() == 0) iterations = st.histogram_iterations;
-  });
-  // The key-width bound of Sec. V-A.
-  EXPECT_LE(iterations, 64u);
+  check_splitters(P, shards, targets, cfg);
+  const auto hybrid = run_mode(P, shards, targets, cfg);
+  EXPECT_EQ(hybrid.splitter, dense.splitter);
+  EXPECT_EQ(hybrid.boundary, dense.boundary);
 }
 
 TEST(HybridHistogram, CrossingSplittersStillExchange) {

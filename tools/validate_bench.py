@@ -25,8 +25,10 @@ Kinds and their gates (unchanged from the historical ci.sh heredocs):
               (BENCH_histogram.json); every (dist, epsilon, P) cell
               carries both modes, dense and hybrid; hybrid must cut
               histogram-phase sim time >= 1.2x AND probe volume vs dense on
-              the canonical uniform u64 P=16 eps=0.01 cell, and may never
-              regress the makespan by > 5% in any cell.
+              the canonical uniform u64 P=16 eps=0.01 cell, may never
+              regress the makespan by > 5% in any cell, and must resolve
+              every fewdistinct cell in <= 8 rounds (its dense rounds snap
+              the brackets onto real keys, so key gaps cost no rounds).
   ledger      hds-run-ledger schema check: versioned header, op-class /
               sample / feature cross-consistency, and the fit never losing
               to the probe surrogate (err2_fit <= err2_default).
@@ -192,6 +194,10 @@ def check_histogram(path: str) -> None:
         ratio = hybrid["makespan_s"] / dense["makespan_s"]
         require(ratio <= 1.05,
                 f"hybrid regresses makespan {ratio:.2f}x at {key}")
+        if key[0] == "fewdistinct":
+            require(hybrid["iterations"] <= 8,
+                    f"hybrid took {hybrid['iterations']} rounds at {key} "
+                    "(> 8)")
     gated = by_cell.get(("uniform", 0.01, 16))
     require(gated is not None, "no uniform eps=0.01 P=16 cell")
     dense, hybrid = gated["dense"], gated["hybrid"]
@@ -205,7 +211,8 @@ def check_histogram(path: str) -> None:
     print(f"perf gate OK: hybrid histogram phase {speedup:.2f}x faster than "
           f"dense (u64 uniform, P=16, eps=0.01; probes "
           f"{hybrid['probes_total']} vs {dense['probes_total']}), makespan "
-          f"within 5% on all {len(by_cell)} cells")
+          f"within 5% on all {len(by_cell)} cells, fewdistinct in <= 8 "
+          "rounds")
 
 
 def check_ledger(path: str) -> None:
