@@ -9,7 +9,8 @@
 //  (3) PGAS intra-node shortcut — shared-memory collectives vs MPI-through-
 //      the-loopback (Sec. VI-A1: "we replace collective communication by
 //      fast memcpy operations");
-//  (4) final merge strategy on the full sort (Sec. V-C);
+//  (4) final merge strategy on the full sort (Sec. V-C; the binary merge
+//      tree is measured in bench_merge_study only);
 //  (5) exchange schedule (Sec. VI-E1).
 #include <iostream>
 
@@ -131,8 +132,7 @@ int main(int argc, char** argv) {
   {
     Table t({"final merge", "time [s]"});
     for (auto strategy :
-         {core::MergeStrategy::Sort, core::MergeStrategy::BinaryTree,
-          core::MergeStrategy::Tournament}) {
+         {core::MergeStrategy::Sort, core::MergeStrategy::Tournament}) {
       core::SortConfig scfg;
       scfg.merge = strategy;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);

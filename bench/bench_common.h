@@ -4,9 +4,11 @@
 // proportional sample (see DESIGN.md, "virtual workload mode").
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,6 +122,61 @@ inline void write_wallclock_ledger_if_requested(
   led.write_json(out);
   std::cerr << "  ledger: " << led.scalars.size() << " scalar cells -> "
             << path << "\n";
+}
+
+/// The pairwise binary merge tree of the Sec. VI-E2 merging study. It
+/// lives here, not in core, because it never beats the tournament; the
+/// merge study and bench_exchange's packed reference still run it.
+/// Merges the sorted runs concatenated in `data` (lengths in
+/// `counts`) level by level, ping-ponging between `data` and the
+/// caller-owned `scratch` (grown to data.size(), kept for reuse). Charges
+/// one merge pass per level and emits the comparator calls as
+/// MergeComparisons, like core::merge_chunks.
+template <class T, class KeyFn>
+void pairwise_merge_tree(runtime::Comm& comm, std::vector<T>& data,
+                         std::span<const usize> counts, KeyFn key,
+                         std::vector<T>& scratch) {
+  net::PhaseScope phase(comm.clock(), net::Phase::Merge);
+  const usize n = data.size();
+  u64 comparisons = 0;
+  auto less = [&](const T& a, const T& b) {
+    ++comparisons;
+    return key(a) < key(b);
+  };
+  std::vector<std::pair<usize, usize>> runs;  // (offset, length)
+  usize off = 0;
+  for (usize c : counts) {
+    if (c > 0) runs.emplace_back(off, c);
+    off += c;
+  }
+  if (runs.size() <= 1) return;  // zero or one run: already sorted
+  if (scratch.size() < n) scratch.resize(n);
+  // Each level halves the number of runs and touches every element once.
+  std::span<T> src(data.data(), n);
+  std::span<T> dst(scratch.data(), n);
+  while (runs.size() > 1) {
+    std::vector<std::pair<usize, usize>> next;
+    usize out_off = 0;
+    for (usize i = 0; i + 1 < runs.size(); i += 2) {
+      const auto [o1, l1] = runs[i];
+      const auto [o2, l2] = runs[i + 1];
+      std::merge(src.begin() + o1, src.begin() + o1 + l1, src.begin() + o2,
+                 src.begin() + o2 + l2, dst.begin() + out_off, less);
+      next.emplace_back(out_off, l1 + l2);
+      out_off += l1 + l2;
+    }
+    if (runs.size() % 2 == 1) {
+      const auto [o, l] = runs.back();
+      std::copy(src.begin() + o, src.begin() + o + l, dst.begin() + out_off);
+      next.emplace_back(out_off, l);
+    }
+    comm.charge_merge_pass(n);
+    runs.swap(next);
+    std::swap(src, dst);
+  }
+  if (src.data() != data.data())
+    std::copy(src.begin(), src.end(), data.begin());
+  comm.metrics().add(obs::Counter::MergeComparisons, comparisons);
 }
 
 /// Node counts 1, 2, 4, ..., max (the paper's strong/weak scaling x-axis).

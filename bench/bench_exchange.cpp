@@ -20,6 +20,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,9 +86,12 @@ core::ExchangeResult<T> exchange_packed(runtime::Comm& c,
   return out;
 }
 
+/// `merge` names core's merge strategy for the merge superstep; nullopt
+/// (the default `--merge=binary-tree`) runs bench::pairwise_merge_tree.
 template <class T, class KeyFn, class MakeFn>
 Timing time_exchange(int P, usize n, int reps, u64 seed, bool packed,
-                     core::MergeStrategy merge, KeyFn key, MakeFn make) {
+                     std::optional<core::MergeStrategy> merge, KeyFn key,
+                     MakeFn make) {
   runtime::Team team({.nranks = P});
   std::vector<double> t_exchange, t_total;
   team.run([&](runtime::Comm& c) {
@@ -132,12 +136,16 @@ Timing time_exchange(int P, usize n, int reps, u64 seed, bool packed,
       }
       if (c.rank() == 0 && r > 0) t_exchange.push_back(t1 - t0);
     }
+    std::vector<T> scratch;  // the binary tree's, kept across reps
     for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
       c.barrier();
       const double t0 = now_s();
       auto ex = run_exchange();
-      core::merge_chunks(c, ex.data, std::span<const usize>(ex.recv_counts),
-                         merge, key);
+      const std::span<const usize> counts(ex.recv_counts);
+      if (merge)
+        core::merge_chunks(c, ex.data, counts, *merge, key);
+      else
+        bench::pairwise_merge_tree(c, ex.data, counts, key, scratch);
       c.barrier();
       const double t1 = now_s();
       if (!std::is_sorted(ex.data.begin(), ex.data.end(),
@@ -309,11 +317,9 @@ int main(int argc, char** argv) {
       static_cast<usize>(args.get_int("n_rec", i64{1} << 15));
   const std::string out_path = args.get_string("out", "BENCH_exchange.json");
   const std::string merge_arg = args.get_string("merge", "binary-tree");
-  const core::MergeStrategy merge =
-      merge_arg == "sort"
-          ? core::MergeStrategy::Sort
-          : (merge_arg == "tournament" ? core::MergeStrategy::Tournament
-                                       : core::MergeStrategy::BinaryTree);
+  std::optional<core::MergeStrategy> merge;  // binary-tree: bench-local
+  if (merge_arg == "sort") merge = core::MergeStrategy::Sort;
+  if (merge_arg == "tournament") merge = core::MergeStrategy::Tournament;
 
   bench::print_header(
       "Exchange data-path study (real wall-clock)",

@@ -3,7 +3,8 @@
 // on one SuperMUC node, sweeping the number of threads and the number of
 // chunks, for three strategies:
 //
-//   binary-merge  — OpenMP-task-style pairwise merge tree,
+//   binary-merge  — OpenMP-task-style pairwise merge tree
+//                   (bench::pairwise_merge_tree; core does not ship it),
 //   tournament    — GNU-parallel-style loser-tree k-way merge,
 //   re-sort       — task-parallel sort of the concatenation (PSTL stand-in).
 //
@@ -25,12 +26,12 @@ using runtime::Comm;
 using runtime::Team;
 
 /// Thread-parallel k-way merge on a Team: each rank merges its share of the
-/// chunks with the given local strategy, then a pairwise tree combines rank
-/// results (handoffs charged as intra-node traffic). Returns simulated
-/// seconds.
+/// chunks with the local merge `merge(comm, data, counts)`, then a pairwise
+/// tree combines rank results (handoffs charged as intra-node traffic).
+/// Returns simulated seconds.
+template <class MergeFn>
 double parallel_merge(int threads, usize chunks, usize n_real,
-                      double data_scale, core::MergeStrategy strategy,
-                      int numa_domains) {
+                      double data_scale, int numa_domains, MergeFn merge) {
   runtime::TeamConfig cfg;
   cfg.nranks = threads;
   cfg.machine = net::MachineModel::supermuc_node(
@@ -58,8 +59,7 @@ double parallel_merge(int threads, usize chunks, usize n_real,
       data.insert(data.end(), chunk.begin(), chunk.end());
       counts.push_back(chunk.size());
     }
-    core::merge_chunks(c, data, std::span<const usize>(counts), strategy,
-                       [](u32 v) { return v; });
+    merge(c, data, std::span<const usize>(counts));
     // Cache/DRAM contention of merging many small chunks (the Sec. VI-E2
     // "drastic performance degradation due to a high fraction of cache
     // misses"): in the co-merging libraries the study measured (GNU
@@ -129,6 +129,7 @@ int main(int argc, char** argv) {
   const double scale = static_cast<double>(model_keys) /
                        static_cast<double>(real_keys);
   const int numa_domains = 4;
+  const auto key = [](u32 v) { return v; };
 
   bench::print_header(
       "Parallel k-way merging study",
@@ -140,12 +141,18 @@ int main(int argc, char** argv) {
   for (int threads : {1, 2, 4, 8, 16, 28}) {
     for (usize chunks : {usize{2}, usize{16}, usize{128}, usize{1024}}) {
       if (chunks < static_cast<usize>(threads)) continue;
-      const double bin =
-          parallel_merge(threads, chunks, real_keys, scale,
-                         core::MergeStrategy::BinaryTree, numa_domains);
-      const double tour =
-          parallel_merge(threads, chunks, real_keys, scale,
-                         core::MergeStrategy::Tournament, numa_domains);
+      const double bin = parallel_merge(
+          threads, chunks, real_keys, scale, numa_domains,
+          [&](Comm& c, std::vector<u32>& data, std::span<const usize> counts) {
+            std::vector<u32> scratch;
+            bench::pairwise_merge_tree(c, data, counts, key, scratch);
+          });
+      const double tour = parallel_merge(
+          threads, chunks, real_keys, scale, numa_domains,
+          [&](Comm& c, std::vector<u32>& data, std::span<const usize> counts) {
+            core::merge_chunks(c, data, counts,
+                               core::MergeStrategy::Tournament, key);
+          });
       const double sortt =
           parallel_resort(threads, real_keys, scale, numa_domains);
       const char* best = (bin <= tour && bin <= sortt) ? "binary"

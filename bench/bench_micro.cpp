@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "core/local_sort.h"
-#include "core/merge_inplace.h"
+#include "core/kway_merge.h"
 #include "core/selection.h"
 #include "runtime/comm.h"
 #include "runtime/team.h"

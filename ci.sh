@@ -207,6 +207,27 @@ if ! cmp build-ci-relwithdebinfo/BENCH_recovery.json BENCH_recovery.json; then
   exit 1
 fi
 
+# Paper tables: every reproduced figure and table (EXPERIMENTS.md) is
+# deterministic simulated time, so the concatenated default-flag stdout of
+# the seven paper benches must match the committed BENCH_paper.txt byte for
+# byte (about 3.5 min on a 4-vCPU VM). They run in a subdirectory because
+# bench_table_iterations also writes its BENCH_histogram.json to the cwd.
+echo "=== paper tables: BENCH_paper.txt ==="
+mkdir -p build-ci-relwithdebinfo/paper
+(cd build-ci-relwithdebinfo/paper &&
+  for b in bench_fig2_strong bench_fig3_weak bench_fig4_shared \
+    bench_merge_study bench_ablation bench_table1_machine \
+    bench_table_iterations; do
+    "../bench/${b}"
+  done >BENCH_paper.txt)
+if ! cmp build-ci-relwithdebinfo/paper/BENCH_paper.txt BENCH_paper.txt; then
+  echo "paper tables FAIL: build-ci-relwithdebinfo/paper/BENCH_paper.txt" \
+    "differs from the committed BENCH_paper.txt; if the change is" \
+    "intended, regenerate the file (the seven benches above, default" \
+    "flags, stdout concatenated in that order) and commit it" >&2
+  exit 1
+fi
+
 # Perf history: validate the run ledgers the benches above emitted, then
 # compare their scalar cells against the committed BENCH_history.jsonl
 # baseline. Deterministic simulated-time cells (sim_*) gate at 10%;

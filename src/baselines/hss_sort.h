@@ -37,15 +37,15 @@ class hss_timeout : public std::runtime_error {
                            std::to_string(rounds) + " rounds") {}
 };
 
+/// Total sample budget per rank per round (HSS keeps the per-round sample
+/// volume O(P), not O(P * boundaries)). Each rank contributes one candidate
+/// to a pseudo-random subset of the active boundaries.
+inline constexpr usize kHssSamplesPerRound = 64;
+
 struct HssConfig {
-  /// Total sample budget per rank per round (HSS keeps the per-round sample
-  /// volume O(P), not O(P * boundaries)). Each rank contributes one
-  /// candidate to a pseudo-random subset of the active boundaries.
-  usize samples_per_round = 64;
   double epsilon = 0.0;
   u64 seed = 1;
   usize max_rounds = 512;
-  core::MergeStrategy merge = core::MergeStrategy::Sort;
 };
 
 struct HssStats {
@@ -125,7 +125,7 @@ HssStats hss_sort(runtime::Comm& comm, std::vector<T>& local,
     };
     std::vector<Cand> my_cands;
     const double select_prob = std::min(
-        1.0, static_cast<double>(cfg.samples_per_round) /
+        1.0, static_cast<double>(kHssSamplesPerRound) /
                  static_cast<double>(active.size()));
     for (usize a = 0; a < active.size(); ++a) {
       const usize b = active[a];
@@ -224,11 +224,11 @@ HssStats hss_sort(runtime::Comm& comm, std::vector<T>& local,
   core::detail::make_boundaries_monotone(
       result, std::span<const usize>(targets));
 
-  // Exchange and merge exactly as hds does — the comparison isolates the
-  // splitter-determination strategies.
+  // Exchange and merge exactly as hds does by default (re-sort merge) — the
+  // comparison isolates the splitter-determination strategies.
   auto ex = core::exchange(comm, sorted, result);
   core::merge_chunks(comm, ex.data, std::span<const usize>(ex.recv_counts),
-                     cfg.merge, identity);
+                     core::MergeStrategy::Sort, identity);
   local = std::move(ex.data);
   stats.elements_after = local.size();
   return stats;

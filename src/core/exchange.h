@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/error.h"
-#include "core/merge_inplace.h"
+#include "core/kway_merge.h"
 #include "core/multiselect.h"
 #include "runtime/comm.h"
 
@@ -25,7 +25,6 @@ struct ExchangeResult {
   std::vector<T> data;             ///< received elements, grouped by source
   std::vector<usize> recv_counts;  ///< chunk length per source rank
   usize elements_sent_off_rank = 0;
-  usize elements_kept = 0;
 };
 
 /// Per-destination send counts for the sort's exchange: destination d
@@ -122,7 +121,6 @@ ExchangeResult<T> exchange(runtime::Comm& comm,
   ExchangeResult<T> out;
   const std::vector<usize> send =
       compute_send_counts(comm, sorted_local.size(), sp);
-  out.elements_kept = send[comm.rank()];
   for (int d = 0; d < comm.size(); ++d)
     if (d != comm.rank()) out.elements_sent_off_rank += send[d];
   note_exchange_metrics(comm, send, sizeof(T));
@@ -162,10 +160,10 @@ inline std::vector<int> kary_round_factors(int P, int k) {
 
 /// Per-round simulated-time attribution of one rank's k-ary exchange
 /// (bench_exchange's round breakdown): communication seconds vs the
-/// overlapped tail-merge seconds charged during that round.
+/// overlapped merge seconds charged during that round.
 struct KAryRoundTrace {
   double comm_s = 0.0;   ///< sends + receives of this round
-  double merge_s = 0.0;  ///< overlapped tail merge of the previous round
+  double merge_s = 0.0;  ///< overlapped merge of the previous round
 };
 
 /// Tunable k-ary swap schedule with merge/communication overlap (PR 7,
@@ -180,14 +178,14 @@ struct KAryRoundTrace {
 /// factorization fallback).
 ///
 /// With `overlap_merge`, runs that arrive at their final destination in
-/// round r-1 are tail-merged in place into the accumulated output *while
-/// round r's borrowed-payload copies are in flight*: the merge is charged
-/// through CostModel::overlapped_merge against the round's p2p window, so
-/// simulated time models the overlap explicitly, and the k-way tournament
-/// tail merge (merge_tail_inplace_kway) never allocates a full-size
-/// staging buffer. The last batch of arrivals has no later round to hide
-/// in and is charged in full. Without `overlap_merge` the chunks are
-/// concatenated and recv_counts returned for the superstep-4 merge.
+/// round r-1 are merged with the accumulated output *while round r's
+/// borrowed-payload copies are in flight*: the merge is charged through
+/// CostModel::overlapped_merge against the round's p2p window, so simulated
+/// time models the overlap explicitly. Each drain is one kway_merge_into
+/// into a new buffer that replaces the accumulated output. The last batch
+/// of arrivals has no later round to hide in and is charged in full.
+/// Without `overlap_merge` the chunks are concatenated and recv_counts
+/// returned for the superstep-4 merge.
 template <class T, class UK, class KeyFn>
 ExchangeResult<T> exchange_kary(
     runtime::Comm& comm, std::span<const T> sorted_local,
@@ -205,7 +203,6 @@ ExchangeResult<T> exchange_kary(
       compute_send_counts(comm, sorted_local.size(), sp);
   std::vector<usize> offsets(P + 1, 0);
   for (int d = 0; d < P; ++d) offsets[d + 1] = offsets[d] + send[d];
-  out.elements_kept = send[me];
   for (int d = 0; d < P; ++d)
     if (d != me) out.elements_sent_off_rank += send[d];
   note_exchange_metrics(comm, send, sizeof(T));
@@ -232,23 +229,21 @@ ExchangeResult<T> exchange_kary(
   const std::span<const T> kept = sorted_local.subspan(offsets[me], send[me]);
   bool kept_in_acc = !overlap_merge;
 
-  // Merge the pending runs with acc (first drain: with the kept slice,
-  // directly out of sorted_local); charged by `charge`.
+  // Merge the pending runs with the base run (first drain: the kept slice,
+  // directly out of sorted_local; later: acc) into a new buffer that then
+  // replaces acc; charged by `charge`.
   auto drain_pending = [&](auto&& charge) {
-    const usize n1 = kept_in_acc ? acc.size() : kept.size();
+    const std::span<const T> base =
+        kept_in_acc ? std::span<const T>(acc) : kept;
+    const usize nruns = pending.size() + (base.empty() ? 0 : 1);
     usize add = 0;
     for (const auto& run : pending) add += run.size();
-    acc.resize(n1 + add);
-    if (kept_in_acc) {
-      merge_tail_inplace_kway(std::span<T>(acc), n1,
-                              std::span<const std::span<const T>>(pending),
-                              less);
-    } else {
-      kway_merge_into(std::span<T>(acc), kept,
-                      std::span<const std::span<const T>>(pending), less);
-      kept_in_acc = true;
-    }
-    charge(acc.size(), pending.size() + (n1 > 0 ? 1 : 0));
+    std::vector<T> next(base.size() + add);
+    kway_merge_into(std::span<T>(next), base,
+                    std::span<const std::span<const T>>(pending), less);
+    acc.swap(next);
+    kept_in_acc = true;
+    charge(acc.size(), nruns);
     pending.clear();
   };
 
@@ -284,7 +279,7 @@ ExchangeResult<T> exchange_kary(
 
     // Post every send of the round before any receive, so the
     // borrowed-payload copies are in flight while the previous round's
-    // tail merge below runs. `window_s` is the p2p time of this round's
+    // merge below runs. `window_s` is the p2p time of this round's
     // outgoing copies — the communication window the merge hides under.
     std::vector<runtime::BorrowToken> loans;
     loans.reserve(static_cast<usize>(f) - 1);

@@ -22,7 +22,7 @@ enum class Counter : u8 {
   ExchangeBytesOffNode,  ///< payload bytes sent to ranks on other nodes
   ExchangeElementsKept,  ///< elements whose destination is the local rank
   /// Comparator invocations of the final k-way merge. Only emitted by the
-  /// comparison-based strategies (BinaryTree, Tournament); the Sort
+  /// Tournament strategy (and the bench-local binary merge tree); the Sort
   /// strategy's radix path does no comparisons.
   MergeComparisons,
   // Recovery counters (PR 6).

@@ -139,14 +139,6 @@ class Comm {
   /// nullptr otherwise. Distributed containers report their one-sided
   /// accesses through this (see runtime/global_vector.h).
   check::RaceDetector* checker() const { return team_->race_detector(); }
-  /// This rank's pooled scratch arena: raw bytes reused across merge passes
-  /// and exchange rounds instead of per-call staging allocations. Touched
-  /// only by the owning rank's thread; contents are unspecified between
-  /// uses (callers size and overwrite it). Never holds live data across a
-  /// communication op the caller does not control.
-  std::vector<std::byte>& scratch_arena() {
-    return team_->scratch_[static_cast<usize>(world_rank())];
-  }
 
   // --- computation charges --------------------------------------------------
   void charge_seconds(double s) { clock().advance(s); }

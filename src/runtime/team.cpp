@@ -59,7 +59,6 @@ Team::Team(TeamConfig cfg) : cfg_(cfg) {
   for (int r = 0; r < cfg_.nranks; ++r)
     tracers_.push_back(std::make_unique<obs::RankTracer>());
   metrics_.resize(static_cast<usize>(cfg_.nranks));
-  scratch_.resize(static_cast<usize>(cfg_.nranks));
   if (cfg_.check.enabled)
     detector_ = std::make_unique<check::RaceDetector>(cfg_.check);
 }

@@ -357,11 +357,6 @@ class Team {
 
   std::vector<std::unique_ptr<obs::RankTracer>> tracers_;  ///< one per rank
   std::vector<obs::Metrics> metrics_;                      ///< one per rank
-  /// Per-rank pooled scratch arenas (Comm::scratch_arena): raw bytes reused
-  /// across merge passes, exchange rounds and sort calls instead of
-  /// per-call staging allocations. Each arena is touched only by its own
-  /// rank's thread, so no locking is involved.
-  std::vector<std::vector<std::byte>> scratch_;
   std::unique_ptr<obs::TraceReport> trace_report_;
   std::unique_ptr<check::RaceDetector> detector_;  ///< null unless checking
 

@@ -1,5 +1,5 @@
-// Tests for the local k-way merge strategies (Sec. V-C): tournament,
-// binary merge tree, and re-sort, against std::merge / std::sort oracles.
+// Tests for the local k-way merge strategies (Sec. V-C): tournament and
+// re-sort, against std::merge / std::sort oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -98,7 +98,7 @@ TEST_P(MergeStrategyTest, DuplicateHeavy) {
 TEST_P(MergeStrategyTest, TiesKeepRunOrder) {
   // Records tagged with their position in the concatenation, keys drawn
   // from a 5-value alphabet so every key is tied across many runs. The
-  // merging strategies must emit equal keys in run order, i.e. exactly
+  // tournament must emit equal keys in run order, i.e. exactly
   // std::stable_sort of the concatenation; the re-sort strategy promises
   // key order only.
   struct Rec {
@@ -134,14 +134,10 @@ TEST_P(MergeStrategyTest, TiesKeepRunOrder) {
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MergeStrategyTest,
                          ::testing::Values(MergeStrategy::Sort,
-                                           MergeStrategy::BinaryTree,
                                            MergeStrategy::Tournament),
                          [](const auto& pinfo) {
-                           return std::string(merge_name(pinfo.param)) ==
-                                          "sort"
+                           return pinfo.param == MergeStrategy::Sort
                                       ? "Sort"
-                                  : merge_name(pinfo.param) == "binary-tree"
-                                      ? "BinaryTree"
                                       : "Tournament";
                          });
 

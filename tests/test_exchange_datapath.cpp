@@ -262,8 +262,7 @@ TEST(PackedReferenceGrid, DirectOverlapMerge) {
 }
 
 TEST(PackedReferenceGrid, MergeStrategiesSeeIdenticalChunks) {
-  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::BinaryTree,
-                          MergeStrategy::Tournament}) {
+  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament}) {
     SortConfig cfg;
     cfg.merge = m;
     expect_matches_packed_reference(8, cfg, 400);

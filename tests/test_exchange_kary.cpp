@@ -1,11 +1,12 @@
 // Tests for the k-ary interleaved exchange (PR 7, DESIGN.md sec. 13): the
-// factorized swap schedule, the k-way in-place tournament tail merge, sort
+// factorized swap schedule, the k-way tournament merge kernel, sort
 // correctness across the k x P x kernel grid (byte-identical to the
 // alltoallv exchange), degenerate layouts, hds::check coverage (clean run +
 // elide mutation), and crash recovery through a k-ary exchange.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -13,7 +14,7 @@
 #include "common/rng.h"
 #include "core/exchange.h"
 #include "core/histogram_sort.h"
-#include "core/merge_inplace.h"
+#include "core/kway_merge.h"
 #include "runtime/fault.h"
 #include "runtime/team.h"
 #include "workload/distributions.h"
@@ -63,64 +64,79 @@ TEST(KArySchedule, KnownShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// merge_tail_inplace_kway unit
+// kway_merge_into unit: merged into a new buffer, as the k-ary drains and
+// the Tournament strategy do
 
-TEST(KWayTailMerge, MergesAndKeepsRunOrderOnTies) {
+/// Merge `base` and `chunks` into a newly allocated buffer.
+template <class T, class Less>
+std::vector<T> kway_merge_new(const std::vector<T>& base,
+                              const std::vector<std::vector<T>>& chunks,
+                              Less less) {
+  std::vector<std::span<const T>> views;
+  usize total = base.size();
+  for (const auto& c : chunks) {
+    views.emplace_back(c);
+    total += c.size();
+  }
+  std::vector<T> out(total);
+  kway_merge_into(std::span<T>(out), std::span<const T>(base),
+                  std::span<const std::span<const T>>(views), less);
+  return out;
+}
+
+TEST(KWayMerge, MergesAndKeepsRunOrderOnTies) {
   struct Rec {
     u64 key;
     u64 origin;  // which run the element came from
   };
   auto less = [](const Rec& a, const Rec& b) { return a.key < b.key; };
-  // acc run and three chunks with overlapping and equal keys.
-  std::vector<Rec> acc{{1, 0}, {4, 0}, {4, 0}, {9, 0}};
+  // Base run and three chunks with overlapping and equal keys.
+  const std::vector<Rec> base{{1, 0}, {4, 0}, {4, 0}, {9, 0}};
   const std::vector<Rec> c1{{2, 1}, {4, 1}, {10, 1}};
   const std::vector<Rec> c2{{4, 2}, {4, 2}};
   const std::vector<Rec> c3{{0, 3}, {11, 3}};
-  const usize n1 = acc.size();
-  std::vector<std::span<const Rec>> chunks{
-      std::span<const Rec>(c1), std::span<const Rec>(c2),
-      std::span<const Rec>(c3)};
-  acc.resize(n1 + c1.size() + c2.size() + c3.size());
-  merge_tail_inplace_kway(std::span<Rec>(acc), n1,
-                          std::span<const std::span<const Rec>>(chunks),
-                          less);
-  ASSERT_EQ(acc.size(), 11u);
-  for (usize i = 1; i < acc.size(); ++i)
-    EXPECT_LE(acc[i - 1].key, acc[i].key) << "i=" << i;
-  // Stability: among equal keys, earlier runs come first (acc, c1, c2, c3).
-  for (usize i = 1; i < acc.size(); ++i) {
-    if (acc[i - 1].key == acc[i].key) {
-      EXPECT_LE(acc[i - 1].origin, acc[i].origin) << "i=" << i;
+  // Three shapes: several chunks; a single chunk (the binary case); and an
+  // empty base (the first drain of a rank that keeps nothing).
+  const std::vector<std::pair<std::vector<Rec>, std::vector<std::vector<Rec>>>>
+      shapes{{base, {c1, c2, c3}}, {base, {c1}}, {{}, {c1, c2, c3}}};
+  for (const auto& [b, chunks] : shapes) {
+    const std::vector<Rec> out = kway_merge_new(b, chunks, less);
+    usize total = b.size();
+    for (const auto& c : chunks) total += c.size();
+    ASSERT_EQ(out.size(), total);
+    for (usize i = 1; i < out.size(); ++i)
+      EXPECT_LE(out[i - 1].key, out[i].key) << "i=" << i;
+    // Stability: among equal keys, earlier runs come first (base, c1, ...).
+    for (usize i = 1; i < out.size(); ++i) {
+      if (out[i - 1].key == out[i].key) {
+        EXPECT_LE(out[i - 1].origin, out[i].origin) << "i=" << i;
+      }
     }
   }
 }
 
-TEST(KWayTailMerge, MatchesStdSortOnRandomRuns) {
+TEST(KWayMerge, MatchesStdSortOnRandomRuns) {
   Xoshiro256 rng(42);
   for (int trial = 0; trial < 50; ++trial) {
-    const usize nruns = 1 + rng() % 6;
-    std::vector<u64> acc;
-    const usize n1 = rng() % 40;
-    for (usize i = 0; i < n1; ++i) acc.push_back(rng() % 1000);
-    std::sort(acc.begin(), acc.end());
-    std::vector<std::vector<u64>> chunk_store(nruns);
-    std::vector<u64> expected = acc;
-    for (auto& c : chunk_store) {
+    // Trials 0 and 1 pin the single-chunk and empty-base shapes.
+    const usize nruns = trial == 0 ? 1 : 1 + rng() % 6;
+    std::vector<u64> base;
+    const usize n1 = trial == 1 ? 0 : rng() % 40;
+    for (usize i = 0; i < n1; ++i) base.push_back(rng() % 1000);
+    std::sort(base.begin(), base.end());
+    std::vector<std::vector<u64>> chunks(nruns);
+    std::vector<u64> expected = base;
+    for (auto& c : chunks) {
       const usize len = rng() % 30;  // empty chunks included
       for (usize i = 0; i < len; ++i) c.push_back(rng() % 1000);
       std::sort(c.begin(), c.end());
       expected.insert(expected.end(), c.begin(), c.end());
     }
     std::sort(expected.begin(), expected.end());
-    std::vector<std::span<const u64>> chunks;
-    for (const auto& c : chunk_store)
-      chunks.emplace_back(std::span<const u64>(c));
-    acc.resize(expected.size());
-    merge_tail_inplace_kway(
-        std::span<u64>(acc), n1,
-        std::span<const std::span<const u64>>(chunks),
-        [](u64 a, u64 b) { return a < b; });
-    EXPECT_EQ(acc, expected) << "trial " << trial;
+    EXPECT_EQ(kway_merge_new(base, chunks,
+                             [](u64 a, u64 b) { return a < b; }),
+              expected)
+        << "trial " << trial;
   }
 }
 
@@ -197,14 +213,61 @@ TEST(KAryExchange, PrimePUsesOneWideRound) {
 }
 
 TEST(KAryExchange, WithoutOverlapFeedsSuperstepFourMerge) {
-  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::BinaryTree,
-                          MergeStrategy::Tournament}) {
+  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament}) {
     SortConfig cfg;
     cfg.exchange = ExchangeAlgorithm::KAry;
     cfg.exchange_k = 4;
     cfg.overlap_merge = false;
     cfg.merge = m;
     check_kary_sort(8, cfg, {}, 400);
+  }
+}
+
+TEST(KAryExchange, OverlapMatchesTournamentOnTiedRecords) {
+  // Keys from a 5-value alphabet, each record tagged with its origin: the
+  // overlapped drains must place tied records exactly where the
+  // superstep-4 tournament merge does. Bare u64 keys cannot see this.
+  struct Rec {
+    u32 key;
+    u32 origin;
+  };
+  const auto key = [](const Rec& r) { return r.key; };
+  constexpr usize kPerRank = 300;
+  for (int P : {4, 6, 16}) {
+    std::vector<std::vector<Rec>> shards(P);
+    for (int r = 0; r < P; ++r) {
+      Xoshiro256 rng(hash_mix(31, static_cast<u64>(r)));
+      for (usize i = 0; i < kPerRank; ++i)
+        shards[r].push_back({static_cast<u32>(rng() % 5),
+                             static_cast<u32>(r * kPerRank + i)});
+    }
+    for (int k : {2, 3, 4, P}) {
+      auto run_with = [&](bool overlap) {
+        std::vector<std::vector<Rec>> out(P);
+        Team team({.nranks = P});
+        team.run([&](Comm& c) {
+          auto local = shards[c.rank()];
+          SortConfig cfg;
+          cfg.exchange = ExchangeAlgorithm::KAry;
+          cfg.exchange_k = k;
+          cfg.overlap_merge = overlap;
+          cfg.merge = MergeStrategy::Tournament;
+          sort_by_key(c, local, key, cfg);
+          out[c.rank()] = std::move(local);
+        });
+        return out;
+      };
+      const auto merged_late = run_with(false);
+      const auto overlapped = run_with(true);
+      for (int r = 0; r < P; ++r) {
+        ASSERT_EQ(overlapped[r].size(), merged_late[r].size())
+            << "P=" << P << " k=" << k << " rank " << r;
+        EXPECT_EQ(std::memcmp(overlapped[r].data(), merged_late[r].data(),
+                              overlapped[r].size() * sizeof(Rec)),
+                  0)
+            << "P=" << P << " k=" << k << " rank " << r;
+      }
+    }
   }
 }
 

@@ -33,9 +33,8 @@ void random_trial(u64 seed) {
   const double eps_choices[] = {0.0, 0.0, 0.05, 0.2};
   cfg.epsilon = eps_choices[rng() % 4];
   const core::MergeStrategy merges[] = {core::MergeStrategy::Sort,
-                                        core::MergeStrategy::BinaryTree,
                                         core::MergeStrategy::Tournament};
-  cfg.merge = merges[rng() % 3];
+  cfg.merge = merges[rng() % 2];
   cfg.histogram = (rng() % 2 == 0) ? core::HistogramMode::Dense
                                    : core::HistogramMode::Hybrid;
   if (rng() % 2 == 0) {

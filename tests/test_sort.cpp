@@ -142,7 +142,6 @@ TEST_P(SortMergeStrategy, AllStrategiesProduceSameResult) {
 
 INSTANTIATE_TEST_SUITE_P(Strategies, SortMergeStrategy,
                          ::testing::Values(MergeStrategy::Sort,
-                                           MergeStrategy::BinaryTree,
                                            MergeStrategy::Tournament));
 
 // ---------------------------------------------------------------------------
