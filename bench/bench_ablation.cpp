@@ -10,7 +10,8 @@
 //      the-loopback (Sec. VI-A1: "we replace collective communication by
 //      fast memcpy operations");
 //  (4) final merge strategy on the full sort (Sec. V-C; the binary merge
-//      tree is measured in bench_merge_study only);
+//      tree is measured in bench_merge_study only): the paper's re-sort,
+//      the tournament, and the default per-rank choice between the two;
 //  (5) exchange schedule (Sec. VI-E1).
 #include <iostream>
 
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
     Table t({"epsilon", "histogram iters", "time [s]", "vs eps=0"});
     double t0 = 0.0;
     for (double eps : {0.0, 0.01, 0.05, 0.1, 0.5}) {
-      core::SortConfig scfg;
+      core::SortConfig scfg = bench::paper_config();
       scfg.epsilon = eps;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
       if (eps == 0.0) t0 = r.time;
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
          {std::pair{"min/max bisection (paper)", core::HistogramMode::Dense},
           std::pair{"sampled rounds + interpolation",
                     core::HistogramMode::Hybrid}}) {
-      core::SortConfig scfg;
+      core::SortConfig scfg = bench::paper_config();
       scfg.histogram = mode;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
       t.add_row({name, std::to_string(r.iterations), fmt(r.time)});
@@ -121,7 +122,8 @@ int main(int argc, char** argv) {
          {std::pair{"shared-memory memcpy (PGAS)", true},
           std::pair{"through the MPI stack", false}}) {
       const auto r =
-          run_sort(nodes, rpn, model_keys, real_keys, {}, shortcut);
+          run_sort(nodes, rpn, model_keys, real_keys, bench::paper_config(),
+                   shortcut);
       t.add_row({name, fmt(r.time)});
     }
     std::cout << "(3) PGAS shared-memory shortcut:\n" << t.to_string()
@@ -132,7 +134,8 @@ int main(int argc, char** argv) {
   {
     Table t({"final merge", "time [s]"});
     for (auto strategy :
-         {core::MergeStrategy::Sort, core::MergeStrategy::Tournament}) {
+         {core::MergeStrategy::Sort, core::MergeStrategy::Tournament,
+          core::MergeStrategy::Auto}) {
       core::SortConfig scfg;
       scfg.merge = strategy;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
@@ -146,10 +149,10 @@ int main(int argc, char** argv) {
     Table t({"exchange", "time [s]"});
     const int P = nodes * rpn;
     std::vector<std::pair<std::string, core::SortConfig>> rows;
-    rows.emplace_back("ALL-TO-ALLV collective (paper)", core::SortConfig{});
+    rows.emplace_back("ALL-TO-ALLV collective (paper)", bench::paper_config());
     for (int k : {2, 4, P}) {
       for (bool overlap : {false, true}) {
-        core::SortConfig scfg;
+        core::SortConfig scfg = bench::paper_config();
         scfg.exchange = core::ExchangeAlgorithm::KAry;
         scfg.exchange_k = k;
         scfg.overlap_merge = overlap;

@@ -17,6 +17,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/types.h"
+#include "core/histogram_sort.h"
 #include "net/machine.h"
 #include "obs/features.h"
 #include "obs/ledger.h"
@@ -27,6 +28,18 @@
 namespace hds::bench {
 
 using hds::Args;
+
+/// The paper's evaluated sort: SortConfig with the final merge pinned to
+/// the re-sort (Sec. V-C). Its other defaults already are the paper's —
+/// the ALL-TO-ALLV exchange, dense histogramming, epsilon = 0. Every bench
+/// whose output is a committed snapshot or a perf-history cell starts from
+/// this, so a change of SortConfig's defaults cannot move a reproduced
+/// number.
+inline core::SortConfig paper_config() {
+  core::SortConfig cfg;
+  cfg.merge = core::MergeStrategy::Sort;
+  return cfg;
+}
 
 /// Paper-style measurement: `reps` measured runs, reporting the median and
 /// the 95% CI of the median. The paper additionally excluded a warmup run;

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
         team.run([&](Comm& c) {
           auto local =
               workload::generate_u64(gen, c.rank(), c.size(), n_rank);
-          core::sort(c, local);
+          core::sort(c, local, bench::paper_config());
         });
         for (usize p = 0; p < net::kPhaseCount; ++p)
           row.phases[p] =

@@ -74,7 +74,8 @@ RunResult run_mode(int P, usize n, u64 seed, core::RecoveryMode mode,
   rcfg.mode = mode;
   rcfg.fault_budget = 4;
   core::ResilienceReport rep;
-  (void)core::sort_resilient(team, parts, core::SortConfig{}, rcfg, &rep);
+  (void)core::sort_resilient(team, parts, bench::paper_config(), rcfg,
+                             &rep);
   return {rep.sim_seconds_total, rep};
 }
 
@@ -98,7 +99,8 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
   rcfg.mode = core::RecoveryMode::ResumeCheckpoint;
   rcfg.fault_budget = 4;
   core::ResilienceReport rep;
-  (void)core::sort_resilient(team, parts, core::SortConfig{}, rcfg, &rep);
+  (void)core::sort_resilient(team, parts, bench::paper_config(), rcfg,
+                             &rep);
   bench::write_trace_if_requested(args, team);
 
   std::vector<std::pair<std::string, double>> scalars;

@@ -84,7 +84,7 @@ HistCell run_hist_cell(int P, usize n_rank, double epsilon,
   team.run([&](Comm& c) {
     std::vector<u64> local =
         workload::generate_u64(gen, c.rank(), P, n_rank);
-    core::SortConfig cfg;
+    core::SortConfig cfg = bench::paper_config();
     cfg.epsilon = epsilon;
     cfg.histogram = mode;
     const core::SortStats stats = core::sort(c, local, cfg);
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
     Team team(tcfg);
     team.run([&](Comm& c) {
       std::vector<u64> local = workload::generate_u64(g, c.rank(), 16, grid_n);
-      core::SortConfig cfg;
+      core::SortConfig cfg = bench::paper_config();
       cfg.epsilon = 0.01;
       cfg.histogram = core::HistogramMode::Hybrid;
       (void)core::sort(c, local, cfg);

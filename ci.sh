@@ -21,6 +21,9 @@ JOBS="${1:-$(nproc)}"
 # --- lint wall (cheap; fail before any compile) ------------------------------
 echo "=== lint: tools/lint_hds.py ==="
 python3 tools/lint_hds.py
+# The A/B runner's verdict logic (gain / worse / unresolved / no change) on
+# synthetic samples; runs no benchmark.
+python3 tools/ab_perfbench.py --selftest
 
 run_config() {
   local name="$1"; shift

@@ -49,7 +49,9 @@ enum class ExchangeAlgorithm : u8 {
 struct SortConfig {
   /// Load-balance threshold epsilon (Def. 1); 0 = perfect partitioning.
   double epsilon = 0.0;
-  MergeStrategy merge = MergeStrategy::Sort;
+  /// Superstep 4's merge. Auto lets each rank pick the k-way merge or the
+  /// paper's re-sort by the cost model (core/merge.h); Sort pins the paper.
+  MergeStrategy merge = MergeStrategy::Auto;
   /// Histogramming strategy of the splitter search (PR 10): Dense is the
   /// paper's probe-and-allreduce baseline; Hybrid runs HSS-style sampled
   /// rounds first, then dense rounds that probe each bracket's midpoint
@@ -135,7 +137,9 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
 }
 
 /// Superstep 3 (SplittersReady -> Exchanged): permutation matrix + data
-/// exchange. st.data becomes the received chunk concatenation.
+/// exchange. st.data becomes the received chunk concatenation; unless the
+/// merge is pinned to the re-sort, the vacated input is kept as st.spare
+/// for the k-way merge to write into.
 template <class T, class UK, class KeyFn>
 void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
                         KeyFn key, const SortConfig& cfg) {
@@ -151,6 +155,7 @@ void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
       break;
   }
   st.stats.elements_sent_off_rank = ex.elements_sent_off_rank;
+  if (cfg.merge != MergeStrategy::Sort) st.spare = std::move(st.data);
   st.data = std::move(ex.data);
   st.recv_counts = std::move(ex.recv_counts);
 }
@@ -160,7 +165,7 @@ template <class T, class UK, class KeyFn>
 void superstep_merge(runtime::Comm& comm, SortState<T, UK>& st, KeyFn key,
                      const SortConfig& cfg) {
   merge_chunks(comm, st.data, std::span<const usize>(st.recv_counts),
-               cfg.merge, key);
+               cfg.merge, key, std::move(st.spare));
   st.recv_counts.clear();
   st.stats.elements_after = st.data.size();
 }
@@ -195,9 +200,13 @@ void advance_superstep(runtime::Comm& comm, SortState<T, UK>& st, KeyFn key,
       return;
   }
   comm.metrics().add(obs::Counter::SuperstepsExecuted, 1);
-  if (store != nullptr && st.completed != SuperstepId::Done)
+  if (store != nullptr && st.completed != SuperstepId::Done) {
+    // The spare would sit beside the serialized blob and raise the
+    // checkpointed sort's peak by a partition; its merge allocates instead.
+    st.spare = std::vector<T>();
     comm.checkpoint_to_buddy(*store, static_cast<u64>(st.completed),
                              detail::serialize_state(st));
+  }
 }
 
 /// Sort a distributed vector by a key projection with an explicit output

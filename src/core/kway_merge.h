@@ -1,9 +1,11 @@
 // Loser-tree k-way merge of sorted runs into a separate destination — the
-// one merge kernel of the sort (DESIGN.md sec. 13). The Tournament merge
-// strategy and the k-ary exchange's overlapped drains both call
-// kway_merge_into with a newly allocated destination that then replaces
-// the input (the radix kernel's buffer rule), so no merge buffer outlives
-// the call that made it.
+// one merge kernel of the sort (DESIGN.md sec. 13). Superstep 4's k-way
+// merge (the Tournament strategy, or Auto's per-rank choice) writes into
+// the input buffer superstep 3 vacated when it is large enough, else into
+// a new one; the k-ary exchange's overlapped drains, which still read the
+// input, write into a newly allocated destination (the radix kernel's
+// buffer rule). Either destination then replaces the merged input, so no
+// merge buffer outlives the call that made it.
 #pragma once
 
 #include <algorithm>

@@ -93,6 +93,11 @@ struct SortState {
   /// Received-chunk manifest (per-source counts); meaningful at Exchanged.
   std::vector<usize> recv_counts;
   SortStats stats;
+  /// The input partition superstep 3 vacated, donated to superstep 4's
+  /// k-way merge as its output buffer (merge_chunks). Host memory only:
+  /// never serialized, so it is empty after a restore and the merge then
+  /// allocates.
+  std::vector<T> spare;
 };
 
 namespace detail {

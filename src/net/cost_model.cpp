@@ -253,10 +253,12 @@ double CostModel::sort(usize n) const {
   return m <= 1.0 ? 0.0 : machine_.sort_s_per_elem_log * m * log2d(m);
 }
 
-double CostModel::radix_sort(usize n, usize passes) const {
+double CostModel::radix_sort(usize n, usize passes, bool pairs) const {
   const double m = scaled(n);
-  return machine_.radix_s_per_elem_pass * m * static_cast<double>(passes) +
-         machine_.scan_s_per_elem * m;  // the one histogram-building read
+  const double s =
+      machine_.radix_s_per_elem_pass * m * static_cast<double>(passes) +
+      machine_.scan_s_per_elem * m;  // the one histogram-building read
+  return pairs ? s + merge_pass(n) : s;
 }
 
 double CostModel::merge_pass(usize n) const {

@@ -116,8 +116,9 @@ class CostModel {
   double sort(usize n) const;
   /// LSD radix sort that executed `passes` scatter passes over n elements
   /// (skipped trivial-digit passes are not charged) plus the single
-  /// histogram-building read.
-  double radix_sort(usize n, usize passes) const;
+  /// histogram-building read; `pairs` adds one merge-pass-equivalent for
+  /// materializing/permuting (key, value) pairs on the record path.
+  double radix_sort(usize n, usize passes, bool pairs = false) const;
   double merge_pass(usize n) const;
   double kway_heap_merge(usize n, usize k) const;
   /// Critical-path cost of a k-way merge over n elements that runs while

@@ -21,9 +21,9 @@ enum class Counter : u8 {
   ExchangeBytesOnNode,   ///< payload bytes sent to other ranks on this node
   ExchangeBytesOffNode,  ///< payload bytes sent to ranks on other nodes
   ExchangeElementsKept,  ///< elements whose destination is the local rank
-  /// Comparator invocations of the final k-way merge. Only emitted by the
-  /// Tournament strategy (and the bench-local binary merge tree); the Sort
-  /// strategy's radix path does no comparisons.
+  /// Comparator invocations of the final k-way merge. Only emitted when the
+  /// k-way kernel runs (and by the bench-local binary merge tree); the
+  /// re-sort's radix path does no comparisons.
   MergeComparisons,
   // Recovery counters (PR 6).
   CheckpointBytes,      ///< serialized checkpoint bytes shipped to the buddy
@@ -38,8 +38,11 @@ enum class Counter : u8 {
   /// traffic trade-off of the hybrid mode is directly visible per run.
   HistogramBytesSampled,
   HistogramBytesDense,  ///< histogram-phase bytes of dense count allreduces
+  /// 1 on a rank whose final merge ran the k-way kernel (Tournament, or
+  /// Auto's per-rank choice); summed over ranks, the count of such ranks.
+  MergeKWay,
 };
-inline constexpr usize kCounterCount = 14;
+inline constexpr usize kCounterCount = 15;
 
 constexpr std::string_view counter_name(Counter c) {
   switch (c) {
@@ -57,6 +60,7 @@ constexpr std::string_view counter_name(Counter c) {
     case Counter::SampleKeysGathered: return "sample_keys_gathered";
     case Counter::HistogramBytesSampled: return "histogram_bytes_sampled";
     case Counter::HistogramBytesDense: return "histogram_bytes_dense";
+    case Counter::MergeKWay: return "merge_kway";
   }
   return "?";
 }

@@ -143,12 +143,10 @@ class Comm {
   // --- computation charges --------------------------------------------------
   void charge_seconds(double s) { clock().advance(s); }
   void charge_sort(usize n) { clock().advance(cost().sort(n)); }
-  /// Radix kernel: `passes` executed scatter passes; `pairs` adds one
-  /// merge-pass-equivalent for materializing/permuting (key, value) pairs
-  /// on the record path.
+  /// Radix kernel: `passes` executed scatter passes, `pairs` on the record
+  /// path (CostModel::radix_sort).
   void charge_radix_sort(usize n, usize passes, bool pairs = false) {
-    clock().advance(cost().radix_sort(n, passes) +
-                    (pairs ? cost().merge_pass(n) : 0.0));
+    clock().advance(cost().radix_sort(n, passes, pairs));
   }
   void charge_merge_pass(usize n) { clock().advance(cost().merge_pass(n)); }
   void charge_kway_merge(usize n, usize k) {

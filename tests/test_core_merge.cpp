@@ -1,10 +1,14 @@
-// Tests for the local k-way merge strategies (Sec. V-C): tournament and
-// re-sort, against std::merge / std::sort oracles.
+// Tests for the local k-way merge strategies (Sec. V-C): tournament,
+// re-sort and Auto's per-rank choice between them, against std::merge /
+// std::sort oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.h"
+#include "core/histogram_sort.h"
 #include "core/merge.h"
 #include "runtime/team.h"
 
@@ -100,7 +104,8 @@ TEST_P(MergeStrategyTest, TiesKeepRunOrder) {
   // from a 5-value alphabet so every key is tied across many runs. The
   // tournament must emit equal keys in run order, i.e. exactly
   // std::stable_sort of the concatenation; the re-sort strategy promises
-  // key order only.
+  // key order only (136 records take the comparison kernel). Auto picks the
+  // tournament here: five runs merge far cheaper than an introsort.
   struct Rec {
     u32 key;
     u32 origin;
@@ -134,11 +139,16 @@ TEST_P(MergeStrategyTest, TiesKeepRunOrder) {
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MergeStrategyTest,
                          ::testing::Values(MergeStrategy::Sort,
-                                           MergeStrategy::Tournament),
+                                           MergeStrategy::Tournament,
+                                           MergeStrategy::Auto),
                          [](const auto& pinfo) {
-                           return pinfo.param == MergeStrategy::Sort
-                                      ? "Sort"
-                                      : "Tournament";
+                           switch (pinfo.param) {
+                             case MergeStrategy::Sort: return "Sort";
+                             case MergeStrategy::Tournament:
+                               return "Tournament";
+                             case MergeStrategy::Auto: return "Auto";
+                           }
+                           return "Unknown";
                          });
 
 TEST(MergeCosts, TournamentChargedByLogK) {
@@ -159,6 +169,139 @@ TEST(MergeCosts, TournamentChargedByLogK) {
     t_many = c.clock().now() - t1;
   });
   EXPECT_GT(t_many, t_few);  // same n, more chunks -> deeper tournament
+}
+
+/// 2^16 uniform u64 keys in [0, hi], cut into `k` sorted runs of equal
+/// length.
+std::pair<std::vector<u64>, std::vector<usize>> uniform_runs(usize k, u64 hi,
+                                                             u64 seed) {
+  constexpr usize kN = usize{1} << 16;
+  Xoshiro256 rng(seed);
+  std::vector<u64> data(kN);
+  for (auto& v : data)
+    v = hi == std::numeric_limits<u64>::max() ? rng() : rng() % (hi + 1);
+  std::vector<usize> counts(k, kN / k);
+  for (usize i = 0; i < k; ++i)
+    std::sort(data.begin() + static_cast<std::ptrdiff_t>(i * (kN / k)),
+              data.begin() + static_cast<std::ptrdiff_t>((i + 1) * (kN / k)));
+  return {std::move(data), std::move(counts)};
+}
+
+struct MergeRun {
+  std::vector<u64> out;
+  double merge_s = 0.0;
+  u64 kway = 0;
+};
+
+MergeRun run_merge(MergeStrategy strategy, std::vector<u64> data,
+                   const std::vector<usize>& counts,
+                   std::vector<u64> spare = {}) {
+  Team team({.nranks = 1});
+  team.run([&](Comm& c) {
+    merge_chunks(c, data, std::span<const usize>(counts), strategy,
+                 IdentityKey{}, std::move(spare));
+  });
+  return {std::move(data), team.stats().phase_seconds(net::Phase::Merge),
+          team.metrics(0).value(obs::Counter::MergeKWay)};
+}
+
+TEST(MergeAuto, PicksTheCheaperKernel) {
+  // Model crossovers on supermuc constants: a 30-bit span re-sorts in 4
+  // radix passes (5.15 ns/key) against 0.9 log2(k) ns/key for the k-way
+  // merge, so k-way wins up to 32 runs; a full 64-bit span takes 8 passes
+  // and k-way wins up to 128 runs (above 64 runs the cache term applies).
+  for (const auto& [hi, last_kway] :
+       {std::pair<u64, usize>{1000000000, 32},
+        std::pair<u64, usize>{std::numeric_limits<u64>::max(), 128}}) {
+    for (usize k : {2, 4, 16, 32, 64, 128, 256}) {
+      SCOPED_TRACE(::testing::Message() << "hi=" << hi << " k=" << k);
+      const auto [data, counts] = uniform_runs(k, hi, 100 + k);
+      const MergeRun resort = run_merge(MergeStrategy::Sort, data, counts);
+      const MergeRun tour = run_merge(MergeStrategy::Tournament, data, counts);
+      const MergeRun autom = run_merge(MergeStrategy::Auto, data, counts);
+      EXPECT_EQ(autom.merge_s, std::min(resort.merge_s, tour.merge_s));
+      EXPECT_EQ(autom.kway, k <= last_kway ? 1u : 0u);
+      EXPECT_EQ(resort.kway, 0u);
+      EXPECT_EQ(tour.kway, 1u);
+      EXPECT_EQ(autom.out, resort.out);
+      EXPECT_EQ(autom.out, tour.out);
+    }
+  }
+}
+
+TEST(MergeAuto, AnySpareCapacity) {
+  // The donated buffer only decides where the k-way kernel writes: spares
+  // too small to hold the output (dropped for a new buffer), exactly large
+  // enough, and larger (shrunk in place), each holding stale keys, must all
+  // give the same bytes. The re-sort drops the spare.
+  const auto [data, counts] = uniform_runs(4, 1000000000, 7);
+  const usize n = data.size();
+  auto stale = [](usize size, usize capacity) {
+    std::vector<u64> v;
+    v.reserve(capacity);
+    v.assign(size, 0xdeadbeefULL);
+    return v;
+  };
+  for (MergeStrategy m :
+       {MergeStrategy::Auto, MergeStrategy::Tournament, MergeStrategy::Sort}) {
+    const MergeRun ref = run_merge(m, data, counts);
+    EXPECT_EQ(ref.kway, m == MergeStrategy::Sort ? 0u : 1u);
+    for (const auto& [size, capacity] :
+         {std::pair<usize, usize>{0, 0}, {n / 4, n / 2}, {n / 2, n},
+          {n, n}, {n + 100, n + 100}}) {
+      SCOPED_TRACE(::testing::Message() << merge_name(m) << " spare size="
+                                        << size << " capacity=" << capacity);
+      const MergeRun got = run_merge(m, data, counts, stale(size, capacity));
+      ASSERT_EQ(got.out.size(), n);
+      EXPECT_EQ(std::memcmp(got.out.data(), ref.out.data(), n * sizeof(u64)),
+                0);
+      EXPECT_EQ(got.merge_s, ref.merge_s);
+    }
+  }
+}
+
+TEST(MergeAuto, TiedRecordsMatchBothPins) {
+  // Keys from a 5-value alphabet tagged with their origin, 2048 records per
+  // rank so every re-sort takes the stable radix path: a re-sort of the
+  // received concatenation then keeps ties in source order, exactly as the
+  // k-way merge does, so Auto's per-rank choice never shows in the output.
+  struct Rec {
+    u32 key;
+    u32 origin;
+  };
+  const auto key = [](const Rec& r) { return r.key; };
+  constexpr usize kPerRank = 2048;
+  for (int P : {4, 16}) {
+    std::vector<std::vector<Rec>> shards(P);
+    for (int r = 0; r < P; ++r) {
+      Xoshiro256 rng(hash_mix(53, static_cast<u64>(r)));
+      for (usize i = 0; i < kPerRank; ++i)
+        shards[r].push_back({static_cast<u32>(rng() % 5),
+                             static_cast<u32>(r * kPerRank + i)});
+    }
+    auto run = [&](MergeStrategy m) {
+      std::vector<std::vector<Rec>> out(P);
+      Team team({.nranks = P});
+      team.run([&](Comm& c) {
+        std::vector<Rec> local = shards[c.rank()];
+        SortConfig cfg;
+        cfg.merge = m;
+        sort_by_key(c, local, key, cfg);
+        out[c.rank()] = std::move(local);
+      });
+      std::vector<u8> bytes;
+      for (const auto& o : out) {
+        const auto* b = reinterpret_cast<const u8*>(o.data());
+        bytes.insert(bytes.end(), b, b + o.size() * sizeof(Rec));
+      }
+      return bytes;
+    };
+    SCOPED_TRACE(::testing::Message() << "P=" << P);
+    const std::vector<u8> autom = run(MergeStrategy::Auto);
+    EXPECT_EQ(autom.size(), static_cast<usize>(P) * kPerRank * sizeof(Rec));
+    EXPECT_EQ(autom, run(MergeStrategy::Tournament));
+    EXPECT_EQ(autom, run(MergeStrategy::Sort));
+  }
 }
 
 }  // namespace

@@ -262,7 +262,8 @@ TEST(PackedReferenceGrid, DirectOverlapMerge) {
 }
 
 TEST(PackedReferenceGrid, MergeStrategiesSeeIdenticalChunks) {
-  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament}) {
+  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament,
+                          MergeStrategy::Auto}) {
     SortConfig cfg;
     cfg.merge = m;
     expect_matches_packed_reference(8, cfg, 400);

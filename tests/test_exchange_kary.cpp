@@ -213,7 +213,8 @@ TEST(KAryExchange, PrimePUsesOneWideRound) {
 }
 
 TEST(KAryExchange, WithoutOverlapFeedsSuperstepFourMerge) {
-  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament}) {
+  for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament,
+                          MergeStrategy::Auto}) {
     SortConfig cfg;
     cfg.exchange = ExchangeAlgorithm::KAry;
     cfg.exchange_k = 4;

@@ -33,8 +33,9 @@ void random_trial(u64 seed) {
   const double eps_choices[] = {0.0, 0.0, 0.05, 0.2};
   cfg.epsilon = eps_choices[rng() % 4];
   const core::MergeStrategy merges[] = {core::MergeStrategy::Sort,
-                                        core::MergeStrategy::Tournament};
-  cfg.merge = merges[rng() % 2];
+                                        core::MergeStrategy::Tournament,
+                                        core::MergeStrategy::Auto};
+  cfg.merge = merges[rng() % 3];
   cfg.histogram = (rng() % 2 == 0) ? core::HistogramMode::Dense
                                    : core::HistogramMode::Hybrid;
   if (rng() % 2 == 0) {

@@ -142,7 +142,8 @@ TEST_P(SortMergeStrategy, AllStrategiesProduceSameResult) {
 
 INSTANTIATE_TEST_SUITE_P(Strategies, SortMergeStrategy,
                          ::testing::Values(MergeStrategy::Sort,
-                                           MergeStrategy::Tournament));
+                                           MergeStrategy::Tournament,
+                                           MergeStrategy::Auto));
 
 // ---------------------------------------------------------------------------
 // Key types.
