@@ -6,8 +6,10 @@
 // Unlike the figure benchmarks this measures *real* time, not simulated
 // time: it exists to validate the machine-model constant
 // `radix_s_per_elem_pass` and the Auto-dispatch crossover against the
-// hardware CI runs on. Emits a machine-readable JSON file (one object per
-// (type, n, kernel) cell) consumed by the ci.sh perf smoke.
+// hardware CI runs on. Each cell reports the median and quartiles of its
+// reps, so a change can be judged against the cell's spread. Emits a
+// machine-readable JSON file (one object per (type, n, kernel) cell)
+// consumed by the ci.sh perf smoke.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -60,17 +62,25 @@ double random_value<double>(Xoshiro256& rng) {
   return (rng.uniform01() - 0.5) * 1e9;
 }
 
+/// Wall-clock seconds of one kernel over its reps.
+struct Timing {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
 struct Cell {
   std::string type;
   usize n = 0;
   std::string kernel;
-  double seconds_median = 0.0;
+  Timing seconds;
   double speedup_vs_comparison = 1.0;
 };
 
-/// Median wall-clock seconds of `fn` run on a fresh copy of `base` per rep.
+/// Median and quartiles of the wall-clock seconds of `fn`, run on a fresh
+/// copy of `base` per rep.
 template <class T, class Fn>
-double time_kernel(const std::vector<T>& base, int reps, Fn fn) {
+Timing time_kernel(const std::vector<T>& base, int reps, Fn fn) {
   std::vector<double> times;
   times.reserve(static_cast<usize>(reps) + 1);
   for (int r = 0; r <= reps; ++r) {  // rep 0 is a cache/allocator warmup
@@ -84,7 +94,24 @@ double time_kernel(const std::vector<T>& base, int reps, Fn fn) {
     }
     if (r > 0) times.push_back(t1 - t0);
   }
-  return median(std::move(times));
+  return {median(times), percentile(times, 25.0), percentile(times, 75.0)};
+}
+
+/// "median [q1, q3]" in milliseconds, for the table.
+std::string fmt_ms(const Timing& t) {
+  return fmt(t.median * 1e3) + " [" + fmt(t.q1 * 1e3) + ", " +
+         fmt(t.q3 * 1e3) + "]";
+}
+
+/// Adds the comparison and radix cells of one (type, n) row.
+void add_row(const std::string& type, usize n, const Timing& t_cmp,
+             const Timing& t_rad, Table& table, std::vector<Cell>& cells) {
+  const double speedup = t_rad.median > 0.0 ? t_cmp.median / t_rad.median
+                                            : 0.0;
+  cells.push_back({type, n, "comparison", t_cmp, 1.0});
+  cells.push_back({type, n, "radix", t_rad, speedup});
+  table.add_row({type, std::to_string(n), fmt_ms(t_cmp), fmt_ms(t_rad),
+                 fmt(speedup) + "x"});
 }
 
 template <class T>
@@ -95,18 +122,13 @@ void bench_type(const std::string& type, const std::vector<usize>& sizes,
     std::vector<T> base(n);
     for (auto& v : base) v = random_value<T>(rng);
 
-    const double t_cmp = time_kernel(base, reps, [](std::vector<T>& d) {
+    const Timing t_cmp = time_kernel(base, reps, [](std::vector<T>& d) {
       std::sort(d.begin(), d.end());
     });
-    const double t_rad = time_kernel(base, reps, [](std::vector<T>& d) {
+    const Timing t_rad = time_kernel(base, reps, [](std::vector<T>& d) {
       core::radix_sort_keys(d);
     });
-    const double speedup = t_rad > 0.0 ? t_cmp / t_rad : 0.0;
-
-    cells.push_back({type, n, "comparison", t_cmp, 1.0});
-    cells.push_back({type, n, "radix", t_rad, speedup});
-    table.add_row({type, std::to_string(n), fmt(t_cmp), fmt(t_rad),
-                   fmt(speedup) + "x"});
+    add_row(type, n, t_cmp, t_rad, table, cells);
   }
 }
 
@@ -124,31 +146,12 @@ void bench_records(const std::vector<usize>& sizes, int reps, u64 seed,
     std::vector<Rec> base(n);
     for (auto& r : base) r = Rec{rng(), rng()};
 
-    auto timed = [&](auto fn) {
-      std::vector<double> times;
-      for (int r = 0; r <= reps; ++r) {
-        std::vector<Rec> data = base;
-        const double t0 = now_s();
-        fn(data);
-        const double t1 = now_s();
-        if (!std::is_sorted(data.begin(), data.end())) {
-          std::cerr << "FATAL: record kernel produced unsorted output\n";
-          std::exit(1);
-        }
-        if (r > 0) times.push_back(t1 - t0);
-      }
-      return median(std::move(times));
-    };
-    const double t_cmp = timed(
-        [](std::vector<Rec>& d) { std::sort(d.begin(), d.end()); });
-    const double t_rad = timed([](std::vector<Rec>& d) {
+    const Timing t_cmp = time_kernel(
+        base, reps, [](std::vector<Rec>& d) { std::sort(d.begin(), d.end()); });
+    const Timing t_rad = time_kernel(base, reps, [](std::vector<Rec>& d) {
       core::radix_sort_by_key(d, [](const Rec& r) { return r.key; });
     });
-    const double speedup = t_rad > 0.0 ? t_cmp / t_rad : 0.0;
-    cells.push_back({"u64x2_record", n, "comparison", t_cmp, 1.0});
-    cells.push_back({"u64x2_record", n, "radix", t_rad, speedup});
-    table.add_row({"u64x2_record", std::to_string(n), fmt(t_cmp), fmt(t_rad),
-                   fmt(speedup) + "x"});
+    add_row("u64x2_record", n, t_cmp, t_rad, table, cells);
   }
 }
 
@@ -159,7 +162,9 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
     const Cell& c = cells[i];
     out << "  {\"type\": \"" << c.type << "\", \"n\": " << c.n
         << ", \"kernel\": \"" << c.kernel
-        << "\", \"seconds_median\": " << c.seconds_median
+        << "\", \"seconds_median\": " << c.seconds.median
+        << ", \"seconds_q1\": " << c.seconds.q1
+        << ", \"seconds_q3\": " << c.seconds.q3
         << ", \"speedup_vs_comparison\": " << c.speedup_vs_comparison << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
@@ -184,10 +189,10 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Local-sort kernel study (real wall-clock)",
-      "kernel layer validation; uniform keys, median of " +
+      "kernel layer validation; uniform keys, median [q1, q3] of " +
           std::to_string(reps) + " reps");
 
-  Table table({"type", "n", "std::sort t[s]", "radix t[s]", "speedup"});
+  Table table({"type", "n", "std::sort t[ms]", "radix t[ms]", "speedup"});
   std::vector<Cell> cells;
   bench_type<u32>("u32", sizes, reps, seed, table, cells);
   bench_type<u64>("u64", sizes, reps, seed, table, cells);
@@ -199,13 +204,15 @@ int main(int argc, char** argv) {
 
   std::cout << table.to_string();
 
-  // Derived machine-model constant: per-element per-pass seconds from the
-  // largest u64 run (8 executed passes on full-range uniform keys).
+  // Derived machine-model constant from the largest u64 run: host seconds
+  // per element per modelled 8-bit digit. Full-range keys vary in all 8
+  // digits, so the model charges 8 passes; the kernel's physical passes
+  // (one out-of-cache split, then in-cache passes) are not what it prices.
   for (const Cell& c : cells) {
     if (c.type == "u64" && c.n == sizes.back() && c.kernel == "radix") {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.3g",
-                    c.seconds_median / (static_cast<double>(c.n) * 8.0));
+                    c.seconds.median / (static_cast<double>(c.n) * 8.0));
       std::cout << "\nimplied radix_s_per_elem_pass ~ " << buf
                 << " s (machine.h default: 1.2e-9)\n";
     }
@@ -222,10 +229,10 @@ int main(int argc, char** argv) {
       total += c.n;
       scalars.emplace_back("wall_radix_speedup_" + c.type,
                            c.speedup_vs_comparison);
-      if (c.type == "u64")
+      if (c.type == "u64")  // per modelled digit, as printed above
         scalars.emplace_back(
             "wall_radix_s_per_elem_pass",
-            c.seconds_median / (static_cast<double>(c.n) * 8.0));
+            c.seconds.median / (static_cast<double>(c.n) * 8.0));
     }
     bench::write_wallclock_ledger_if_requested(
         args, "bench_local_sort", total,

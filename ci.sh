@@ -39,6 +39,29 @@ run_config() {
 run_config relwithdebinfo \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHDS_WERROR=ON
 
+# The sanitizer configs run next, ahead of every wall-clock gate below: they
+# are the only walls that check the kernels' buffer arithmetic and shifts,
+# and a host-timing gate that stops the script must not skip them.
+# TSan wants debug info and no aggressive inlining to produce usable
+# reports; RelWithDebInfo (-O2 -g) is the supported sweet spot. Benchmarks
+# are excluded — they only add build time and measure nothing under TSan.
+TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" run_config tsan \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHDS_SANITIZE=thread \
+  -DHDS_BUILD_BENCH=OFF -DHDS_BUILD_EXAMPLES=OFF
+
+# ASan catches the heap errors TSan does not look for (the exchange paths
+# splice spans out of reusable buffers); UBSan catches signed overflow and
+# bad shifts in the radix/bits code. Same RelWithDebInfo reasoning as TSan.
+ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
+  run_config asan \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHDS_SANITIZE=address \
+  -DHDS_BUILD_BENCH=OFF -DHDS_BUILD_EXAMPLES=OFF
+
+UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
+  run_config ubsan \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHDS_SANITIZE=undefined \
+  -DHDS_BUILD_BENCH=OFF -DHDS_BUILD_EXAMPLES=OFF
+
 # clang-tidy needs the compile database from the configure above. The CI
 # image is gcc-only; when clang-tidy is absent the stage degrades to a
 # notice rather than silently passing (the .clang-tidy profile is still
@@ -258,25 +281,5 @@ python3 tools/perf_history.py check --history BENCH_history.jsonl \
 # BENCHMARK.json names is emitted and that simulated numbers repeat exactly.
 echo "=== perfbench smoke: perfbench/smoke_test.py ==="
 python3 perfbench/smoke_test.py
-
-# TSan wants debug info and no aggressive inlining to produce usable
-# reports; RelWithDebInfo (-O2 -g) is the supported sweet spot. Benchmarks
-# are excluded — they only add build time and measure nothing under TSan.
-TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" run_config tsan \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHDS_SANITIZE=thread \
-  -DHDS_BUILD_BENCH=OFF -DHDS_BUILD_EXAMPLES=OFF
-
-# ASan catches the heap errors TSan does not look for (the exchange paths
-# splice spans out of reusable buffers); UBSan catches signed overflow and
-# bad shifts in the radix/bits code. Same RelWithDebInfo reasoning as TSan.
-ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
-  run_config asan \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHDS_SANITIZE=address \
-  -DHDS_BUILD_BENCH=OFF -DHDS_BUILD_EXAMPLES=OFF
-
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
-  run_config ubsan \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DHDS_SANITIZE=undefined \
-  -DHDS_BUILD_BENCH=OFF -DHDS_BUILD_EXAMPLES=OFF
 
 echo "=== CI: all configurations passed ==="

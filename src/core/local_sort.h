@@ -4,11 +4,13 @@
 // phase breakdown see consistent costs.
 //
 // Sorting dispatches over a kernel layer: the comparison kernel (introsort)
-// or the LSD radix kernel of radix_sort.h, chosen by use_radix — a
-// crossover derived from the machine model's calibrated per-element
-// constants. Simulated charges always reflect the kernel that actually ran,
-// so phase breakdowns stay comparable across kernels (see DESIGN.md,
-// "Local-sort kernel layer").
+// or the radix kernel of radix_sort.h (one out-of-cache split on the top
+// digit of the key span, then 8-bit LSD passes in cache), chosen by
+// use_radix — a crossover derived from the machine model's calibrated
+// per-element constants. Simulated charges always reflect the kernel that
+// actually ran — for radix, its modelled 8-bit passes (the digits that
+// vary), not its physical scatters — so phase breakdowns stay comparable
+// across kernels (see DESIGN.md, "Local-sort kernel layer").
 #pragma once
 
 #include <algorithm>
@@ -34,10 +36,6 @@ struct IdentityKey {
     return v;
   }
 };
-
-/// Below this n the radix kernel's histogram setup (key_bytes * 256 counters
-/// plus one full read) dominates any pass savings.
-inline constexpr usize kRadixMinN = 512;
 
 /// Auto-crossover size for a key of `key_bits` bits, derived from the
 /// machine model's calibrated constants: the comparison kernel costs

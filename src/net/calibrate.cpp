@@ -62,8 +62,10 @@ CalibrationResult measure_host_constants(usize elements) {
     if (acc == 0x123456789abcdefULL) cal.scan_s_per_elem += 1e-18;
   }
   {
-    // Radix kernel: full-range u64 keys execute all 8 passes, so the
-    // per-element-per-pass constant is t / (n * passes) after deducting the
+    // Radix kernel: the model charges one pass per modelled 8-bit digit
+    // (RadixSortStats::passes_executed, the digits that vary; all 8 for
+    // full-range u64 keys), not per physical scatter of the kernel. So the
+    // constant is t / (n * modelled passes) after deducting the
     // histogram-building read the cost model charges separately as a scan.
     auto data = base;
     const auto t0 = std::chrono::steady_clock::now();

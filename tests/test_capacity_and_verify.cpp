@@ -142,6 +142,9 @@ TEST(Calibrate, ProducesSaneConstants) {
   EXPECT_GT(cal.partition_s_per_elem, 0.0);
   EXPECT_GT(cal.scan_s_per_elem, 0.0);
   EXPECT_GT(cal.binsearch_s_per_step, 0.0);
+  // The radix constant is a measurement, not the clamp that keeps it
+  // positive.
+  EXPECT_GT(cal.radix_s_per_elem_pass, 1e-12);
   // Sorting costs more per element than a linear scan.
   EXPECT_GT(cal.sort_s_per_elem_log * 18, cal.scan_s_per_elem);
 }
@@ -154,10 +157,22 @@ TEST(Calibrate, AppliesToMachineModel) {
   cal.partition_s_per_elem = 3e-10;
   cal.scan_s_per_elem = 4e-10;
   cal.binsearch_s_per_step = 5e-9;
+  cal.radix_s_per_elem_pass = 6e-10;
   net::apply_calibration(m, cal);
   EXPECT_DOUBLE_EQ(m.sort_s_per_elem_log, 1e-9);
   EXPECT_DOUBLE_EQ(m.merge_s_per_elem, 2e-9);
+  EXPECT_DOUBLE_EQ(m.partition_s_per_elem, 3e-10);
+  EXPECT_DOUBLE_EQ(m.scan_s_per_elem, 4e-10);
   EXPECT_DOUBLE_EQ(m.binsearch_s_per_step, 5e-9);
+  EXPECT_DOUBLE_EQ(m.radix_s_per_elem_pass, 6e-10);
+
+  // A calibration without a radix measurement keeps the model default.
+  net::MachineModel fresh;
+  const double model_default = fresh.radix_s_per_elem_pass;
+  cal.radix_s_per_elem_pass = 0.0;
+  net::apply_calibration(fresh, cal);
+  EXPECT_DOUBLE_EQ(fresh.radix_s_per_elem_pass, model_default);
+  EXPECT_DOUBLE_EQ(fresh.sort_s_per_elem_log, 1e-9);
 }
 
 TEST(Calibrate, RejectsEmptyCalibration) {

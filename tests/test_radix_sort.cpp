@@ -1,6 +1,7 @@
-// The local-sort kernel layer: LSD radix sort property tests against
-// std::sort over every KeyTraits type (including IEEE specials), stability,
-// pass-skipping stats, batched binary searches, the radix crossover, and a
+// The local-sort kernel layer: radix sort property tests against std::sort
+// over every KeyTraits type (including IEEE specials), on both sides of the
+// kernel's cache budget and with top-digit buckets above it, stability, the
+// modelled pass count, batched binary searches, the radix crossover, and a
 // size x exchange-algorithm grid that runs both kernels through the full
 // distributed sort.
 #include <gtest/gtest.h>
@@ -62,19 +63,30 @@ void expect_matches_std_sort(std::vector<T> data) {
   EXPECT_LE(st.passes_executed, st.passes_planned);
 }
 
+/// An element count whose array is above the kernel's cache budget, so the
+/// kernel splits on the top digit before its in-cache passes.
+template <class T>
+usize above_budget() {
+  return kRadixCacheBytes / sizeof(T) * 3 / 2;
+}
+
 TYPED_TEST(RadixTyped, RandomFullRange) {
   Xoshiro256 rng(2024);
-  std::vector<TypeParam> data(5000);
-  for (auto& v : data) v = random_key<TypeParam>(rng);
-  expect_matches_std_sort(std::move(data));
+  for (const usize n : {usize{5000}, above_budget<TypeParam>()}) {
+    std::vector<TypeParam> data(n);
+    for (auto& v : data) v = random_key<TypeParam>(rng);
+    expect_matches_std_sort(std::move(data));
+  }
 }
 
 TYPED_TEST(RadixTyped, DuplicatesHeavy) {
   Xoshiro256 rng(7);
-  std::vector<TypeParam> data(4000);
-  for (auto& v : data)
-    v = static_cast<TypeParam>(static_cast<i64>(rng() % 17) - 8);
-  expect_matches_std_sort(std::move(data));
+  for (const usize n : {usize{4000}, above_budget<TypeParam>()}) {
+    std::vector<TypeParam> data(n);
+    for (auto& v : data)
+      v = static_cast<TypeParam>(static_cast<i64>(rng() % 17) - 8);
+    expect_matches_std_sort(std::move(data));
+  }
 }
 
 TYPED_TEST(RadixTyped, PreSorted) {
@@ -100,6 +112,46 @@ TYPED_TEST(RadixTyped, EmptyAndSingle) {
 TYPED_TEST(RadixTyped, AllEqual) {
   expect_matches_std_sort(
       std::vector<TypeParam>(2000, static_cast<TypeParam>(42)));
+}
+
+// ---------------------------------------------------------------------------
+// Top-digit buckets above the cache budget: the kernel recurses on them.
+// ---------------------------------------------------------------------------
+
+/// Bytes in the largest bucket of the kernel's first split: the top 8 bits
+/// of the span of the keys' uint projections.
+template <class T>
+usize largest_top_bucket_bytes(const std::vector<T>& data) {
+  using UK = typename KeyTraits<T>::uint_type;
+  UK diff = 0;
+  for (const T& v : data)
+    diff |= KeyTraits<T>::to_uint(v) ^ KeyTraits<T>::to_uint(data[0]);
+  const int shift = std::max(static_cast<int>(std::bit_width(diff)) - 8, 0);
+  std::vector<usize> count(256, 0);
+  for (const T& v : data)
+    ++count[(KeyTraits<T>::to_uint(v) >> shift) & 0xff];
+  return *std::max_element(count.begin(), count.end()) * sizeof(T);
+}
+
+// perfbench's rec64-skewed key shape: Zipf keys in {1..1024}, s = 1.2. Keys
+// 1..7 share the top digit and hold about half the elements.
+TEST(RadixRecursion, ZipfTopBucketAboveBudget) {
+  workload::GenConfig gen;
+  gen.dist = workload::Dist::Zipf;
+  gen.seed = 9;
+  std::vector<u64> data = workload::generate_u64(gen, 0, 1, usize{1} << 21);
+  ASSERT_GT(largest_top_bucket_bytes(data), kRadixCacheBytes);
+  expect_matches_std_sort(std::move(data));
+}
+
+// Floats straddling zero: the top byte is sign plus exponent, so a few
+// buckets hold almost every element (two hold about 37% each).
+TEST(RadixRecursion, FloatStraddlingZero) {
+  Xoshiro256 rng(31);
+  std::vector<float> data(usize{1} << 22);
+  for (auto& v : data) v = random_key<float>(rng);
+  ASSERT_GT(largest_top_bucket_bytes(data), kRadixCacheBytes);
+  expect_matches_std_sort(std::move(data));
 }
 
 // ---------------------------------------------------------------------------
@@ -133,8 +185,30 @@ TEST(RadixFloatSpecials, Float) { float_specials_case<float>(); }
 TEST(RadixFloatSpecials, Double) { float_specials_case<double>(); }
 
 // ---------------------------------------------------------------------------
-// Stats: trivial passes are skipped without touching the data.
+// Stats: passes_executed counts the 8-bit digits that vary across the input
+// (what Comm::charge_radix_sort prices), whatever passes the kernel runs.
 // ---------------------------------------------------------------------------
+
+TEST(RadixStats, PassesExecutedCountsVaryingDigits) {
+  Xoshiro256 rng(4);
+  for (const usize n : {usize{4096}, above_budget<u64>()}) {
+    std::vector<u64> paper(n);  // the paper's [0, 1e9]: bytes 0..3 vary
+    for (auto& v : paper) v = rng() % 1'000'000'001;
+    std::vector<u64> two(n);  // only bytes 0 and 5 vary
+    for (auto& v : two) v = (rng() & 0xff) | ((rng() & 0xff) << 40);
+    std::vector<u64> equal(n, 0x0123'4567'89ab'cdefULL);
+    // One outlier in byte 5 at an index a strided sample of the span skips.
+    std::vector<u64> outlier(n, 5);
+    outlier[1] |= u64{1} << 40;
+    for (auto [data, passes] :
+         {std::pair{paper, 4u}, std::pair{two, 2u}, std::pair{equal, 0u},
+          std::pair{outlier, 1u}}) {
+      const RadixSortStats st = radix_sort_keys(data);
+      EXPECT_EQ(st.passes_executed, passes) << "n = " << n;
+      EXPECT_TRUE(std::is_sorted(data.begin(), data.end())) << "n = " << n;
+    }
+  }
+}
 
 TEST(RadixStats, NarrowRangeSkipsHighPasses) {
   Xoshiro256 rng(5);
@@ -159,25 +233,31 @@ TEST(RadixStats, FullRangeRunsAllPasses) {
 // Stability of radix_sort_by_key (both the pairs and the index path).
 // ---------------------------------------------------------------------------
 
+// Each path runs once below the cache budget and once above it: 2^19
+// (key, value) or (key, index) pairs of 12 and 16 bytes, with keys drawn
+// from 50000 values so the buckets of the first split hold ties.
 TEST(RadixByKey, PairsPathIsStable) {
   struct Rec {  // sizeof == 8 <= 3 * sizeof(u32): pairs path
     u32 key;
     u32 seq;
   };
   Xoshiro256 rng(21);
-  std::vector<Rec> data(3000);
-  for (u32 i = 0; i < data.size(); ++i)
-    data[i] = Rec{static_cast<u32>(rng() % 50), i};
-  std::vector<Rec> expected = data;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const Rec& a, const Rec& b) { return a.key < b.key; });
-  const RadixSortStats st =
-      radix_sort_by_key(data, [](const Rec& r) { return r.key; });
-  EXPECT_TRUE(st.used_pairs);
-  ASSERT_EQ(data.size(), expected.size());
-  for (usize i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(data[i].key, expected[i].key);
-    EXPECT_EQ(data[i].seq, expected[i].seq) << "instability at " << i;
+  for (const auto& [n, keys] :
+       {std::pair{3000u, 50u}, std::pair{1u << 19, 50000u}}) {
+    std::vector<Rec> data(n);
+    for (u32 i = 0; i < n; ++i)
+      data[i] = Rec{static_cast<u32>(rng() % keys), i};
+    std::vector<Rec> expected = data;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Rec& a, const Rec& b) { return a.key < b.key; });
+    const RadixSortStats st =
+        radix_sort_by_key(data, [](const Rec& r) { return r.key; });
+    EXPECT_TRUE(st.used_pairs);
+    ASSERT_EQ(data.size(), expected.size());
+    for (usize i = 0; i < data.size(); ++i) {
+      ASSERT_EQ(data[i].key, expected[i].key) << "n = " << n;
+      ASSERT_EQ(data[i].seq, expected[i].seq) << "instability at " << i;
+    }
   }
 }
 
@@ -188,16 +268,20 @@ TEST(RadixByKey, IndexPathIsStableForLargeRecords) {
     u32 seq;
   };
   Xoshiro256 rng(22);
-  std::vector<Big> data(2000);
-  for (u32 i = 0; i < data.size(); ++i)
-    data[i] = Big{static_cast<u32>(rng() % 40), rng(), rng(), rng(), i};
-  std::vector<Big> expected = data;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const Big& a, const Big& b) { return a.key < b.key; });
-  radix_sort_by_key(data, [](const Big& r) { return r.key; });
-  for (usize i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(data[i].key, expected[i].key);
-    EXPECT_EQ(data[i].seq, expected[i].seq) << "instability at " << i;
+  for (const auto& [n, keys] :
+       {std::pair{2000u, 40u}, std::pair{1u << 19, 50000u}}) {
+    std::vector<Big> data(n);
+    for (u32 i = 0; i < n; ++i)
+      data[i] = Big{static_cast<u32>(rng() % keys), rng(), rng(), rng(), i};
+    std::vector<Big> expected = data;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Big& a, const Big& b) { return a.key < b.key; });
+    radix_sort_by_key(data, [](const Big& r) { return r.key; });
+    ASSERT_EQ(data.size(), expected.size());
+    for (usize i = 0; i < data.size(); ++i) {
+      ASSERT_EQ(data[i].key, expected[i].key) << "n = " << n;
+      ASSERT_EQ(data[i].seq, expected[i].seq) << "instability at " << i;
+    }
   }
 }
 

@@ -12,7 +12,8 @@ One entry point replaces the inline python blocks ci.sh used to carry:
     validate_bench.py trace      trace.json
 
 Kinds and their gates (unchanged from the historical ci.sh heredocs):
-  local_sort  cell shape; the radix kernel must beat std::sort on uniform
+  local_sort  cell shape incl. each cell's spread (q1 <= median <= q3 over
+              its reps); the radix kernel must beat std::sort on uniform
               u64 at n = 2^20 (the wall-clock claim behind Auto dispatch).
   exchange    cell shape incl. per-round k-ary breakdowns; the pull path
               must beat packed by >= 1.3x on the u64 P=16 exchange
@@ -76,9 +77,11 @@ def check_local_sort(path: str) -> None:
     require(isinstance(cells, list) and bool(cells),
             f"{path}: empty or malformed JSON")
     for c in cells:
-        for k in ("type", "n", "kernel", "seconds_median",
-                  "speedup_vs_comparison"):
+        for k in ("type", "n", "kernel", "seconds_median", "seconds_q1",
+                  "seconds_q3", "speedup_vs_comparison"):
             require(k in c, f"missing field {k}: {c}")
+        require(0.0 < c["seconds_q1"] <= c["seconds_median"] <=
+                c["seconds_q3"], f"quartiles out of order: {c}")
     target = [c for c in cells
               if c["type"] == "u64" and c["n"] == 1 << 20 and
               c["kernel"] == "radix"]
