@@ -9,6 +9,7 @@
 // once, the design property the paper leans on for NUMA friendliness.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/error.h"
 #include "core/kway_merge.h"
 #include "core/multiselect.h"
+#include "core/radix_sort.h"
 #include "runtime/comm.h"
 
 namespace hds::core {
@@ -109,23 +111,37 @@ inline void note_exchange_metrics(runtime::Comm& comm,
         send[static_cast<usize>(comm.rank())]);
 }
 
+/// The pull alltoallv's view of a by-reference sort's result: the sender
+/// sends its records in refs order, read through each KeyRef's index in
+/// place. Empty refs: the records are sent as they lie.
+template <class UK>
+runtime::SendOrder send_order(std::span<const KeyRef<UK>> refs) {
+  if (refs.empty()) return {};
+  return {reinterpret_cast<const std::byte*>(refs.data()) +
+              offsetof(KeyRef<UK>, index),
+          sizeof(KeyRef<UK>)};
+}
+
 /// Full data exchange: computes send counts and runs the ALL-TO-ALLV.
-/// `sorted_local` must be the locally sorted input used by find_splitters.
-/// The output is sized once from the published counts and every chunk lands
-/// at its final offset in one copy (alltoallv_into, DESIGN.md sec. 11).
+/// `local` must be the input find_splitters searched: sorted, or, with
+/// non-empty `refs`, in any order with `refs` listing it in key order (a
+/// by-reference superstep 1, radix_sort_refs). The output is reserved once
+/// from the published counts and every receiver appends each source's
+/// chunk in one copy, gathering it through the source's refs when it has
+/// them (alltoallv_into, DESIGN.md sec. 11).
 template <class T, class UK>
-ExchangeResult<T> exchange(runtime::Comm& comm,
-                           std::span<const T> sorted_local,
-                           const SplitterResult<UK>& sp) {
+ExchangeResult<T> exchange(runtime::Comm& comm, std::span<const T> local,
+                           const SplitterResult<UK>& sp,
+                           std::span<const KeyRef<UK>> refs = {}) {
   net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
+  HDS_CHECK(refs.empty() || refs.size() == local.size());
   ExchangeResult<T> out;
-  const std::vector<usize> send =
-      compute_send_counts(comm, sorted_local.size(), sp);
+  const std::vector<usize> send = compute_send_counts(comm, local.size(), sp);
   for (int d = 0; d < comm.size(); ++d)
     if (d != comm.rank()) out.elements_sent_off_rank += send[d];
   note_exchange_metrics(comm, send, sizeof(T));
-  comm.alltoallv_into(sorted_local, std::span<const usize>(send), out.data,
-                      out.recv_counts);
+  comm.alltoallv_into(local, std::span<const usize>(send), out.data,
+                      out.recv_counts, send_order(refs));
   return out;
 }
 

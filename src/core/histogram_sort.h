@@ -78,12 +78,32 @@ using SortKeyImage = typename KeyTraits<
     std::decay_t<decltype(std::declval<KeyFn>()(std::declval<T>()))>>::
     uint_type;
 
+/// Key projection of a KeyRef: its key image mapped back through
+/// KeyTraits<K>::from_uint, so a search over references compares exactly
+/// as one over the records would.
+template <class K>
+struct RefKey {
+  K operator()(const KeyRef<typename KeyTraits<K>::uint_type>& r) const {
+    return KeyTraits<K>::from_uint(r.key);
+  }
+};
+
 /// Superstep 1 (Start -> LocalSorted): fast shared-memory sort of the
-/// local partition.
+/// local partition. A by-reference sort (sorts_by_ref) stops at its
+/// references: st.refs lists st.data in key order, and the records move
+/// only in superstep 3, straight into their receivers. It is charged as
+/// local_sort charges the same sort, gather included.
 template <class T, class UK, class KeyFn>
 void superstep_local_sort(runtime::Comm& comm, SortState<T, UK>& st,
                           KeyFn key) {
   net::PhaseScope phase(comm.clock(), net::Phase::LocalSort);
+  if (sorts_by_ref<T, KeyFn>(comm.machine(), st.data.size())) {
+    const RadixSortStats rs =
+        radix_sort_refs(std::span<const T>(st.data), key, st.refs);
+    comm.charge_radix_sort(st.data.size(), rs.passes_executed,
+                           rs.used_pairs);
+    return;
+  }
   local_sort(comm, st.data, key);
 }
 
@@ -123,9 +143,14 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
   MultiselectConfig mcfg;
   mcfg.epsilon = cfg.epsilon;
   mcfg.histogram = cfg.histogram;
-  st.splitters = find_splitters(
-      comm, std::span<const T>(st.data.data(), st.data.size()), key,
-      std::span<const usize>(targets), mcfg);
+  using K = std::decay_t<decltype(key(std::declval<T>()))>;
+  st.splitters =
+      st.refs.empty()
+          ? find_splitters(comm, std::span<const T>(st.data), key,
+                           std::span<const usize>(targets), mcfg)
+          : find_splitters(comm, std::span<const KeyRef<UK>>(st.refs),
+                           RefKey<K>{}, std::span<const usize>(targets),
+                           mcfg);
   st.stats.histogram_iterations = st.splitters.iterations;
   st.stats.splitter_probes = st.splitters.probes_total;
   st.stats.histogram_convergence = st.splitters.convergence;
@@ -139,21 +164,26 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
 /// Superstep 3 (SplittersReady -> Exchanged): permutation matrix + data
 /// exchange. st.data becomes the received chunk concatenation; unless the
 /// merge is pinned to the re-sort, the vacated input is kept as st.spare
-/// for the k-way merge to write into.
+/// for the k-way merge to write into. The Alltoallv exchange sends a
+/// by-reference partition through st.refs, so its receivers gather the
+/// records; the k-ary schedule forwards contiguous runs, so it gathers
+/// them first.
 template <class T, class UK, class KeyFn>
 void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
                         KeyFn key, const SortConfig& cfg) {
-  const std::span<const T> sorted_view(st.data.data(), st.data.size());
   ExchangeResult<T> ex;
   switch (cfg.exchange) {
     case ExchangeAlgorithm::KAry:
-      ex = exchange_kary(comm, sorted_view, st.splitters, key,
-                         cfg.exchange_k, cfg.overlap_merge);
+      gather_by_refs(st.data, st.refs);
+      ex = exchange_kary(comm, std::span<const T>(st.data), st.splitters,
+                         key, cfg.exchange_k, cfg.overlap_merge);
       break;
     case ExchangeAlgorithm::Alltoallv:
-      ex = exchange(comm, sorted_view, st.splitters);
+      ex = exchange(comm, std::span<const T>(st.data), st.splitters,
+                    std::span<const KeyRef<UK>>(st.refs));
       break;
   }
+  st.refs = std::vector<KeyRef<UK>>();
   st.stats.elements_sent_off_rank = ex.elements_sent_off_rank;
   if (cfg.merge != MergeStrategy::Sort) st.spare = std::move(st.data);
   st.data = std::move(ex.data);
@@ -204,6 +234,8 @@ void advance_superstep(runtime::Comm& comm, SortState<T, UK>& st, KeyFn key,
     // The spare would sit beside the serialized blob and raise the
     // checkpointed sort's peak by a partition; its merge allocates instead.
     st.spare = std::vector<T>();
+    // A checkpoint holds the sorted partition, whatever superstep 1 did.
+    gather_by_refs(st.data, st.refs);
     comm.checkpoint_to_buddy(*store, static_cast<u64>(st.completed),
                              detail::serialize_state(st));
   }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -126,6 +127,60 @@ inline void kway_seg_step(KWaySegment<T>& st, T* dst, Less less) {
   tree[0] = contender;
 }
 
+/// The cuts of kway_merge_into's two-segment split: cut[0] for the base
+/// run, cut[i + 1] for chunk i; segment 0 takes each run's prefix up to its
+/// cut, segment 1 the rest. The pivot is the median of the largest chunk
+/// (at least one chunk must be non-empty). Every run is first cut at
+/// lower_bound(pivot), so segment 0 holds exactly the elements < pivot;
+/// then elements equal to the pivot move into segment 0 in run order (base
+/// first, each run's in position order) until it holds floor(n / 2), n the
+/// total. A skewed pivot only costs overlap (one segment finishes early),
+/// never correctness, but without the tie fill a tie-heavy merge whose
+/// pivot is its smallest key (Zipf keys) leaves segment 0 empty and runs
+/// as one serial chain.
+///
+/// Stability: in the stable merged order the pivot-equal elements follow
+/// every smaller one and precede every larger one, and among themselves
+/// come in run order, then position order. The fill takes them in exactly
+/// that order and stops at most once part-way through a run, so segment 0
+/// holds a prefix of them and segment 1 the rest. Each segment's merge is
+/// stable, and segment 0's output lies wholly below segment 1's, so the
+/// two concatenate to the stable merge.
+template <class T, class Less>
+std::vector<usize> kway_split_cuts(std::span<const T> base,
+                                   std::span<const std::span<const T>> chunks,
+                                   Less less) {
+  usize big = 0;
+  for (usize i = 1; i < chunks.size(); ++i)
+    if (chunks[i].size() > chunks[big].size()) big = i;
+  const T pivot = chunks[big][chunks[big].size() / 2];
+
+  const usize m = chunks.size();
+  const auto run = [&](usize i) { return i == 0 ? base : chunks[i - 1]; };
+  std::vector<usize> cut(m + 1);
+  usize total = 0;
+  usize low = 0;
+  for (usize i = 0; i <= m; ++i) {
+    const std::span<const T> r = run(i);
+    cut[i] = static_cast<usize>(
+        std::lower_bound(r.begin(), r.end(), pivot, less) - r.begin());
+    low += cut[i];
+    total += r.size();
+  }
+  const usize half = total / 2;
+  for (usize i = 0; i <= m && low < half; ++i) {
+    const std::span<const T> r = run(i);
+    const usize ties = static_cast<usize>(
+        std::upper_bound(r.begin() + static_cast<std::ptrdiff_t>(cut[i]),
+                         r.end(), pivot, less) -
+        r.begin()) - cut[i];
+    const usize take = std::min(ties, half - low);
+    cut[i] += take;
+    low += take;
+  }
+  return cut;
+}
+
 }  // namespace detail
 
 /// Merge the sorted `base` run and the sorted `chunks` into `dst`, which
@@ -136,11 +191,11 @@ inline void kway_seg_step(KWaySegment<T>& st, T* dst, Less less) {
 ///
 /// A single tournament is a serial dependency chain — each placed element's
 /// replay feeds the next winner selection — which leaves a 1-wide core
-/// mostly idle between L1 loads. The merge is therefore value-split at a
-/// pivot into two independent halves (every run cut with lower_bound, so
-/// equal keys never straddle the cut and stability is preserved) whose
-/// loser trees are stepped alternately in one loop: the two chains overlap
-/// in the out-of-order window for ~1.7x the throughput of one tree.
+/// mostly idle between L1 loads. The merge is therefore value-split into
+/// two independent segments (detail::kway_split_cuts: a pivot cut, evened
+/// out over the pivot's ties, stable) whose loser trees are stepped
+/// alternately in one loop: the two chains overlap in the out-of-order
+/// window for ~1.7x the throughput of one tree.
 template <class T, class Less>
 void kway_merge_into(std::span<T> dst, std::span<const T> base,
                      std::span<const std::span<const T>> chunks, Less less) {
@@ -153,28 +208,10 @@ void kway_merge_into(std::span<T> dst, std::span<const T> base,
     return;
   }
 
-  // Pivot = the median of the largest chunk. A skewed pivot only costs
-  // overlap (one segment finishes early), never correctness.
-  usize big = 0;
-  for (usize i = 1; i < chunks.size(); ++i)
-    if (chunks[i].size() > chunks[big].size()) big = i;
-  const T pivot = chunks[big][chunks[big].size() / 2];
-
-  // Cut every run at lower_bound(pivot): elements < pivot form segment 0,
-  // the rest segment 1. All copies of an equal key land in one segment, so
-  // the per-segment tie rule (later run wins the max-tournament) yields
-  // global stability.
   const usize m = chunks.size();
-  std::vector<usize> cut(m + 1);
-  cut[0] = static_cast<usize>(
-      std::lower_bound(base.begin(), base.end(), pivot, less) - base.begin());
-  usize low_total = cut[0];
-  for (usize i = 0; i < m; ++i) {
-    cut[i + 1] = static_cast<usize>(
-        std::lower_bound(chunks[i].begin(), chunks[i].end(), pivot, less) -
-        chunks[i].begin());
-    low_total += cut[i + 1];
-  }
+  const std::vector<usize> cut = detail::kway_split_cuts(base, chunks, less);
+  usize low_total = 0;
+  for (usize c : cut) low_total += c;
 
   std::vector<std::span<const T>> lo_slices(m);
   std::vector<std::span<const T>> hi_slices(m);

@@ -68,6 +68,21 @@ bool use_radix(const net::MachineModel& m, usize n) {
   }
 }
 
+/// Does local_sort sort `n` records by reference — the radix kernel on a
+/// record wider than three key images (kSortsByRef)? Superstep 1 then
+/// stops at the references (core/histogram_sort.h).
+template <class T, class KeyFn>
+bool sorts_by_ref(const net::MachineModel& m, usize n) {
+  using K = std::decay_t<decltype(std::declval<KeyFn>()(std::declval<T>()))>;
+  if constexpr (Bisectable<K>) {
+    if constexpr (kSortsByRef<T, typename KeyTraits<K>::uint_type>)
+      return use_radix<K>(m, n);
+  }
+  (void)m;
+  (void)n;
+  return false;
+}
+
 /// Sort the local partition by a key projection; charged as the shared
 /// memory sort of superstep 1 with the cost of the kernel that ran.
 template <class T, class KeyFn>

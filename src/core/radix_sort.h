@@ -30,8 +30,10 @@
 //
 // Records are sorted by materializing (uint key, value) pairs — the key
 // projection runs exactly once per element, not O(log n) times as under a
-// comparison sort — or, for large values, (uint key, index) pairs followed
-// by a single gather permutation.
+// comparison sort — or, for large values, (uint key, index) references
+// (radix_sort_refs) followed by a single gather (gather_by_refs). The sort's
+// superstep 1 stops at the references, and its exchange gathers each record
+// straight into its receiver (DESIGN.md sec. 11).
 #pragma once
 
 #include <algorithm>
@@ -44,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/types.h"
 #include "core/key_traits.h"
 
@@ -243,10 +246,57 @@ RadixSortStats radix_sort_keys(std::vector<T>& keys) {
       keys, [](const T& v) { return Traits::to_uint(v); });
 }
 
+/// A record sorted by reference: its key image and its index in the
+/// unsorted input.
+template <class UK>
+struct KeyRef {
+  UK key;
+  usize index;
+};
+
+/// Whether radix_sort_by_key sorts records of type T with key image UK by
+/// reference: a record wider than three key images moves as a KeyRef and is
+/// gathered once, instead of riding along as a (key, value) pair.
+template <class T, class UK>
+inline constexpr bool kSortsByRef = sizeof(T) > 3 * sizeof(UK);
+
+/// Sort references to `data` by a bisectable key projection, leaving `data`
+/// in place: afterwards refs[j].index is the j-th record in key order. The
+/// projection is evaluated once per element. Stable.
+template <class T, class KeyFn, class UK>
+RadixSortStats radix_sort_refs(std::span<const T> data, KeyFn key,
+                               std::vector<KeyRef<UK>>& refs) {
+  using Traits = KeyTraits<std::decay_t<decltype(key(std::declval<T>()))>>;
+  static_assert(std::is_same_v<UK, typename Traits::uint_type>);
+  const usize n = data.size();
+  refs.clear();
+  refs.reserve(n);
+  for (usize i = 0; i < n; ++i)
+    refs.push_back(KeyRef<UK>{Traits::to_uint(key(data[i])), i});
+  RadixSortStats st = radix_detail::radix_sort(
+      refs, [](const KeyRef<UK>& r) { return r.key; });
+  st.used_pairs = true;
+  return st;
+}
+
+/// Replace `data` by the records `refs` names, in refs order (the one gather
+/// of a by-reference sort), and release `refs`. An empty `refs` means `data`
+/// is already in order and leaves it untouched.
+template <class T, class UK>
+void gather_by_refs(std::vector<T>& data, std::vector<KeyRef<UK>>& refs) {
+  if (refs.empty()) return;
+  HDS_CHECK(refs.size() == data.size());
+  std::vector<T> out;
+  out.reserve(refs.size());
+  for (const KeyRef<UK>& r : refs) out.push_back(std::move(data[r.index]));
+  data = std::move(out);
+  refs = std::vector<KeyRef<UK>>();
+}
+
 /// Sort records by a bisectable key projection. The projection is evaluated
 /// exactly once per element: small records ride along as (uint key, value)
-/// pairs through every pass; large records are sorted as (uint key, index)
-/// pairs and gathered once at the end. Stable.
+/// pairs through every pass; large records (kSortsByRef) are sorted by
+/// reference and gathered once at the end. Stable.
 template <class T, class KeyFn>
 RadixSortStats radix_sort_by_key(std::vector<T>& data, KeyFn key) {
   using K = std::decay_t<decltype(key(std::declval<T>()))>;
@@ -258,7 +308,7 @@ RadixSortStats radix_sort_by_key(std::vector<T>& data, KeyFn key) {
   const usize n = data.size();
   if (n < 2) return st;
 
-  if constexpr (sizeof(T) <= 3 * sizeof(UK)) {
+  if constexpr (!kSortsByRef<T, UK>) {
     struct Pair {
       UK k;
       T v;
@@ -269,23 +319,12 @@ RadixSortStats radix_sort_by_key(std::vector<T>& data, KeyFn key) {
     st = radix_detail::radix_sort(pairs,
                                       [](const Pair& p) { return p.k; });
     for (usize i = 0; i < n; ++i) data[i] = std::move(pairs[i].v);
+    st.used_pairs = true;
   } else {
-    struct Ref {
-      UK k;
-      usize i;
-    };
-    std::vector<Ref> refs;
-    refs.reserve(n);
-    for (usize i = 0; i < n; ++i)
-      refs.push_back(Ref{Traits::to_uint(key(data[i])), i});
-    st = radix_detail::radix_sort(refs,
-                                      [](const Ref& r) { return r.k; });
-    std::vector<T> out;
-    out.reserve(n);
-    for (const Ref& r : refs) out.push_back(std::move(data[r.i]));
-    data = std::move(out);
+    std::vector<KeyRef<UK>> refs;
+    st = radix_sort_refs(std::span<const T>(data), key, refs);
+    gather_by_refs(data, refs);
   }
-  st.used_pairs = true;
   return st;
 }
 

@@ -22,6 +22,7 @@
 #include "common/error.h"
 #include "common/types.h"
 #include "core/multiselect.h"
+#include "core/radix_sort.h"
 
 namespace hds::core {
 
@@ -85,9 +86,15 @@ struct SortState {
   SuperstepId completed = SuperstepId::Start;
   usize out_capacity = 0;
   /// The partition at this boundary: raw input (Start), sorted run
-  /// (LocalSorted / SplittersReady), received chunk concatenation
-  /// (Exchanged), merged output (Done).
+  /// (LocalSorted / SplittersReady; but see `refs`), received chunk
+  /// concatenation (Exchanged), merged output (Done).
   std::vector<T> data;
+  /// Superstep 1's by-reference sort (radix_sort_refs): when non-empty, at
+  /// LocalSorted and SplittersReady, `data` is still in input order and
+  /// `refs` lists it in key order; superstep 3 sends the records through
+  /// it. Host memory only: a checkpointed sort gathers `data` into order
+  /// before it serializes (gather_by_refs), so `refs` is never serialized.
+  std::vector<KeyRef<UK>> refs;
   /// Splitter-search result; meaningful from SplittersReady on.
   SplitterResult<UK> splitters;
   /// Received-chunk manifest (per-source counts); meaningful at Exchanged.

@@ -9,6 +9,8 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -94,6 +96,22 @@ struct TeamConfig {
   model::ScheduleRecorder* recorder = nullptr;
 };
 
+/// A sender's order for the pull alltoallv (Comm::alltoallv_into): its send
+/// sequence is data[index(0)], data[index(1)], ..., where index(j) is the
+/// usize stored `j * stride` bytes past `first`, so an array of records
+/// that carry an index (core::KeyRef) serves as the order in place. A null
+/// `first` means the send sequence is the data itself.
+struct SendOrder {
+  const std::byte* first = nullptr;
+  usize stride = 0;
+
+  usize index(usize j) const {
+    usize i;
+    std::memcpy(&i, first + j * stride, sizeof i);
+    return i;
+  }
+};
+
 namespace detail {
 
 /// One rank's contribution to the collective in flight.
@@ -101,6 +119,7 @@ struct PubSlot {
   const void* in = nullptr;
   usize bytes = 0;
   const usize* counts = nullptr;  ///< optional per-destination element counts
+  SendOrder order;  ///< pull alltoallv: the order of `in` it sends
   double clock = 0.0;
   u32 op_id = 0;   ///< collective type, checked in debug builds
   u32 flags = 0;   ///< op-specific bits (kSlotWantsCounts)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -252,6 +253,65 @@ TEST(CheckedRunTest, ExchangeKernelGridIsViolationFree) {
     EXPECT_TRUE(rep.clean()) << rep.summary();
     EXPECT_GT(rep.collectives_checked, 0u);
   }
+}
+
+/// 64-byte record: wide enough that superstep 1 sorts it by reference and
+/// the Alltoallv's receivers gather it through the senders' orders.
+struct WideRec {
+  u64 key;
+  std::array<u64, 7> payload;
+};
+
+struct WideKey {
+  u64 operator()(const WideRec& r) const { return r.key; }
+};
+
+std::vector<std::vector<WideRec>> make_wide_shards(int P, usize n) {
+  std::vector<std::vector<WideRec>> shards(P);
+  for (int r = 0; r < P; ++r)
+    for (u64 k : workload::generate_u64({}, r, P, n))
+      shards[r].push_back({k, {k, k, k, k, k, k, k}});
+  return shards;
+}
+
+TEST(CheckedRunTest, RecordGatherSortIsViolationFree) {
+  const int P = 4;
+  auto shards = make_wide_shards(P, 600);
+  for (auto ex :
+       {core::ExchangeAlgorithm::Alltoallv, core::ExchangeAlgorithm::KAry}) {
+    core::SortConfig scfg;
+    scfg.exchange = ex;
+    const CheckReport rep = run_checked(P, [&](Comm& c) {
+      auto local = shards[c.rank()];
+      const bool by_ref =
+          core::sorts_by_ref<WideRec, WideKey>(c.machine(), local.size());
+      EXPECT_TRUE(by_ref);
+      core::sort_balanced(c, local, WideKey{}, scfg);
+      EXPECT_TRUE(core::is_globally_sorted(
+          c, std::span<const WideRec>(local.data(), local.size()),
+          WideKey{}));
+    });
+    EXPECT_TRUE(rep.clean()) << rep.summary();
+    EXPECT_GT(rep.collectives_checked, 0u);
+  }
+}
+
+TEST(MutationTest, ElidedAlltoallvOnTheRecordGatherPathIsFlagged) {
+  const int P = 4;
+  auto shards = make_wide_shards(P, 600);
+  CheckConfig cc{.enabled = true};
+  cc.elide_op = obs::OpKind::Alltoallv;
+  cc.elide_index = 0;  // the Alltoallv that gathers the records
+  const CheckReport rep = run_checked(
+      P,
+      [&](Comm& c) {
+        auto local = shards[c.rank()];
+        core::sort_balanced(c, local, WideKey{});
+      },
+      cc);
+  EXPECT_FALSE(rep.clean()) << "record-gather Alltoallv elision went "
+                               "undetected";
+  EXPECT_GT(rep.joins_elided, 0u);
 }
 
 TEST(CheckedRunTest, GlobalVectorPutBarrierGetIsClean) {

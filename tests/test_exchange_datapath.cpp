@@ -161,6 +161,59 @@ TEST(AlltoallvInto, SpanOverloadRejectsWrongSize) {
                invariant_error);
 }
 
+TEST(AlltoallvInto, SendOrderMatchesPrePermutedData) {
+  // Even ranks send through a KeyRef order (a reversal of their data), odd
+  // ranks as their data lies; each receiver must copy each source the way
+  // that source published, into both destination kinds, at the simulated
+  // time of the same exchange of pre-permuted data.
+  for (int P : {3, 4, 8}) {
+    const PathResult want = run_alltoallv(P, random_counts, IntoMode::Packed);
+    for (bool span_dst : {false, true}) {
+      Team team({.nranks = P});
+      std::vector<std::vector<u64>> got(P);
+      std::vector<std::vector<usize>> got_counts(P);
+      team.run([&](Comm& c) {
+        const std::vector<usize> send = random_counts(P, c.rank());
+        usize total = 0;
+        for (usize s : send) total += s;
+        // run_alltoallv's data, stored reversed when this rank orders.
+        const bool ordered = c.rank() % 2 == 0;
+        std::vector<u64> data(total);
+        std::vector<KeyRef<u64>> refs;
+        for (usize i = 0; i < total; ++i) {
+          const u64 v = (static_cast<u64>(c.rank()) << 32) | i;
+          data[ordered ? total - 1 - i : i] = v;
+          if (ordered) refs.push_back({v, total - 1 - i});
+        }
+        std::vector<u64> out;
+        std::vector<usize> rc;
+        const runtime::SendOrder order =
+            send_order(std::span<const KeyRef<u64>>(refs));
+        if (span_dst) {
+          usize incoming = 0;
+          for (int src = 0; src < P; ++src)
+            incoming += random_counts(P, src)[static_cast<usize>(c.rank())];
+          out.resize(incoming);
+          c.alltoallv_into(std::span<const u64>(data),
+                           std::span<const usize>(send), std::span<u64>(out),
+                           rc, order);
+        } else {
+          c.alltoallv_into(std::span<const u64>(data),
+                           std::span<const usize>(send), out, rc, order);
+        }
+        got[c.rank()] = std::move(out);
+        got_counts[c.rank()] = std::move(rc);
+      });
+      for (int r = 0; r < P; ++r) {
+        EXPECT_EQ(got[r], want.data[r]) << "P=" << P << " rank " << r;
+        EXPECT_EQ(got_counts[r], want.counts[r]) << "P=" << P << " rank " << r;
+        EXPECT_EQ(team.rank_time(r), want.times[r])
+            << "P=" << P << " rank " << r;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sort-level grid: exchange algorithm x kernel vs the packed reference
 // (the kernel follows the per-rank size: 300 keys sort by comparison, 900

@@ -140,6 +140,48 @@ TEST(KWayMerge, MatchesStdSortOnRandomRuns) {
   }
 }
 
+TEST(KWayMerge, AllEqualMergeSplitsEvenlyInRunOrder) {
+  // The pivot is every element's key, so lower_bound puts nothing in
+  // segment 0; the tie fill gives it floor(n / 2) elements, base first.
+  auto less = [](u64 a, u64 b) { return a < b; };
+  const std::vector<u64> base(3, 5);
+  const std::vector<std::vector<u64>> chunks{std::vector<u64>(4, 5),
+                                             std::vector<u64>(5, 5)};
+  std::vector<std::span<const u64>> views(chunks.begin(), chunks.end());
+  const std::vector<usize> cut = detail::kway_split_cuts(
+      std::span<const u64>(base), std::span<const std::span<const u64>>(views),
+      less);
+  EXPECT_EQ(cut, (std::vector<usize>{3, 3, 0}));
+}
+
+TEST(KWayMerge, TieFillStopsAtHalfAndKeepsStability) {
+  // Keys below the pivot stay in segment 0 and ties top it up to
+  // floor(n / 2), cutting one run part-way; the merge stays stable.
+  struct Rec {
+    u64 key;
+    u64 origin;
+  };
+  auto less = [](const Rec& a, const Rec& b) { return a.key < b.key; };
+  const std::vector<Rec> base{{1, 0}, {7, 0}, {7, 0}, {9, 0}};
+  const std::vector<std::vector<Rec>> chunks{
+      {{7, 1}, {7, 1}, {7, 1}, {7, 1}, {7, 1}, {8, 1}},
+      {{2, 2}, {7, 2}, {7, 2}}};
+  std::vector<std::span<const Rec>> views(chunks.begin(), chunks.end());
+  const std::vector<usize> cut = detail::kway_split_cuts(
+      std::span<const Rec>(base), std::span<const std::span<const Rec>>(views),
+      less);
+  // n = 13: the pivot is chunk 1's median (7); {1, 2} lie below it, and four
+  // ties (base's two, then two of chunk 1's) fill segment 0 to 6.
+  EXPECT_EQ(cut, (std::vector<usize>{3, 2, 1}));
+  const std::vector<Rec> out = kway_merge_new(base, chunks, less);
+  for (usize i = 1; i < out.size(); ++i) {
+    EXPECT_LE(out[i - 1].key, out[i].key) << "i=" << i;
+    if (out[i - 1].key == out[i].key) {
+      EXPECT_LE(out[i - 1].origin, out[i].origin) << "i=" << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sort-level grid: k x P x kernel, vs the alltoallv reference
 

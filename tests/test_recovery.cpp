@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -596,6 +598,70 @@ TEST(HybridHistogram, RecoveryModesSurviveCrashInSampledRounds) {
     for (const auto& p : parts)
       EXPECT_TRUE(std::is_sorted(p.begin(), p.end()));
   }
+}
+
+// --- records sorted by reference under faults --------------------------------
+
+/// 64 bytes, so superstep 1 sorts it by reference: RestartFull runs the
+/// deferred gather (the pull Alltoallv's receivers gather the records);
+/// the checkpointed modes gather before their first post-sort checkpoint.
+struct WideRec {
+  u64 key;
+  u64 origin;
+  std::array<u64, 6> payload;
+};
+
+struct WideKey {
+  u64 operator()(const WideRec& r) const { return r.key; }
+};
+
+TEST(RecordRecovery, EveryModeSortsWideRecordsAfterACrash) {
+  constexpr int P = 4;
+  constexpr usize kPerRank = 700;  // above the radix crossover
+  std::vector<std::vector<WideRec>> original(P);
+  std::vector<WideRec> expected;
+  for (int r = 0; r < P; ++r) {
+    Xoshiro256 rng(hash_mix(61, r));
+    for (usize i = 0; i < kPerRank; ++i) {
+      const u64 k = rng();
+      const u64 origin = static_cast<u64>(r) * kPerRank + i;
+      original[r].push_back({k, origin, {k, origin, k ^ origin, 1, 2, 3}});
+    }
+    expected.insert(expected.end(), original[r].begin(), original[r].end());
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const WideRec& a, const WideRec& b) {
+                     return a.key < b.key;
+                   });
+
+  for (core::RecoveryMode mode : {core::RecoveryMode::RestartFull,
+                                  core::RecoveryMode::ResumeCheckpoint,
+                                  core::RecoveryMode::ShrinkSurvivors})
+    for (net::Phase phase : {net::Phase::Histogram, net::Phase::Exchange}) {
+      std::string where(core::recovery_mode_name(mode));
+      where += ", crash in ";
+      where += net::phase_name(phase);
+      SCOPED_TRACE(where);
+      // Histogram op 1 is the second capacity allgather; Exchange op 2 is
+      // the Alltoallv itself.
+      auto plan = std::make_shared<FaultPlan>();
+      plan->crash_rank_at_phase_op(
+          2, phase, phase == net::Phase::Exchange ? 2 : 1);
+      Team team(cfg_with(P, plan, /*watchdog_s=*/20.0));
+      auto parts = original;
+      core::ResilienceConfig rcfg;
+      rcfg.mode = mode;
+      core::ResilienceReport rep;
+      (void)core::sort_resilient(team, parts, WideKey{}, core::SortConfig{},
+                                 rcfg, &rep);
+      EXPECT_GE(rep.failures + rep.recoveries, 1u);  // the crash was seen
+      std::vector<WideRec> got;
+      for (const auto& p : parts) got.insert(got.end(), p.begin(), p.end());
+      ASSERT_EQ(got.size(), expected.size());
+      EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                            got.size() * sizeof(WideRec)),
+                0);
+    }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Alternating-pairs A/B runner for the end-to-end benchmark.
 
     ab_perfbench.py --base DIR --change DIR --workload W [--seed S]
-                    [--pairs 10] [--seconds 30] [--json OUT]
+                    [--pairs 10] [--seconds 30] [--trace 0|1] [--json OUT]
     ab_perfbench.py --selftest
 
 DIR is the root of a checkout (e.g. a clone of the parent commit and the
@@ -21,15 +21,25 @@ neither) and a verdict by the rule of a paired claim:
               beats every base run;
   no change   anything else.
 
-It also prints failed/attempted sorts per side. It reads only BENCHMARK.json
-and perfbench/ of the two trees (the base's BENCHMARK.json defines the
-metrics and bounds). --selftest checks the verdict logic on synthetic
-samples and runs nothing. Standard library only.
+It also prints failed/attempted sorts per side.
+
+With --trace 1 both sides run traced (perfbench's --trace 1) and the table
+pairs the per-layer metrics BENCHMARK.json lists instead: each side's median
+and quartiles, change/base and the pairs the change won. Those metrics carry
+no bound, so they get no verdict; they show which layer moved, on the same
+alternating pairs as the end-to-end claim.
+
+It reads only BENCHMARK.json and perfbench/ of the two trees (the base's
+BENCHMARK.json defines the metrics and bounds). --selftest checks the verdict
+logic and the per-layer table on synthetic samples and runs nothing.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -50,13 +60,23 @@ def summarize(xs: list[float]) -> dict:
             "q3": quantile(xs, 0.75)}
 
 
+def paired(base: list[float], change: list[float], better: str) -> dict:
+    """Quartiles of each side, change/base of the medians and the pairs the
+    change won (base[i] ran beside change[i]; ties count for neither)."""
+    sign = 1.0 if better == "higher" else -1.0
+    b, c = summarize(base), summarize(change)
+    wins = sum(1 for x, y in zip(base, change) if sign * (y - x) > 0)
+    ratio = c["median"] / b["median"] if b["median"] else float("nan")
+    return {"base": b, "change": c, "ratio": ratio, "wins": wins,
+            "pairs": len(base)}
+
+
 def verdict(base: list[float], change: list[float], better: str,
             bound: float) -> dict:
     """Compare paired samples (base[i] ran beside change[i])."""
     sign = 1.0 if better == "higher" else -1.0
-    b, c = summarize(base), summarize(change)
-    wins = sum(1 for x, y in zip(base, change) if sign * (y - x) > 0)
-    pairs = len(base)
+    p = paired(base, change, better)
+    b, c, wins, pairs = p["base"], p["change"], p["wins"], p["pairs"]
     diff = sign * (c["median"] - b["median"])  # > 0: the change is better
     base_iqr = b["q3"] - b["q1"]
     worse_by = -diff / abs(b["median"]) if b["median"] else 0.0
@@ -71,15 +91,14 @@ def verdict(base: list[float], change: list[float], better: str,
         v = "unresolved"
     else:
         v = "no change"
-    ratio = c["median"] / b["median"] if b["median"] else float("nan")
-    return {"base": b, "change": c, "ratio": ratio, "wins": wins,
-            "pairs": pairs, "spread": spread, "verdict": v}
+    return {**p, "spread": spread, "verdict": v}
 
 
-def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_side(tree: str, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds",
-           repr(seconds), "--trace", "0"]
+           repr(seconds), "--trace", str(trace)]
     p = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                        text=True)
     lines = p.stdout.strip().splitlines()
@@ -94,23 +113,27 @@ def fmt(x: float) -> str:
 
 
 def report(metrics: list[dict], results: dict) -> list[dict]:
+    """One row per metric. A metric with a bound (end-to-end) gets a
+    verdict; a per-layer metric has no bound and gets none."""
     rows = []
-    print(f"{'metric':<16} {'base median [q1, q3]':<40} "
+    width = max([16] + [len(m["name"]) for m in metrics])
+    print(f"{'metric':<{width}} {'base median [q1, q3]':<40} "
           f"{'change median [q1, q3]':<40} {'chg/base':>8} {'wins':>6}  "
           "verdict")
     for m in metrics:
         name = m["name"]
         base = [r["metrics"][name]["value"] for r in results["base"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
-        v = verdict(base, change, m["better"], m["bound"])
+        v = (verdict(base, change, m["better"], m["bound"]) if "bound" in m
+             else paired(base, change, m["better"]))
         b, c = v["base"], v["change"]
         cells = [f"{fmt(s['median'])} [{fmt(s['q1'])}, {fmt(s['q3'])}]"
                  for s in (b, c)]
-        print(f"{name:<16} {cells[0]:<40} {cells[1]:<40} "
+        print(f"{name:<{width}} {cells[0]:<40} {cells[1]:<40} "
               f"{v['ratio']:>8.4f} {str(v['wins']) + '/' + str(v['pairs']):>6}  "
-              f"{v['verdict']}")
+              f"{v.get('verdict', '-')}")
         rows.append({"metric": name, "unit": m["unit"], "better": m["better"],
-                     "bound": m["bound"], "base_samples": base,
+                     "bound": m.get("bound"), "base_samples": base,
                      "change_samples": change, **v})
     for side in ("base", "change"):
         failed = sum(r["failed"] for r in results[side])
@@ -147,6 +170,36 @@ def selftest() -> None:
     # Ties count for neither side.
     if verdict([1.0] * 10, [1.0] * 10, "lower", 0.05)["wins"] != 0:
         sys.exit("ab_perfbench selftest FAIL: ties counted as wins")
+    # Per-layer table: paired quartiles, ratio and wins, and no verdict even
+    # where an end-to-end bound would call the change worse.
+    layers = [{"name": "local_sort.crit_s", "unit": "s", "better": "lower"},
+              {"name": "exchange.GBps", "unit": "GB/s", "better": "higher"},
+              {"name": "histogram.rounds", "unit": "count",
+               "better": "lower"}]
+    crit_b = [0.020, 0.021, 0.022, 0.021]
+    crit_c = [0.010, 0.023, 0.011, 0.009]
+    results = {"base": [], "change": []}
+    for i in range(4):
+        for side, crit, gbps in (("base", crit_b[i], 8.0),
+                                 ("change", crit_c[i], 4.0)):
+            results[side].append({"failed": 0, "attempted": 1, "metrics": {
+                "local_sort.crit_s": {"value": crit},
+                "exchange.GBps": {"value": gbps},
+                "histogram.rounds": {"value": 10}}})
+    with contextlib.redirect_stdout(io.StringIO()):
+        rows = {r["metric"]: r for r in report(layers, results)}
+    crit = rows["local_sort.crit_s"]
+    if (crit["wins"], crit["pairs"]) != (3, 4) or "verdict" in crit:
+        sys.exit(f"ab_perfbench selftest FAIL: per-layer row {crit}")
+    if abs(crit["base"]["median"] - 0.021) > 1e-12 or \
+            abs(crit["ratio"] - crit["change"]["median"] / 0.021) > 1e-12:
+        sys.exit(f"ab_perfbench selftest FAIL: per-layer quartiles {crit}")
+    gbps = rows["exchange.GBps"]
+    if gbps["wins"] != 0 or gbps["ratio"] != 0.5 or "verdict" in gbps:
+        sys.exit(f"ab_perfbench selftest FAIL: per-layer row {gbps}")
+    rounds = rows["histogram.rounds"]
+    if rounds["wins"] != 0 or rounds["ratio"] != 1.0:
+        sys.exit(f"ab_perfbench selftest FAIL: per-layer row {rounds}")
     print("ab_perfbench selftest OK")
 
 
@@ -158,6 +211,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--json")
     ap.add_argument("--selftest", action="store_true")
     args = ap.parse_args()
@@ -168,25 +222,28 @@ def main() -> None:
         ap.error("--base, --change, --workload and --pairs >= 1 are required")
 
     with open(os.path.join(args.base, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        metrics = json.load(f)["per_layer" if args.trace else "end_to_end"]
     results: dict = {"base": [], "change": []}
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             tree = args.base if side == "base" else args.change
-            res = run_side(tree, args.workload, args.seed, args.seconds)
+            res = run_side(tree, args.workload, args.seed, args.seconds,
+                           args.trace)
             results[side].append(res)
+            shown = metrics if not args.trace else [
+                m for m in metrics if m["name"].endswith(".crit_s")]
             print(f"pair {i + 1}/{args.pairs} {side}: " + ", ".join(
                 f"{m['name']}={fmt(res['metrics'][m['name']]['value'])}"
-                for m in metrics), flush=True)
+                for m in shown), flush=True)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs")
+          f"{args.seconds:g} s {'traced ' if args.trace else ''}runs")
     rows = report(metrics, results)
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"workload": args.workload, "seed": args.seed,
                        "pairs": args.pairs, "seconds": args.seconds,
-                       "metrics": rows,
+                       "trace": args.trace, "metrics": rows,
                        "failed": {s: sum(r["failed"] for r in results[s])
                                   for s in results},
                        "attempted": {s: sum(r["attempted"]
