@@ -139,7 +139,7 @@ inline void write_wallclock_ledger_if_requested(
 
 /// The pairwise binary merge tree of the Sec. VI-E2 merging study. It
 /// lives here, not in core, because it never beats the tournament; the
-/// merge study and bench_exchange's packed reference still run it.
+/// merge study still runs it.
 /// Merges the sorted runs concatenated in `data` (lengths in
 /// `counts`) level by level, ping-ponging between `data` and the
 /// caller-owned `scratch` (grown to data.size(), kept for reuse). Charges

@@ -1,26 +1,27 @@
-// Exchange data-path study: real wall-clock comparison of the single-copy
-// pull path (core::exchange over Comm::alltoallv_into, DESIGN.md sec. 11)
-// against a packed reference — compute_send_counts followed by the
-// arena-staged Comm::alltoallv — for the exchange and merge supersteps, at
-// P in {8, 16} on u64 keys and 64-byte records.
+// Exchange study (real wall-clock): the k-ary exchange against the sort's
+// own path, at P = 4. Each side runs the sort's supersteps 3 + 4 from the
+// same sorted input and splitters: the reference is the default config
+// (core::exchange, the pull Alltoallv, then merge_chunks under the default
+// merge with the vacated input as its spare), the other the k-ary exchange
+// with k in {2, 4}, with and without overlap_merge, on u64 keys and
+// 64-byte records.
 //
-// Like bench_local_sort this measures *real* time, not simulated time: the
-// two paths charge bit-identical simulated costs by construction (asserted
-// in test_exchange_datapath.cpp), so the only observable difference is the
-// wall-clock of the copies the data path saves. The exchange superstep and
-// the merge superstep are timed separately (barrier-to-barrier on rank 0's
-// clock): the merge does identical comparison-bound work on both paths, so
-// folding it into one number would bury the copy delta the bench exists to
-// see — the CI gate therefore reads the phase=="exchange" cells, while the
-// "exchange+merge" cells document the end-to-end effect. Splitters are
-// computed once per cell and reused across reps. Emits BENCH_exchange.json
-// (one object per (type, P, path, phase) cell) consumed by the ci.sh perf
-// gate.
+// P = 4 keeps one rank thread per core on a 4-core host: with more ranks
+// than cores, host wall time measures the OS scheduler (perfbench/README.md).
+// Host time is noisy, so each cell runs --pairs alternating pairs inside one
+// Team: pair i times both sides back to back, the Alltoallv side first on
+// even i, so slow phases of the host hit both sides alike. Each side's time
+// is barrier to barrier on rank 0's wall clock, beside the thread-CPU its
+// ranks spent, summed. The cells carry every pair's samples;
+// tools/validate_bench.py exchange judges the k-ary claim from them with
+// tools/ab_perfbench.py's own paired-sample rules. Emits BENCH_exchange.json.
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,6 @@
 #include "common/table.h"
 #include "core/exchange.h"
 #include "core/histogram_sort.h"
-#include "core/merge.h"
 #include "runtime/comm.h"
 #include "runtime/team.h"
 
@@ -44,6 +44,13 @@ double now_s() {
       .count();
 }
 
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// 64-byte record: sort key plus 56 payload bytes, the paper's "large
 /// element" regime where copy cost dominates comparison cost.
 struct Rec64 {
@@ -51,165 +58,178 @@ struct Rec64 {
   u64 pad[7];
 };
 
+constexpr int kRanks = 4;
+
+/// Per-pair samples of one side of a cell.
+struct Side {
+  std::vector<double> wall_s;  ///< rank 0's barrier-to-barrier seconds
+  std::vector<double> cpu_s;   ///< thread-CPU seconds, summed over ranks
+};
+
 struct Cell {
   std::string type;
-  int nranks = 0;
-  std::string path;
-  std::string phase;  // "exchange" | "exchange+merge"
   usize n_per_rank = 0;
-  double seconds_median = 0.0;
-  double speedup_vs_packed = 1.0;
-  std::string algo = "alltoallv";  // "alltoallv" | "kary"
-  int k = 0;                       // k-ary radix; 0 for alltoallv
-  /// Per-round simulated-time attribution (k-ary cells only): how much of
-  /// each round is communication vs overlapped tail merge on rank 0.
+  int k = 0;
+  bool overlap = false;
+  Side alltoallv;  ///< the sort's default path
+  Side kary;
+  /// Per-round simulated-time attribution of rank 0's k-ary exchange: how
+  /// much of each round is communication vs overlapped tail merge.
   std::vector<core::KAryRoundTrace> rounds;
 };
 
-struct Timing {
-  double exchange = 0.0;  ///< median seconds, exchange superstep only
-  double total = 0.0;     ///< median seconds, exchange + merge
-};
-
-/// The packed reference exchange: the pull path's send counts, moved by the
-/// arena-staged collective (executor packs, receivers copy out).
-template <class T, class UK>
-core::ExchangeResult<T> exchange_packed(runtime::Comm& c,
-                                        std::span<const T> sorted_local,
-                                        const core::SplitterResult<UK>& sp) {
-  net::PhaseScope phase(c.clock(), net::Phase::Exchange);
-  core::ExchangeResult<T> out;
-  const std::vector<usize> send =
-      core::compute_send_counts(c, sorted_local.size(), sp);
-  out.data = c.alltoallv(sorted_local, std::span<const usize>(send),
-                         &out.recv_counts);
-  return out;
+/// Pairs whose k-ary wall time beat the Alltoallv one (ties count for
+/// neither side).
+usize wins(const Cell& c) {
+  usize w = 0;
+  for (usize i = 0; i < c.kary.wall_s.size(); ++i)
+    if (c.kary.wall_s[i] < c.alltoallv.wall_s[i]) ++w;
+  return w;
 }
 
-/// `merge` names core's merge strategy for the merge superstep; nullopt
-/// (the default `--merge=binary-tree`) runs bench::pairwise_merge_tree.
+double speedup(const Cell& c) {
+  const double kary = median(c.kary.wall_s);
+  return kary > 0.0 ? median(c.alltoallv.wall_s) / kary : 0.0;
+}
+
+/// Runs `pairs` alternating pairs of the sort's supersteps 3 + 4 under the
+/// default config and under k-ary (k, overlap), inside one Team.
 template <class T, class KeyFn, class MakeFn>
-Timing time_exchange(int P, usize n, int reps, u64 seed, bool packed,
-                     std::optional<core::MergeStrategy> merge, KeyFn key,
-                     MakeFn make) {
-  runtime::Team team({.nranks = P});
-  std::vector<double> t_exchange, t_total;
+void run_cell(Cell& cell, int pairs, u64 seed, KeyFn key, MakeFn make) {
+  const usize n = cell.n_per_rank;
+  core::SortConfig kary_cfg;
+  kary_cfg.exchange = core::ExchangeAlgorithm::KAry;
+  kary_cfg.exchange_k = cell.k;
+  kary_cfg.overlap_merge = cell.overlap;
+  const core::SortConfig configs[2] = {core::SortConfig{}, kary_cfg};
+  Side* sides[2] = {&cell.alltoallv, &cell.kary};
+  std::vector<double> cpu(kRanks, 0.0);  // one slot per rank and run
+
+  runtime::Team team({.nranks = kRanks});
   team.run([&](runtime::Comm& c) {
+    using UK = core::SortKeyImage<T, KeyFn>;
     Xoshiro256 rng(hash_mix(seed, static_cast<u64>(c.rank())));
     std::vector<T> local(n);
     for (auto& v : local) v = make(rng);
-    std::sort(local.begin(), local.end(),
-              [&](const T& a, const T& b) { return key(a) < key(b); });
+    const auto less = [&](const T& a, const T& b) { return key(a) < key(b); };
+    std::sort(local.begin(), local.end(), less);
     const std::span<const T> sorted_view(local.data(), local.size());
-
-    std::vector<usize> targets(static_cast<usize>(P) - 1);
+    std::vector<usize> targets(kRanks - 1);
     for (usize b = 0; b < targets.size(); ++b) targets[b] = (b + 1) * n;
     const auto sp = core::find_splitters(c, sorted_view, key,
                                          std::span<const usize>(targets));
-    const auto run_exchange = [&] {
-      return packed ? exchange_packed(c, sorted_view, sp)
-                    : core::exchange(c, sorted_view, sp);
-    };
 
-    // Two separate rep loops rather than split timestamps in one: the merge
-    // between reps perturbs allocator and cache state enough to swamp the
-    // exchange delta on an oversubscribed host, so the gated exchange cells
-    // are measured with nothing else in the loop.
-    for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
+    // One side's supersteps 3 + 4 from a fresh copy of the sorted input,
+    // which superstep 3 vacates into the merge's spare as in the sort.
+    struct Run {
+      std::vector<T> out;
+      double wall_s = 0.0;
+      double cpu_s = 0.0;  ///< summed over ranks; rank 0 only
+    };
+    const auto run_side = [&](const core::SortConfig& cfg) {
+      core::SortState<T, UK> st;
+      st.data = local;
+      st.out_capacity = n;
+      st.splitters = sp;
+      st.completed = core::SuperstepId::SplittersReady;
       c.barrier();
       const double t0 = now_s();
-      auto ex = run_exchange();
+      const double c0 = thread_cpu_s();
+      core::advance_superstep(c, st, key, cfg);  // exchange
+      core::advance_superstep(c, st, key, cfg);  // merge
+      cpu[static_cast<usize>(c.rank())] = thread_cpu_s() - c0;
       c.barrier();
-      const double t1 = now_s();
-      usize off = 0;
-      for (const usize cnt : ex.recv_counts) {
-        if (!std::is_sorted(
-                ex.data.begin() + static_cast<std::ptrdiff_t>(off),
-                ex.data.begin() + static_cast<std::ptrdiff_t>(off + cnt),
-                            [&](const T& a, const T& b) {
-                              return key(a) < key(b);
-                            })) {
-          std::cerr << "FATAL: exchange produced an unsorted chunk\n";
-          std::exit(1);
-        }
-        off += cnt;
-      }
-      if (c.rank() == 0 && r > 0) t_exchange.push_back(t1 - t0);
-    }
-    std::vector<T> scratch;  // the binary tree's, kept across reps
-    for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
-      c.barrier();
-      const double t0 = now_s();
-      auto ex = run_exchange();
-      const std::span<const usize> counts(ex.recv_counts);
-      if (merge)
-        core::merge_chunks(c, ex.data, counts, *merge, key);
-      else
-        bench::pairwise_merge_tree(c, ex.data, counts, key, scratch);
-      c.barrier();
-      const double t1 = now_s();
-      if (!std::is_sorted(ex.data.begin(), ex.data.end(),
-                          [&](const T& a, const T& b) {
-                            return key(a) < key(b);
-                          })) {
+      const double wall = now_s() - t0;
+      if (!std::is_sorted(st.data.begin(), st.data.end(), less) ||
+          st.data.size() != n) {
         std::cerr << "FATAL: exchange+merge produced unsorted output\n";
         std::exit(1);
       }
-      if (c.rank() == 0 && r > 0) t_total.push_back(t1 - t0);
+      // Rank 0 reads the other ranks' slots after barrier 2; they write
+      // them again only after the next run's first barrier.
+      Run run{std::move(st.data), wall, 0.0};
+      if (c.rank() == 0)
+        for (double s : cpu) run.cpu_s += s;
+      return run;
+    };
+
+    // Warmup: both sides once, untimed; they must agree byte for byte
+    // (both are stable, so records with equal keys leave in one order).
+    const Run ref = run_side(configs[0]);
+    const Run got = run_side(configs[1]);
+    if (std::memcmp(ref.out.data(), got.out.data(), n * sizeof(T)) != 0) {
+      std::cerr << "FATAL: k-ary output differs from the Alltoallv path's\n";
+      std::exit(1);
     }
-  });
-  return {median(std::move(t_exchange)), median(std::move(t_total))};
-}
+    // The per-round breakdown is simulated time, so one untimed call
+    // captures it.
+    (void)core::exchange_kary(c, sorted_view, sp, key, cell.k, cell.overlap,
+                              c.rank() == 0 ? &cell.rounds : nullptr);
 
-/// The k-ary exchange with overlap returns one already-merged run; timing
-/// it barrier-to-barrier therefore covers the "exchange+merge" phase. The
-/// per-round simulated breakdown (communication vs overlapped merge) is
-/// captured from rank 0 during the warmup rep — it is deterministic.
-template <class T, class KeyFn, class MakeFn>
-double time_kary(int P, usize n, int reps, u64 seed, int k, KeyFn key,
-                 MakeFn make, std::vector<core::KAryRoundTrace>& trace_out) {
-  runtime::Team team({.nranks = P});
-  std::vector<double> t_total;
-  team.run([&](runtime::Comm& c) {
-    Xoshiro256 rng(hash_mix(seed, static_cast<u64>(c.rank())));
-    std::vector<T> local(n);
-    for (auto& v : local) v = make(rng);
-    std::sort(local.begin(), local.end(),
-              [&](const T& a, const T& b) { return key(a) < key(b); });
-    const std::span<const T> sorted_view(local.data(), local.size());
-
-    std::vector<usize> targets(static_cast<usize>(P) - 1);
-    for (usize b = 0; b < targets.size(); ++b) targets[b] = (b + 1) * n;
-    const auto sp = core::find_splitters(c, sorted_view, key,
-                                         std::span<const usize>(targets));
-
-    for (int r = 0; r <= reps; ++r) {  // rep 0 is a warmup
-      c.barrier();
-      const double t0 = now_s();
-      auto ex = core::exchange_kary(
-          c, sorted_view, sp, key, k, /*overlap_merge=*/true,
-          (r == 0 && c.rank() == 0) ? &trace_out : nullptr);
-      c.barrier();
-      const double t1 = now_s();
-      if (!std::is_sorted(ex.data.begin(), ex.data.end(),
-                          [&](const T& a, const T& b) {
-                            return key(a) < key(b);
-                          })) {
-        std::cerr << "FATAL: k-ary exchange produced unsorted output\n";
-        std::exit(1);
+    for (int i = 0; i < pairs; ++i) {
+      for (int j = 0; j < 2; ++j) {
+        const int side = (i % 2 == 0) ? j : 1 - j;
+        const Run run = run_side(configs[side]);
+        if (c.rank() == 0) {
+          sides[side]->wall_s.push_back(run.wall_s);
+          sides[side]->cpu_s.push_back(run.cpu_s);
+        }
       }
-      if (c.rank() == 0 && r > 0) t_total.push_back(t1 - t0);
     }
   });
-  return median(std::move(t_total));
 }
 
-/// One representative traced run for --trace / --ledger (satellite of the
-/// observability PR): u64 keys at P=16 through the k-ary exchange
-/// with merge overlap — the configuration the CI gate watches — executed
-/// once in a trace-enabled team so the run ledger gets real slices. The
-/// wall-clock cells above stay untraced: tracing is observational for
-/// simulated time but not for the real time they measure.
+/// "median [q1, q3]" in milliseconds, for the table.
+std::string fmt_ms(const std::vector<double>& xs) {
+  return fmt(median(xs) * 1e3) + " [" + fmt(percentile(xs, 25.0) * 1e3) +
+         ", " + fmt(percentile(xs, 75.0) * 1e3) + "]";
+}
+
+void write_side(std::ostream& out, const char* name, const Side& s) {
+  const auto list = [&](const std::vector<double>& xs) {
+    out << "[";
+    for (usize i = 0; i < xs.size(); ++i) out << (i ? ", " : "") << xs[i];
+    out << "]";
+  };
+  out << ", \"" << name << "_wall_s\": ";
+  list(s.wall_s);
+  out << ", \"" << name << "_wall_median\": " << median(s.wall_s) << ", \""
+      << name << "_wall_q1\": " << percentile(s.wall_s, 25.0) << ", \""
+      << name << "_wall_q3\": " << percentile(s.wall_s, 75.0) << ", \""
+      << name << "_cpu_s\": ";
+  list(s.cpu_s);
+  out << ", \"" << name << "_cpu_median\": " << median(s.cpu_s);
+}
+
+void write_json(const std::string& path, const std::vector<Cell>& cells) {
+  std::ofstream out(path);
+  out.precision(9);
+  out << "[\n";
+  for (usize i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    out << "  {\"type\": \"" << c.type << "\", \"nranks\": " << kRanks
+        << ", \"n_per_rank\": " << c.n_per_rank << ", \"k\": " << c.k
+        << ", \"overlap\": " << (c.overlap ? "true" : "false")
+        << ", \"pairs\": " << c.kary.wall_s.size();
+    write_side(out, "alltoallv", c.alltoallv);
+    write_side(out, "kary", c.kary);
+    out << ", \"wins\": " << wins(c) << ", \"speedup\": " << speedup(c)
+        << ", \"rounds\": [";
+    for (usize r = 0; r < c.rounds.size(); ++r)
+      out << (r ? ", " : "") << "{\"round\": " << r
+          << ", \"exchange_s\": " << c.rounds[r].comm_s
+          << ", \"merge_s\": " << c.rounds[r].merge_s << "}";
+    out << "]}" << (i + 1 < cells.size() ? "," : "") << "\n";
+  }
+  out << "]\n";
+}
+
+/// One representative traced run for --trace / --ledger: u64 keys at P=16
+/// through the k-ary exchange with merge overlap, executed once in a
+/// trace-enabled team so the run ledger gets real slices. It measures only
+/// simulated time, which does not depend on the host, so it keeps the rank
+/// count and config its history cells were recorded with; the wall-clock
+/// cells above stay untraced.
 void run_traced_representative(const bench::Args& args, usize n, u64 seed,
                                const std::vector<Cell>& cells) {
   if (!args.has("trace") && !args.has("ledger")) return;
@@ -248,9 +268,9 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
   bench::write_trace_if_requested(args, team);
 
   // Headline cells for the perf history: deterministic simulated seconds
-  // from the traced run (gated at >10% regression) plus the wall-clock
-  // speedups of the gate cells (recorded, warn-only — they move with the
-  // host machine).
+  // from the traced run (gated at >10% regression) plus the best u64 k-ary
+  // cell's wall-clock speedup over the sort's Alltoallv path at P = 4
+  // (recorded, warn-only — it moves with the host machine).
   std::vector<std::pair<std::string, double>> scalars = {
       {"sim_makespan_s", team.stats().makespan_s},
       {"sim_exchange_s", team.stats().phase_seconds(net::Phase::Exchange)},
@@ -258,16 +278,11 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
       {"sim_histogram_s", team.stats().phase_seconds(net::Phase::Histogram)},
   };
   double best_kary = 0.0;
-  for (const Cell& cell : cells) {
-    if (cell.type != "u64" || cell.nranks != P) continue;
-    if (cell.algo == "kary")
-      best_kary = std::max(best_kary, cell.speedup_vs_packed);
-    else if (cell.path == "pull" && cell.phase == "exchange")
-      scalars.emplace_back("wall_pull_speedup_u64_exchange",
-                           cell.speedup_vs_packed);
-  }
+  for (const Cell& cell : cells)
+    if (cell.type == "u64") best_kary = std::max(best_kary, speedup(cell));
   if (best_kary > 0.0)
-    scalars.emplace_back("wall_kary_best_speedup_u64", best_kary);
+    scalars.emplace_back("wall_kary_best_speedup_vs_alltoallv_u64_p4",
+                         best_kary);
 
   bench::write_ledger_if_requested(
       args, team, "bench_exchange", static_cast<u64>(n) * P,
@@ -280,117 +295,33 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
       std::move(scalars));
 }
 
-void write_json(const std::string& path, const std::vector<Cell>& cells) {
-  std::ofstream out(path);
-  out << "[\n";
-  for (usize i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    out << "  {\"type\": \"" << c.type << "\", \"nranks\": " << c.nranks
-        << ", \"path\": \"" << c.path << "\", \"phase\": \"" << c.phase
-        << "\", \"n_per_rank\": " << c.n_per_rank
-        << ", \"seconds_median\": " << c.seconds_median
-        << ", \"speedup_vs_packed\": " << c.speedup_vs_packed
-        << ", \"algo\": \"" << c.algo << "\", \"k\": " << c.k;
-    if (!c.rounds.empty()) {
-      out << ", \"rounds\": [";
-      for (usize r = 0; r < c.rounds.size(); ++r)
-        out << (r ? ", " : "") << "{\"round\": " << r
-            << ", \"exchange_s\": " << c.rounds[r].comm_s
-            << ", \"merge_s\": " << c.rounds[r].merge_s << "}";
-      out << "]";
-    }
-    out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hds;
   const bench::Args args(argc, argv);
-  const int reps = static_cast<int>(args.get_int("reps", 7));
+  const int pairs = static_cast<int>(args.get_int("pairs", 21));
   const u64 seed = static_cast<u64>(args.get_int("seed", 1));
   const usize n_u64 =
       static_cast<usize>(args.get_int("n_u64", i64{1} << 18));
   const usize n_rec =
       static_cast<usize>(args.get_int("n_rec", i64{1} << 15));
   const std::string out_path = args.get_string("out", "BENCH_exchange.json");
-  const std::string merge_arg = args.get_string("merge", "binary-tree");
-  std::optional<core::MergeStrategy> merge;  // binary-tree: bench-local
-  if (merge_arg == "sort") merge = core::MergeStrategy::Sort;
-  if (merge_arg == "tournament") merge = core::MergeStrategy::Tournament;
+  if (pairs < 1) {
+    std::cerr << "bench_exchange: --pairs must be >= 1\n";
+    return 2;
+  }
 
   bench::print_header(
-      "Exchange data-path study (real wall-clock)",
-      "single-copy pull vs packed alltoallv; exchange and merge supersteps, "
-      "median of " +
-          std::to_string(reps) + " reps, merge=" + merge_arg);
+      "Exchange study (real wall-clock)",
+      "k-ary vs the sort's Alltoallv path, supersteps 3 + 4 at P = " +
+          std::to_string(kRanks) + ", " + std::to_string(pairs) +
+          " alternating pairs per cell; median [q1, q3] ms");
 
-  Table table({"type", "P", "n/rank", "phase", "packed t[s]", "pull t[s]",
-               "speedup"});
+  Table table({"type", "n/rank", "k", "overlap", "alltoallv wall",
+               "kary wall", "speedup", "wins", "alltoallv cpu ms",
+               "kary cpu ms"});
   std::vector<Cell> cells;
-
-  Table kary_table({"type", "P", "n/rank", "k", "rounds", "packed t[s]",
-                    "kary t[s]", "speedup"});
-
-  // Returns the packed exchange+merge median — the baseline the k-ary
-  // cells of the same (type, P, n) are gated against.
-  auto run_cell = [&](const std::string& type, int P, usize n, auto key,
-                      auto make) {
-    using T = std::decay_t<decltype(make(std::declval<Xoshiro256&>()))>;
-    const Timing packed =
-        time_exchange<T>(P, n, reps, seed, /*packed=*/true, merge, key, make);
-    const Timing pull = time_exchange<T>(P, n, reps, seed, /*packed=*/false,
-                                         merge, key, make);
-    const auto emit = [&](const std::string& phase, double t_packed,
-                          double t_pull) {
-      const double speedup = t_pull > 0.0 ? t_packed / t_pull : 0.0;
-      Cell packed_cell;
-      packed_cell.type = type;
-      packed_cell.nranks = P;
-      packed_cell.path = "packed";
-      packed_cell.phase = phase;
-      packed_cell.n_per_rank = n;
-      packed_cell.seconds_median = t_packed;
-      Cell pull_cell = packed_cell;
-      pull_cell.path = "pull";
-      pull_cell.seconds_median = t_pull;
-      pull_cell.speedup_vs_packed = speedup;
-      cells.push_back(std::move(packed_cell));
-      cells.push_back(std::move(pull_cell));
-      table.add_row({type, std::to_string(P), std::to_string(n), phase,
-                     fmt(t_packed), fmt(t_pull), fmt(speedup) + "x"});
-    };
-    emit("exchange", packed.exchange, pull.exchange);
-    emit("exchange+merge", packed.total, pull.total);
-    return packed.total;
-  };
-
-  auto run_kary_cell = [&](const std::string& type, int P, usize n, int k,
-                           double packed_total, auto key, auto make) {
-    using T = std::decay_t<decltype(make(std::declval<Xoshiro256&>()))>;
-    Cell cell;
-    cell.type = type;
-    cell.nranks = P;
-    cell.path = "pull";
-    cell.phase = "exchange+merge";
-    cell.n_per_rank = n;
-    cell.algo = "kary";
-    cell.k = k;
-    cell.seconds_median =
-        time_kary<T>(P, n, reps, seed, k, key, make, cell.rounds);
-    cell.speedup_vs_packed = cell.seconds_median > 0.0
-                                 ? packed_total / cell.seconds_median
-                                 : 0.0;
-    kary_table.add_row({type, std::to_string(P), std::to_string(n),
-                        std::to_string(k),
-                        std::to_string(cell.rounds.size()),
-                        fmt(packed_total), fmt(cell.seconds_median),
-                        fmt(cell.speedup_vs_packed) + "x"});
-    cells.push_back(std::move(cell));
-  };
-
   const auto u64_key = [](u64 v) { return v; };
   const auto u64_make = [](Xoshiro256& rng) { return rng(); };
   const auto rec_key = [](const Rec64& r) { return r.key; };
@@ -399,21 +330,30 @@ int main(int argc, char** argv) {
     r.key = rng();
     return r;
   };
-
-  for (int P : {8, 16}) {
-    const double u64_packed = run_cell("u64", P, n_u64, u64_key, u64_make);
-    const double rec_packed = run_cell("rec64", P, n_rec, rec_key, rec_make);
-    for (int k : {2, 4, 8, P}) {
-      if (k == P && P == 8) continue;  // k=8 already covers it
-      run_kary_cell("u64", P, n_u64, k, u64_packed, u64_key, u64_make);
-      run_kary_cell("rec64", P, n_rec, k, rec_packed, rec_key, rec_make);
-    }
-  }
+  for (const bool rec : {false, true})
+    for (int k : {2, 4})
+      for (bool overlap : {false, true}) {
+        Cell cell;
+        cell.type = rec ? "rec64" : "u64";
+        cell.n_per_rank = rec ? n_rec : n_u64;
+        cell.k = k;
+        cell.overlap = overlap;
+        if (rec)
+          run_cell<Rec64>(cell, pairs, seed, rec_key, rec_make);
+        else
+          run_cell<u64>(cell, pairs, seed, u64_key, u64_make);
+        table.add_row({cell.type, std::to_string(cell.n_per_rank),
+                       std::to_string(k), overlap ? "yes" : "no",
+                       fmt_ms(cell.alltoallv.wall_s), fmt_ms(cell.kary.wall_s),
+                       fmt(speedup(cell)) + "x",
+                       std::to_string(wins(cell)) + "/" +
+                           std::to_string(pairs),
+                       fmt(median(cell.alltoallv.cpu_s) * 1e3),
+                       fmt(median(cell.kary.cpu_s) * 1e3)});
+        cells.push_back(std::move(cell));
+      }
 
   std::cout << table.to_string();
-  std::cout << "\nk-ary interleaved exchange (overlap_merge, pull path) vs "
-               "packed alltoallv exchange+merge:\n"
-            << kary_table.to_string();
   run_traced_representative(args, n_u64, seed, cells);
   write_json(out_path, cells);
   std::cout << "wrote " << out_path << " (" << cells.size() << " cells)\n";

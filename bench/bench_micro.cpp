@@ -141,7 +141,10 @@ void BM_Alltoallv(benchmark::State& state) {
     team.run([&](runtime::Comm& c) {
       std::vector<u64> data(per * P, c.rank());
       std::vector<usize> counts(P, per);
-      auto out = c.alltoallv(std::span<const u64>(data), counts);
+      std::vector<u64> out;
+      std::vector<usize> recv_counts;
+      c.alltoallv_into(std::span<const u64>(data),
+                       std::span<const usize>(counts), out, recv_counts);
       benchmark::DoNotOptimize(out.data());
     });
   }

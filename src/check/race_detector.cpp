@@ -11,7 +11,7 @@ namespace hds::check {
 namespace {
 
 /// Logical synchronization shape of a collective (see header).
-enum class Shape : u8 { FullJoin, Star, Prefix, Pairwise };
+enum class Shape : u8 { FullJoin, Star, Pairwise };
 
 /// Exhaustive on purpose — no default. -Wswitch forces a decision here for
 /// every new OpKind, and the opid-coverage lint rule (tools/lint_hds.py)
@@ -32,9 +32,6 @@ Shape shape_of(obs::OpKind op) {
     case obs::OpKind::Broadcast:
     case obs::OpKind::Gatherv:
       return Shape::Star;
-    case obs::OpKind::Scan:
-    case obs::OpKind::Exscan:
-      return Shape::Prefix;
     case obs::OpKind::None:
     case obs::OpKind::Send:
     case obs::OpKind::Recv:
@@ -176,7 +173,6 @@ void RaceDetector::on_collective(const void* comm_id, obs::OpKind op,
     switch (shape) {
       case Shape::FullJoin: skipped = static_cast<u64>(P) * (P - 1); break;
       case Shape::Star: skipped = 2u * static_cast<u64>(P - 1); break;
-      case Shape::Prefix: skipped = static_cast<u64>(P) * (P - 1) / 2; break;
       case Shape::Pairwise: break;
     }
     report_.joins_elided += skipped;
@@ -194,10 +190,6 @@ void RaceDetector::on_collective(const void* comm_id, obs::OpKind op,
           join(m, root_member);
           join(root_member, m);
         }
-        break;
-      case Shape::Prefix:
-        for (int d = 0; d < P; ++d)
-          for (int s = 0; s < d; ++s) join(d, s);
         break;
       case Shape::Pairwise:
         break;
@@ -234,14 +226,6 @@ void RaceDetector::on_collective(const void* comm_id, obs::OpKind op,
       break;
     case obs::OpKind::Gatherv:
       for (int m = 0; m < P; ++m) check_read(root_member, m);
-      break;
-    case obs::OpKind::Scan:
-      for (int d = 0; d < P; ++d)
-        for (int s = 0; s <= d; ++s) check_read(d, s);
-      break;
-    case obs::OpKind::Exscan:
-      for (int d = 0; d < P; ++d)
-        for (int s = 0; s < d; ++s) check_read(d, s);
       break;
     default:  // symmetric data collectives: everyone consumes everyone
       for (int d = 0; d < P; ++d)

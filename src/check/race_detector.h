@@ -21,9 +21,6 @@
 //                    semantics, and weaker than the physical execution.
 //   Gatherv(root)  : the root joins every member's entry clock; non-root
 //                    members only tick. Non-root pairs stay unordered.
-//   Scan / Exscan  : member r joins entry clocks of members < r (prefix
-//                    shape); higher ranks stay unordered with lower ones'
-//                    later events.
 //   Send -> Recv   : pairwise — the message carries the sender's clock,
 //                    the receiver joins it on delivery. Dropped messages
 //                    (fault injection) publish no edge.

@@ -202,6 +202,12 @@ struct KAryRoundTrace {
 /// of arrivals has no later round to hide in and is charged in full.
 /// Without `overlap_merge` the chunks are concatenated and recv_counts
 /// returned for the superstep-4 merge.
+///
+/// Each round places the runs received for a destination from partners
+/// with a lower group digit before the runs this rank already holds for it,
+/// and those from higher digits after, so every bucket lists its runs in
+/// source-rank order and equal keys leave in the Alltoallv path's order
+/// (each drain merges the held output at the same split).
 template <class T, class UK, class KeyFn>
 ExchangeResult<T> exchange_kary(
     runtime::Comm& comm, std::span<const T> sorted_local,
@@ -241,25 +247,36 @@ ExchangeResult<T> exchange_kary(
   std::vector<std::span<const T>> pending;  // final-destination arrivals
   std::vector<std::unique_ptr<T[]>> arrivals;  // keep-alive arrival buffers
   // The rank's own kept slice stays in sorted_local until the first drain
-  // merges it (as the base run of kway_merge_into) — no upfront copy.
+  // merges it — no upfront copy.
   const std::span<const T> kept = sorted_local.subspan(offsets[me], send[me]);
   bool kept_in_acc = !overlap_merge;
 
-  // Merge the pending runs with the base run (first drain: the kept slice,
-  // directly out of sorted_local; later: acc) into a new buffer that then
-  // replaces acc; charged by `charge`.
+  // The first `pending_split` pending runs came from lower group digits
+  // than this rank's in the round that received them.
+  usize pending_split = 0;
+
+  // Merge the pending runs with the held output (first drain: the kept
+  // slice, directly out of sorted_local; later: acc), placed between the
+  // runs from lower and higher group digits, into a new buffer that then
+  // replaces acc; charged by `charge`. The first run of that order is the
+  // merge's base, so the base is never an empty span.
   auto drain_pending = [&](auto&& charge) {
-    const std::span<const T> base =
+    const std::span<const T> held =
         kept_in_acc ? std::span<const T>(acc) : kept;
-    const usize nruns = pending.size() + (base.empty() ? 0 : 1);
-    usize add = 0;
-    for (const auto& run : pending) add += run.size();
-    std::vector<T> next(base.size() + add);
-    kway_merge_into(std::span<T>(next), base,
-                    std::span<const std::span<const T>>(pending), less);
+    const auto split = pending.begin() + static_cast<std::ptrdiff_t>(
+                                             pending_split);
+    std::vector<std::span<const T>> runs(pending.begin(), split);
+    if (!held.empty()) runs.push_back(held);
+    runs.insert(runs.end(), split, pending.end());
+    usize n = 0;
+    for (const auto& run : runs) n += run.size();
+    std::vector<T> next(n);
+    kway_merge_into(std::span<T>(next), runs[0],
+                    std::span<const std::span<const T>>(runs).subspan(1),
+                    less);
     acc.swap(next);
     kept_in_acc = true;
-    charge(acc.size(), nruns);
+    charge(acc.size(), runs.size());
     pending.clear();
   };
 
@@ -336,12 +353,22 @@ ExchangeResult<T> exchange_kary(
       if (round_trace) (*round_trace)[r].merge_s = comm.clock().now() - m0;
     }
 
-    // Receive from every group partner and dispatch the runs: final
-    // destination runs (d == me) feed the overlap pipeline, the rest are
-    // forwarded in a later round. In the last round every digit has been
+    // Receive from every group partner in digit order and dispatch the
+    // runs: final destination runs (d == me) feed the overlap pipeline, the
+    // rest are forwarded in a later round. The runs this rank held for the
+    // destinations it keeps come from sources with its own digit, so they
+    // go in at c == digit. In the last round every digit has been
     // resolved, so every incoming run is for this rank.
+    std::vector<std::vector<std::span<const T>>> holding(P);
+    holding.swap(bucket);
     for (int c = 0; c < f; ++c) {
-      if (c == digit) continue;
+      if (c == digit) {
+        for (int d = 0; d < P; ++d)
+          bucket[d].insert(bucket[d].end(), holding[d].begin(),
+                           holding[d].end());
+        pending_split = pending.size();
+        continue;
+      }
       const int partner = base + c * stride;
       const std::vector<u64> rheader =
           comm.recv<u64>(partner, tag_base + 2 * r);

@@ -32,8 +32,6 @@ constexpr Transition transition_of(obs::OpKind op) {
     case obs::OpKind::Gatherv: return Transition::Collective;
     case obs::OpKind::Alltoall: return Transition::Collective;
     case obs::OpKind::Alltoallv: return Transition::Collective;
-    case obs::OpKind::Exscan: return Transition::Collective;
-    case obs::OpKind::Scan: return Transition::Collective;
     case obs::OpKind::Send: return Transition::SendLike;
     case obs::OpKind::Recv: return Transition::RecvLike;
     case obs::OpKind::Compute: return Transition::Local;

@@ -81,13 +81,6 @@ double CostModel::allgather(int P, int nodes_spanned, usize bytes_per_rank,
   return b.alpha + static_cast<double>(P - 1) * m * b.inv_bw;
 }
 
-double CostModel::scan(int P, int nodes_spanned, usize bytes,
-                       Traffic t) const {
-  const Blend b = blend(P, nodes_spanned);
-  const double m = scaled_bytes(bytes, t);
-  return b.alpha + b.stages * m * b.inv_bw;
-}
-
 double CostModel::sample_gather(int P, int nodes_spanned,
                                 usize bytes_per_rank_max) const {
   return allgather(P, nodes_spanned, bytes_per_rank_max, Traffic::Control) +

@@ -62,7 +62,6 @@ class CostModel {
   /// bytes_per_rank contributed by each rank; result is P * bytes_per_rank.
   double allgather(int P, int nodes_spanned, usize bytes_per_rank,
                    Traffic t) const;
-  double scan(int P, int nodes_spanned, usize bytes, Traffic t) const;
   /// Regular all-to-all: every rank sends `bytes_per_pair` to every other.
   double alltoall(int P, int nodes_spanned, usize bytes_per_pair,
                   Traffic t) const;
@@ -92,7 +91,7 @@ class CostModel {
 
   /// Sync class (Barrier): latency only, per_byte_s is 0.
   OpCost probe_sync(int P, int nodes_spanned) const;
-  /// Tree class (Broadcast / Allreduce / Scan), B = payload bytes.
+  /// Tree class (Broadcast / Allreduce), B = payload bytes.
   OpCost probe_tree(int P, int nodes_spanned, Traffic t) const;
   /// Gather class (Allgather(v) / Gatherv), B = one rank's contribution.
   OpCost probe_gather(int P, int nodes_spanned, Traffic t) const;

@@ -24,10 +24,8 @@ enum class OpKind : u32 {
   Gatherv,
   Alltoall,
   Alltoallv,
-  Exscan,
-  Scan,
-  // Id 11 is retired: fault plans and archived traces name ops by number,
-  // so the ids below keep their values.
+  // Ids 9 to 11 are retired: fault plans and archived traces name ops by
+  // number, so the ids below keep their values.
   // Point-to-point ops: never published into a collective slot, but they
   // share the id space so fault plans and the watchdog dump can name them.
   Send = 12,
@@ -64,9 +62,9 @@ enum class OpKind : u32 {
 enum class OpClass : u32 {
   None = 0,   ///< untagged / unknown (lint-rejected in Comm op bodies)
   Sync,       ///< zero-payload rendezvous (Barrier)
-  Tree,       ///< log-P tree collectives (Broadcast, Allreduce, Scan)
+  Tree,       ///< log-P tree collectives (Broadcast, Allreduce)
   Gather,     ///< allgather-shaped collectives (Allgather(v), Gatherv)
-  Alltoall,   ///< dense P×P exchanges (Alltoall, Alltoallv and pull variant)
+  Alltoall,   ///< dense P×P exchanges (Alltoall, Alltoallv)
   Send,       ///< charged point-to-point send (payload or header)
   Recv,       ///< point-to-point receive wait (charged cost is always 0)
   Recovery,   ///< failure detection + survivor agreement (Agree)
@@ -99,9 +97,7 @@ constexpr OpClass op_class_of(OpKind op) {
     case OpKind::None: return OpClass::None;
     case OpKind::Barrier: return OpClass::Sync;
     case OpKind::Broadcast:
-    case OpKind::Allreduce:
-    case OpKind::Exscan:
-    case OpKind::Scan: return OpClass::Tree;
+    case OpKind::Allreduce: return OpClass::Tree;
     case OpKind::Allgather:
     case OpKind::Allgatherv:
     case OpKind::Gatherv:
@@ -128,8 +124,6 @@ constexpr std::string_view op_kind_name(OpKind op) {
     case OpKind::Gatherv: return "Gatherv";
     case OpKind::Alltoall: return "Alltoall";
     case OpKind::Alltoallv: return "Alltoallv";
-    case OpKind::Exscan: return "Exscan";
-    case OpKind::Scan: return "Scan";
     case OpKind::Send: return "Send";
     case OpKind::Recv: return "Recv";
     case OpKind::Compute: return "compute";

@@ -189,7 +189,7 @@ class Comm {
 
   void barrier() {
     auto& ep = collective(detail::OpId::Barrier, obs::OpClass::Sync, nullptr,
-                          0, nullptr, [&](detail::EpochArena& a) {
+                          0, [&](detail::EpochArena& a) {
                             zero_out(a);
                             return cost().barrier(size(), nodes());
                           });
@@ -203,7 +203,7 @@ class Comm {
     const usize bytes = n * sizeof(T);
     auto& ep = collective(
         detail::OpId::Broadcast, obs::OpClass::Tree,
-        idx_ == root ? data : nullptr, bytes, nullptr,
+        idx_ == root ? data : nullptr, bytes,
         [&](detail::EpochArena& a) {
           a.result.resize(bytes);
           const auto& src = a.slots[root];
@@ -218,12 +218,6 @@ class Comm {
     finish(ep);
   }
 
-  template <class T>
-  T broadcast_value(T v, int root) {
-    broadcast(&v, 1, root);
-    return v;
-  }
-
   /// Element-wise all-reduce of n elements with a binary op.
   template <class T, class Op>
   void allreduce(const T* in, T* out, usize n, Op op,
@@ -231,7 +225,7 @@ class Comm {
     check_trivial<T>();
     const usize bytes = n * sizeof(T);
     auto& ep = collective(
-        detail::OpId::Allreduce, obs::OpClass::Tree, in, bytes, nullptr,
+        detail::OpId::Allreduce, obs::OpClass::Tree, in, bytes,
         [&](detail::EpochArena& a) {
           a.result.resize(bytes);
           T* acc = reinterpret_cast<T*>(a.result.data());
@@ -263,7 +257,7 @@ class Comm {
     check_trivial<T>();
     const usize bytes = n * sizeof(T);
     auto& ep = collective(
-        detail::OpId::Allgather, obs::OpClass::Gather, in, bytes, nullptr,
+        detail::OpId::Allgather, obs::OpClass::Gather, in, bytes,
         [&](detail::EpochArena& a) {
           a.result.resize(bytes * size());
           for (int r = 0; r < size(); ++r) {
@@ -320,7 +314,7 @@ class Comm {
     check_trivial<T>();
     auto& ep = collective(
         detail::OpId::Gatherv, obs::OpClass::Gather, in.data(),
-        in.size() * sizeof(T), nullptr,
+        in.size() * sizeof(T),
         [&](detail::EpochArena& a) {
           usize total = 0;
           for (int r = 0; r < size(); ++r) total += a.slots[r].bytes;
@@ -364,7 +358,7 @@ class Comm {
     const usize block = n * sizeof(T);
     const usize bytes = block * size();
     auto& ep = collective(
-        detail::OpId::Alltoall, obs::OpClass::Alltoall, in, bytes, nullptr,
+        detail::OpId::Alltoall, obs::OpClass::Alltoall, in, bytes,
         [&](detail::EpochArena& a) {
           a.result.resize(bytes * size());
           for (int src = 0; src < size(); ++src) {
@@ -392,173 +386,94 @@ class Comm {
     finish(ep);
   }
 
-  /// Irregular personalized exchange. `send_counts[d]` elements of `data`
-  /// (contiguous, in destination order) go to member d. Returns the
-  /// received elements ordered by source rank; `recv_counts` (optional)
-  /// receives the per-source counts.
-  template <class T>
-  std::vector<T> alltoallv(std::span<const T> data,
-                           std::span<const usize> send_counts,
-                           std::vector<usize>* recv_counts = nullptr,
-                           net::Traffic traffic = net::Traffic::Data) {
-    check_trivial<T>();
-    HDS_CHECK(send_counts.size() == static_cast<usize>(size()));
-    usize total_send = 0;
-    for (usize c : send_counts) total_send += c;
-    HDS_CHECK_MSG(total_send == data.size(),
-                  "alltoallv: send counts (" << total_send
-                      << ") != data size (" << data.size() << ")");
-
-    auto& ep = collective(
-        detail::OpId::Alltoallv, obs::OpClass::Alltoall, data.data(),
-        data.size() * sizeof(T), send_counts.data(),
-        [&](detail::EpochArena& a) {
-          const int P = size();
-          // Receive layout: out[dst] = concat over src of block(src -> dst).
-          // scratch_a doubles as recv_bytes here and as the pack cursor
-          // below (pooled across epochs; see EpochArena).
-          auto& cursor = a.scratch_a;
-          cursor.assign(static_cast<usize>(P), 0);
-          for (int src = 0; src < P; ++src)
-            for (int dst = 0; dst < P; ++dst)
-              cursor[dst] += a.slots[src].counts[dst] * sizeof(T);
-          usize total = 0;
-          for (int dst = 0; dst < P; ++dst) {
-            a.out_off[dst] = total;
-            a.out_len[dst] = cursor[dst];
-            total += cursor[dst];
-          }
-          // Arena layout: [data][P x P count matrix, row = destination].
-          // Counts live in the arena because the publishing rank's own
-          // count array may go out of scope as soon as it leaves the
-          // collective — but the matrix is only materialized when some
-          // member actually asked for recv_counts (kSlotWantsCounts).
-          bool wants_counts = false;
-          for (const auto& s : a.slots)
-            if (s.flags & detail::kSlotWantsCounts) wants_counts = true;
-          a.result.resize(total +
-                          (wants_counts ? usize(P) * P * sizeof(usize) : 0));
-          if (wants_counts) {
-            auto& by_dst = a.scratch_b;
-            by_dst.resize(usize(P) * P);
-            for (int dst = 0; dst < P; ++dst)
-              for (int src = 0; src < P; ++src)
-                by_dst[usize(dst) * P + src] = a.slots[src].counts[dst];
-            std::memcpy(a.result.data() + total, by_dst.data(),
-                        by_dst.size() * sizeof(usize));
-          }
-          for (int dst = 0; dst < P; ++dst) cursor[dst] = a.out_off[dst];
-          for (int src = 0; src < P; ++src) {
-            const auto* base = static_cast<const std::byte*>(a.slots[src].in);
-            usize src_off = 0;
-            for (int dst = 0; dst < P; ++dst) {
-              const usize b = a.slots[src].counts[dst] * sizeof(T);
-              if (b > 0) {
-                std::memcpy(a.result.data() + cursor[dst], base + src_off, b);
-                cursor[dst] += b;
-                src_off += b;
-              }
-            }
-          }
-          // Cost from the full byte matrix.
-          auto& matrix = a.scratch_b;
-          matrix.resize(usize(P) * P);
-          for (int src = 0; src < P; ++src)
-            for (int dst = 0; dst < P; ++dst)
-              matrix[usize(src) * P + dst] =
-                  a.slots[src].counts[dst] * sizeof(T);
-          return cost().alltoallv(state_->members, matrix, traffic);
-        },
-        /*peer=*/-1, traffic, /*hb_root=*/-1,
-        recv_counts != nullptr ? detail::kSlotWantsCounts : 0);
-    if (tracer().enabled())
-      for (int d = 0; d < size(); ++d)
-        if (send_counts[static_cast<usize>(d)] > 0)
-          tracer().op_detail(world_rank_of(d),
-                             send_counts[static_cast<usize>(d)] * sizeof(T));
-    std::vector<T> out(ep.out_len[idx_] / sizeof(T));
-    if (!out.empty())
-      std::memcpy(out.data(), ep.result.data() + ep.out_off[idx_],
-                  ep.out_len[idx_]);
-    if (recv_counts) {
-      const usize P = static_cast<usize>(size());
-      recv_counts->resize(P);
-      const usize counts_off = ep.result.size() - P * P * sizeof(usize);
-      std::memcpy(recv_counts->data(),
-                  ep.result.data() + counts_off +
-                      static_cast<usize>(idx_) * P * sizeof(usize),
-                  P * sizeof(usize));
-    }
-    finish(ep);
-    return out;
-  }
-
-  /// Pull-path irregular exchange into a caller-provided destination: the
-  /// received elements (ordered by source rank) are copied exactly once,
-  /// from each sender's published span straight into `dst`. `recv_counts`
-  /// receives the per-source element counts; `dst` must already hold
-  /// exactly the incoming total (size it from a prior counts exchange).
-  /// `dst` must not alias `data`. With an `order`, this rank sends
-  /// data[order.index(0)], data[order.index(1)], ... instead of `data` as it
-  /// lies, and its receivers gather through it (alltoallv_pull). Modelled
-  /// cost and simulated time are bit-identical with the packed alltoallv
-  /// for the same counts.
-  template <class T>
-  void alltoallv_into(std::span<const T> data,
-                      std::span<const usize> send_counts, std::span<T> dst,
-                      std::vector<usize>& recv_counts, SendOrder order = {},
-                      net::Traffic traffic = net::Traffic::Data) {
-    struct Fill {
-      std::span<T> dst;
-      usize at = 0;
-      void reserve(usize total) const {
-        HDS_CHECK_MSG(total == dst.size(),
-                      "alltoallv_into: dst holds " << dst.size()
-                          << " elements but " << total << " are incoming");
-      }
-      void append(const T* first, usize n) {
-        std::memcpy(dst.data() + at, first, n * sizeof(T));
-        at += n;
-      }
-      void push_back(const T& e) { dst[at++] = e; }
-    } fill{dst};
-    alltoallv_pull<T>(data, send_counts, order, fill, recv_counts, traffic);
-  }
-
-  /// Pull-path overload that sizes `dst` itself: reserved once for the
-  /// incoming total (from the published counts) and filled by appending,
-  /// so the receive buffer is never value-initialized. `dst` must not alias
-  /// `data`.
+  /// Irregular personalized exchange (the paper's ALL-TO-ALLV), the
+  /// runtime's only one. `send_counts[d]` elements of `data` (contiguous,
+  /// in destination order) go to member d; `dst` receives the incoming
+  /// elements ordered by source rank and `recv_counts` the per-source
+  /// counts. Every rank publishes its data, counts and `order`; between the
+  /// barriers each receiver reserves `dst` once for its incoming total (so
+  /// it is never value-initialized) and appends every source's slice in
+  /// rank order, copied exactly once out of the sender's published span:
+  /// contiguously from a source that published no order, element by
+  /// element through the source's order from one that did. With an
+  /// `order`, this rank sends data[order.index(0)], data[order.index(1)],
+  /// ... instead of `data` as it lies; the copy mode is the sender's, read
+  /// from its slot, so ranks that send in order and ranks that send
+  /// through an order mix freely. `dst` must not alias `data`.
   template <class T>
   void alltoallv_into(std::span<const T> data,
                       std::span<const usize> send_counts, std::vector<T>& dst,
                       std::vector<usize>& recv_counts, SendOrder order = {},
                       net::Traffic traffic = net::Traffic::Data) {
-    struct Append {
-      std::vector<T>& dst;
-      void reserve(usize total) {
-        dst.clear();
-        dst.reserve(total);
-      }
-      void append(const T* first, usize n) {
-        dst.insert(dst.end(), first, first + n);
-      }
-      void push_back(const T& e) { dst.push_back(e); }
-    } append{dst};
-    alltoallv_pull<T>(data, send_counts, order, append, recv_counts,
-                      traffic);
-  }
+    check_trivial<T>();
+    HDS_CHECK(send_counts.size() == static_cast<usize>(size()));
+    usize total_send = 0;
+    for (usize c : send_counts) total_send += c;
+    HDS_CHECK_MSG(total_send == data.size(),
+                  "alltoallv_into: send counts (" << total_send
+                      << ") != data size (" << data.size() << ")");
 
-  /// Exclusive prefix scan: rank r receives op(init, v_0, ..., v_{r-1}).
-  template <class T, class Op>
-  T exscan_value(T v, Op op, T init) {
-    return scan_impl(v, op, init, /*inclusive=*/false);
-  }
-
-  /// Inclusive prefix scan: rank r receives op(v_0, ..., v_r).
-  template <class T, class Op>
-  T scan_value(T v, Op op) {
-    return scan_impl(v, op, T{}, /*inclusive=*/true);
+    auto& ep = collective_pull(
+        detail::OpId::Alltoallv, obs::OpClass::Alltoall, data.data(),
+        data.size() * sizeof(T), send_counts.data(), order,
+        [&](detail::EpochArena& a) {
+          // Executor: cost only — the payload moves via member pulls.
+          const int P = size();
+          auto& matrix = a.cost_matrix;
+          matrix.resize(usize(P) * P);
+          for (int src = 0; src < P; ++src)
+            for (int dst_rank = 0; dst_rank < P; ++dst_rank)
+              matrix[usize(src) * P + dst_rank] =
+                  a.slots[src].counts[dst_rank] * sizeof(T);
+          return cost().alltoallv(state_->members, matrix, traffic);
+        },
+        [&](detail::EpochArena& a) {
+          const int P = size();
+          const auto op = static_cast<u32>(detail::OpId::Alltoallv);
+          recv_counts.resize(static_cast<usize>(P));
+          usize total = 0;
+          for (int src = 0; src < P; ++src) {
+            // Mismatched collective: this slot's counts pointer is not
+            // ours to read; bail and let the root abort the team.
+            if (a.slots[src].op_id != op) return;
+            recv_counts[src] = a.slots[src].counts[idx_];
+            total += recv_counts[src];
+          }
+          dst.clear();
+          dst.reserve(total);
+          for (int src = 0; src < P; ++src) {
+            const usize c = recv_counts[src];
+            if (c == 0) continue;
+            usize skip = 0;  // sender's elements bound for members < us
+            for (int d = 0; d < idx_; ++d) skip += a.slots[src].counts[d];
+            const T* in = static_cast<const T*>(a.slots[src].in);
+            const SendOrder& by = a.slots[src].order;
+            if (by.first == nullptr) {
+              dst.insert(dst.end(), in + skip, in + skip + c);
+              continue;
+            }
+            // The order reads records at random: touching the record
+            // kGatherAhead places ahead overlaps its cache and TLB misses
+            // with the copies in between.
+            const usize end = skip + c;
+            for (usize j = skip; j < end; ++j) {
+              if (j + kGatherAhead < end) {
+                const auto* ahead = reinterpret_cast<const char*>(
+                    in + by.index(j + kGatherAhead));
+                __builtin_prefetch(ahead);
+                __builtin_prefetch(ahead + sizeof(T) - 1);
+              }
+              dst.push_back(in[by.index(j)]);
+            }
+          }
+        },
+        traffic);
+    if (tracer().enabled())
+      for (int d = 0; d < size(); ++d)
+        if (send_counts[static_cast<usize>(d)] > 0)
+          tracer().op_detail(world_rank_of(d),
+                             send_counts[static_cast<usize>(d)] * sizeof(T));
+    finish(ep);
   }
 
   // --- point-to-point --------------------------------------------------------
@@ -894,25 +809,21 @@ class Comm {
   /// `hb_root` is the member index whose contribution rooted collectives
   /// (Broadcast/Gatherv) pivot on; the race checker derives the op's
   /// logical happens-before shape from it (-1 for symmetric ops).
-  /// `pub_flags` is published in this member's slot for op-specific
-  /// executor decisions (kSlotWantsCounts).
   template <class RootFn>
   detail::EpochArena& collective(detail::OpId op, obs::OpClass cls,
                                  const void* in, usize bytes,
-                                 const usize* counts, RootFn&& root_fn,
-                                 i32 peer = -1,
+                                 RootFn&& root_fn, i32 peer = -1,
                                  net::Traffic traffic = net::Traffic::Control,
-                                 int hb_root = -1, u32 pub_flags = 0) {
+                                 int hb_root = -1) {
     note_op(op, cls, bytes, peer, /*tag=*/0, traffic);
     auto& ep = state_->epochs[round_++ & 1u];
     auto& slot = ep.slots[idx_];
     slot.in = in;
     slot.bytes = bytes;
-    slot.counts = counts;
+    slot.counts = nullptr;
     slot.order = {};
     slot.clock = clock().now();
     slot.op_id = static_cast<u32>(op);
-    slot.flags = pub_flags;
     {
       detail::SiteScope site(progress(), detail::WaitSite::Barrier);
       state_->barrier.wait();
@@ -961,7 +872,6 @@ class Comm {
     slot.order = order;
     slot.clock = clock().now();
     slot.op_id = static_cast<u32>(op);
-    slot.flags = 0;
     {
       detail::SiteScope site(progress(), detail::WaitSite::Barrier);
       state_->barrier.wait();
@@ -1001,91 +911,6 @@ class Comm {
   /// beat 8 and 16 with four receivers gathering 64-byte records at once.
   static constexpr usize kGatherAhead = 32;
 
-  /// Pull-mode alltoallv body shared by the alltoallv_into overloads. Every
-  /// rank publishes its data, counts and `order`; between the barriers each
-  /// receiver calls `into.reserve(total)` once, then appends every source's
-  /// slice in rank order: contiguously (`into.append`) from a source that
-  /// published no order, element by element through the source's order
-  /// (`into.push_back`) from one that did. The copy mode is the sender's,
-  /// read from its slot, so ranks that send in order and ranks that send
-  /// through an order mix freely. The cost matrix is byte-for-byte the one
-  /// the packed path charges, so simulated time is bit-identical between
-  /// the two paths.
-  template <class T, class Into>
-  void alltoallv_pull(std::span<const T> data,
-                      std::span<const usize> send_counts, SendOrder order,
-                      Into& into, std::vector<usize>& recv_counts,
-                      net::Traffic traffic) {
-    check_trivial<T>();
-    HDS_CHECK(send_counts.size() == static_cast<usize>(size()));
-    usize total_send = 0;
-    for (usize c : send_counts) total_send += c;
-    HDS_CHECK_MSG(total_send == data.size(),
-                  "alltoallv_into: send counts (" << total_send
-                      << ") != data size (" << data.size() << ")");
-
-    auto& ep = collective_pull(
-        detail::OpId::Alltoallv, obs::OpClass::Alltoall, data.data(),
-        data.size() * sizeof(T), send_counts.data(), order,
-        [&](detail::EpochArena& a) {
-          // Executor: cost only — the payload moves via member pulls.
-          const int P = size();
-          auto& matrix = a.scratch_b;
-          matrix.resize(usize(P) * P);
-          for (int src = 0; src < P; ++src)
-            for (int dst = 0; dst < P; ++dst)
-              matrix[usize(src) * P + dst] =
-                  a.slots[src].counts[dst] * sizeof(T);
-          return cost().alltoallv(state_->members, matrix, traffic);
-        },
-        [&](detail::EpochArena& a) {
-          const int P = size();
-          const auto op = static_cast<u32>(detail::OpId::Alltoallv);
-          recv_counts.resize(static_cast<usize>(P));
-          usize total = 0;
-          for (int src = 0; src < P; ++src) {
-            // Mismatched collective: this slot's counts pointer is not
-            // ours to read; bail and let the root abort the team.
-            if (a.slots[src].op_id != op) return;
-            recv_counts[src] = a.slots[src].counts[idx_];
-            total += recv_counts[src];
-          }
-          into.reserve(total);
-          for (int src = 0; src < P; ++src) {
-            const usize c = recv_counts[src];
-            if (c == 0) continue;
-            usize skip = 0;  // sender's elements bound for members < us
-            for (int d = 0; d < idx_; ++d) skip += a.slots[src].counts[d];
-            const T* in = static_cast<const T*>(a.slots[src].in);
-            const SendOrder& by = a.slots[src].order;
-            if (by.first == nullptr) {
-              into.append(in + skip, c);
-              continue;
-            }
-            // The order reads records at random: touching the record
-            // kGatherAhead places ahead overlaps its cache and TLB misses
-            // with the copies in between.
-            const usize end = skip + c;
-            for (usize j = skip; j < end; ++j) {
-              if (j + kGatherAhead < end) {
-                const auto* ahead = reinterpret_cast<const char*>(
-                    in + by.index(j + kGatherAhead));
-                __builtin_prefetch(ahead);
-                __builtin_prefetch(ahead + sizeof(T) - 1);
-              }
-              into.push_back(in[by.index(j)]);
-            }
-          }
-        },
-        traffic);
-    if (tracer().enabled())
-      for (int d = 0; d < size(); ++d)
-        if (send_counts[static_cast<usize>(d)] > 0)
-          tracer().op_detail(world_rank_of(d),
-                             send_counts[static_cast<usize>(d)] * sizeof(T));
-    finish(ep);
-  }
-
   /// Common epilogue: fast-forward the clock to the collective exit time
   /// and close the op's trace event at it. ep.model_cost is safe to read
   /// here for the same reason sync_time is: barrier #2 ordered the root's
@@ -1106,7 +931,7 @@ class Comm {
                                  CostFn&& cost_fn) {
     check_trivial<T>();
     auto& ep = collective(
-        op, obs::OpClass::Gather, in.data(), in.size() * sizeof(T), nullptr,
+        op, obs::OpClass::Gather, in.data(), in.size() * sizeof(T),
         [&](detail::EpochArena& a) {
           usize total = 0;
           usize max_bytes = 0;
@@ -1133,39 +958,6 @@ class Comm {
       for (int r = 0; r < size(); ++r)
         (*counts)[r] = ep.slots[r].bytes / sizeof(T);
     }
-    finish(ep);
-    return out;
-  }
-
-  template <class T, class Op>
-  T scan_impl(T v, Op op, T init, bool inclusive) {
-    check_trivial<T>();
-    auto& ep = collective(
-        inclusive ? detail::OpId::Scan : detail::OpId::Exscan,
-        obs::OpClass::Tree, &v, sizeof(T), nullptr,
-        [&](detail::EpochArena& a) {
-          a.result.resize(sizeof(T) * size());
-          T* out = reinterpret_cast<T*>(a.result.data());
-          T acc = init;
-          for (int r = 0; r < size(); ++r) {
-            const T x = *static_cast<const T*>(a.slots[r].in);
-            if (inclusive) {
-              acc = (r == 0) ? x : op(acc, x);
-              out[r] = acc;
-            } else {
-              out[r] = acc;
-              acc = (r == 0) ? op(init, x) : op(acc, x);
-            }
-          }
-          for (int r = 0; r < size(); ++r) {
-            a.out_off[r] = sizeof(T) * static_cast<usize>(r);
-            a.out_len[r] = sizeof(T);
-          }
-          return cost().scan(size(), nodes(), sizeof(T),
-                             net::Traffic::Control);
-        });
-    T out;
-    std::memcpy(&out, ep.result.data() + ep.out_off[idx_], sizeof(T));
     finish(ep);
     return out;
   }

@@ -118,16 +118,11 @@ namespace detail {
 struct PubSlot {
   const void* in = nullptr;
   usize bytes = 0;
-  const usize* counts = nullptr;  ///< optional per-destination element counts
-  SendOrder order;  ///< pull alltoallv: the order of `in` it sends
+  const usize* counts = nullptr;  ///< alltoallv: per-destination counts
+  SendOrder order;  ///< alltoallv: the order of `in` it sends
   double clock = 0.0;
   u32 op_id = 0;   ///< collective type, checked in debug builds
-  u32 flags = 0;   ///< op-specific bits (kSlotWantsCounts)
 };
-
-/// PubSlot flag: this member passed a recv_counts out-parameter, so the
-/// packed alltoallv must persist the counts matrix in the arena.
-inline constexpr u32 kSlotWantsCounts = 1u;
 
 /// Pooled, grow-only byte buffer for collective results. Unlike
 /// std::vector, resize() never zero-initializes — the executor overwrites
@@ -162,16 +157,15 @@ class ArenaBuffer {
 /// Double-buffered collective arena (one per parity) — two barriers per
 /// collective suffice because slots of parity e are not republished before
 /// every rank has finished reading epoch e's result (see Comm::collective).
-/// `scratch_a/b` are executor-only scratch vectors (cost matrices, count
-/// staging) pooled across epochs so per-collective allocation churn stays
+/// `cost_matrix` is the executor's P x P byte matrix for the alltoallv
+/// charge, pooled across epochs so per-collective allocation churn stays
 /// off the data path.
 struct EpochArena {
   std::vector<PubSlot> slots;
   ArenaBuffer result;
   std::vector<usize> out_off;
   std::vector<usize> out_len;
-  std::vector<usize> scratch_a;
-  std::vector<usize> scratch_b;
+  std::vector<usize> cost_matrix;
   double sync_time = 0.0;
   /// Model cost the executor computed for this collective (sync_time =
   /// latest entry + model_cost). Read by every member in Comm::finish under

@@ -140,20 +140,6 @@ TEST(ShapeTest, GathervLeavesNonRootPairsUnordered) {
   EXPECT_EQ(h.rd->report().violations_total, 1u);
 }
 
-TEST(ShapeTest, ScanOrdersPrefixOnly) {
-  Harness h(4);
-  // Lower rank's write is visible to higher ranks after a scan ...
-  h.rd->on_access(1, &h.obj, 0, 0, 10, /*is_write=*/true, "w");
-  h.collective(obs::OpKind::Scan);
-  h.rd->on_access(3, &h.obj, 0, 0, 1, /*is_write=*/false, "r");
-  EXPECT_TRUE(h.rd->report().clean()) << h.rd->report().summary();
-  // ... but a higher rank's write is not ordered for a lower rank.
-  h.rd->on_access(3, &h.obj, 1, 0, 10, /*is_write=*/true, "w");
-  h.collective(obs::OpKind::Scan);
-  h.rd->on_access(1, &h.obj, 1, 0, 1, /*is_write=*/false, "r");
-  EXPECT_EQ(h.rd->report().violations_total, 1u);
-}
-
 TEST(ShapeTest, DisjointRangesNeverConflict) {
   Harness h(2);
   h.rd->on_access(0, &h.obj, 0, 0, 5, /*is_write=*/true, "w");

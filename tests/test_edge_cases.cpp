@@ -97,14 +97,6 @@ TEST(TeamEdge, PhaseScopesNest) {
   EXPECT_NEAR(team.stats().phase_seconds(net::Phase::Merge), 0.2, 1e-12);
 }
 
-TEST(TeamEdge, ExscanWithNonZeroInit) {
-  Team team({.nranks = 4});
-  team.run([&](Comm& c) {
-    const i64 r = c.exscan_value<i64>(1, std::plus<>{}, 100);
-    EXPECT_EQ(r, 100 + c.rank());
-  });
-}
-
 TEST(TeamEdge, AllreduceStructMin) {
   struct MinLoc {
     double value;

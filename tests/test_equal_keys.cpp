@@ -150,8 +150,9 @@ TEST(EqualKeys, AllEqualWithOverlapMergeAndPackedPath) {
   cfg.exchange_k = 4;
   cfg.overlap_merge = true;
   check_equal_key_sort(cfg, gen);
-  // The packed path lives on at the Comm level: the tie-split send counts
-  // through the arena-staged alltoallv keep the perfect partition too.
+  // The tie-split send counts keep the perfect partition through the
+  // collective itself too: each rank receives exactly its own keys back,
+  // packed in source-rank order.
   constexpr int P = 16;
   constexpr usize kPerRank = 256;
   Team team({.nranks = P});
@@ -164,9 +165,14 @@ TEST(EqualKeys, AllEqualWithOverlapMergeAndPackedPath) {
         find_splitters(c, std::span<const u64>(local), IdentityKey{},
                        std::span<const usize>(targets));
     const std::vector<usize> send = compute_send_counts(c, local.size(), sp);
-    EXPECT_EQ(c.alltoallv(std::span<const u64>(local),
-                          std::span<const usize>(send)),
-              local);
+    std::vector<u64> got;
+    std::vector<usize> recv_counts;
+    c.alltoallv_into(std::span<const u64>(local),
+                     std::span<const usize>(send), got, recv_counts);
+    EXPECT_EQ(got, local);
+    std::vector<usize> only_self(P, 0);
+    only_self[static_cast<usize>(c.rank())] = kPerRank;
+    EXPECT_EQ(recv_counts, only_self);
   });
 }
 

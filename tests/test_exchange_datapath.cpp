@@ -1,16 +1,17 @@
 // Single-copy data path (DESIGN.md sec. 11): the pull-based alltoallv_into
-// and borrowed-payload P2P must produce byte-identical results versus the
-// packed Comm::alltoallv reference — with bit-identical simulated time
-// wherever the op sequence is the same (the collective itself, and the
-// default sort) — across exchange algorithms, local-sort kernels, rank
-// counts, and degenerate layouts; and the channel-indexed mailbox must
-// preserve FIFO-per-channel semantics the runtime's P2P ordering rests on.
+// must deliver each receiver its senders' slices in source-rank order, with
+// the counts and the simulated time a sequential oracle computes, and
+// every sort config must give the gathered std::sort of its input; the
+// borrowed-payload P2P must hand over exactly the lent bytes, and the
+// channel-indexed mailbox must preserve FIFO-per-channel semantics the
+// runtime's P2P ordering rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <vector>
 
 #include "core/exchange.h"
@@ -30,10 +31,10 @@ using runtime::Message;
 using runtime::Team;
 
 // ---------------------------------------------------------------------------
-// Comm-level: alltoallv_into vs packed alltoallv
+// Comm-level: alltoallv_into vs a sequential oracle
 
 /// Per-destination send counts as a pure function of (P, rank), so the test
-/// can derive every rank's incoming total without communication.
+/// can derive every rank's incoming slices without communication.
 using CountsFn = std::function<std::vector<usize>(int P, int rank)>;
 
 struct PathResult {
@@ -42,9 +43,45 @@ struct PathResult {
   std::vector<double> times;             // per rank, final simulated clock
 };
 
-enum class IntoMode { Packed, PullVector, PullSpan };
+/// Element i of rank r's send buffer (its send order).
+u64 element(int rank, usize i) { return (static_cast<u64>(rank) << 32) | i; }
 
-PathResult run_alltoallv(int P, const CountsFn& counts_fn, IntoMode mode) {
+/// What every receiver must hold: the packed receive layout, each sender's
+/// slice for it concatenated in source-rank order, with the per-source
+/// counts, and as every rank's clock the CostModel charge of the byte
+/// matrix (all ranks enter at time 0).
+PathResult packed_oracle(int P, const CountsFn& counts_fn) {
+  PathResult want;
+  want.data.resize(P);
+  want.counts.assign(P, std::vector<usize>(P, 0));
+  std::vector<usize> matrix(static_cast<usize>(P) * P);
+  for (int src = 0; src < P; ++src) {
+    const std::vector<usize> send = counts_fn(P, src);
+    usize off = 0;
+    for (int dst = 0; dst < P; ++dst) {
+      const usize c = send[static_cast<usize>(dst)];
+      for (usize i = off; i < off + c; ++i)
+        want.data[dst].push_back(element(src, i));
+      want.counts[dst][src] = c;
+      matrix[static_cast<usize>(src) * P + dst] = c * sizeof(u64);
+      off += c;
+    }
+  }
+  std::vector<rank_t> members(P);
+  std::iota(members.begin(), members.end(), rank_t{0});
+  net::MachineModel machine;  // a Team's placement of P ranks: one node
+  machine.ranks_per_node = P;
+  const net::CostModel cost(machine);
+  want.times.assign(P, cost.alltoallv(members, matrix, net::Traffic::Data));
+  return want;
+}
+
+/// Run one alltoallv_into of counts_fn's layout. Ranks with `ordered(rank)`
+/// store their data reversed and send it through a KeyRef order that
+/// restores element()'s sequence; the others send their data as it lies.
+PathResult run_alltoallv(int P, const CountsFn& counts_fn,
+                         const std::function<bool(int)>& ordered =
+                             [](int) { return false; }) {
   Team team({.nranks = P});
   PathResult res;
   res.data.resize(P);
@@ -54,34 +91,19 @@ PathResult run_alltoallv(int P, const CountsFn& counts_fn, IntoMode mode) {
     const std::vector<usize> send = counts_fn(P, c.rank());
     usize total = 0;
     for (usize s : send) total += s;
+    const bool by_order = ordered(c.rank());
     std::vector<u64> data(total);
-    for (usize i = 0; i < total; ++i)
-      data[i] = (static_cast<u64>(c.rank()) << 32) | i;
-
+    std::vector<KeyRef<u64>> refs;
+    for (usize i = 0; i < total; ++i) {
+      const u64 v = element(c.rank(), i);
+      data[by_order ? total - 1 - i : i] = v;
+      if (by_order) refs.push_back({v, total - 1 - i});
+    }
     std::vector<u64> out;
     std::vector<usize> rc;
-    switch (mode) {
-      case IntoMode::Packed:
-        out = c.alltoallv(std::span<const u64>(data),
-                          std::span<const usize>(send), &rc);
-        break;
-      case IntoMode::PullVector:
-        c.alltoallv_into(std::span<const u64>(data),
-                         std::span<const usize>(send), out, rc);
-        break;
-      case IntoMode::PullSpan: {
-        // The span overload needs a pre-sized destination; incoming totals
-        // are derivable locally because counts_fn is a pure function.
-        usize incoming = 0;
-        for (int src = 0; src < P; ++src)
-          incoming += counts_fn(P, src)[static_cast<usize>(c.rank())];
-        out.resize(incoming);
-        c.alltoallv_into(std::span<const u64>(data),
-                         std::span<const usize>(send), std::span<u64>(out),
-                         rc);
-        break;
-      }
-    }
+    c.alltoallv_into(std::span<const u64>(data),
+                     std::span<const usize>(send), out, rc,
+                     send_order(std::span<const KeyRef<u64>>(refs)));
     res.data[c.rank()] = std::move(out);
     res.counts[c.rank()] = std::move(rc);
   });
@@ -89,22 +111,16 @@ PathResult run_alltoallv(int P, const CountsFn& counts_fn, IntoMode mode) {
   return res;
 }
 
-void expect_paths_identical(int P, const CountsFn& counts_fn) {
-  const PathResult packed = run_alltoallv(P, counts_fn, IntoMode::Packed);
-  const PathResult pull_v = run_alltoallv(P, counts_fn, IntoMode::PullVector);
-  const PathResult pull_s = run_alltoallv(P, counts_fn, IntoMode::PullSpan);
+void expect_matches(int P, const PathResult& got, const PathResult& want) {
   for (int r = 0; r < P; ++r) {
-    EXPECT_EQ(packed.data[r], pull_v.data[r]) << "P=" << P << " rank " << r;
-    EXPECT_EQ(packed.data[r], pull_s.data[r]) << "P=" << P << " rank " << r;
-    EXPECT_EQ(packed.counts[r], pull_v.counts[r]) << "P=" << P << " rank "
-                                                  << r;
-    EXPECT_EQ(packed.counts[r], pull_s.counts[r]) << "P=" << P << " rank "
-                                                  << r;
-    // Bit-identical simulated time: the cost model charges volume, not copy
-    // count, and both paths charge from the same byte matrix.
-    EXPECT_EQ(packed.times[r], pull_v.times[r]) << "P=" << P << " rank " << r;
-    EXPECT_EQ(packed.times[r], pull_s.times[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(got.data[r], want.data[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(got.counts[r], want.counts[r]) << "P=" << P << " rank " << r;
+    EXPECT_EQ(got.times[r], want.times[r]) << "P=" << P << " rank " << r;
   }
+}
+
+void expect_matches_packed_oracle(int P, const CountsFn& counts_fn) {
+  expect_matches(P, run_alltoallv(P, counts_fn), packed_oracle(P, counts_fn));
 }
 
 std::vector<usize> random_counts(int P, int rank) {
@@ -118,18 +134,18 @@ std::vector<usize> random_counts(int P, int rank) {
 }
 
 TEST(AlltoallvInto, MatchesPackedOnRandomLayouts) {
-  for (int P : {4, 8, 16}) expect_paths_identical(P, random_counts);
+  for (int P : {4, 8, 16}) expect_matches_packed_oracle(P, random_counts);
 }
 
 TEST(AlltoallvInto, MatchesPackedOnEmptyExchange) {
   for (int P : {4, 8, 16})
-    expect_paths_identical(
+    expect_matches_packed_oracle(
         P, [](int p, int) { return std::vector<usize>(p, 0); });
 }
 
 TEST(AlltoallvInto, MatchesPackedOnAllToSelf) {
   for (int P : {4, 8, 16})
-    expect_paths_identical(P, [](int p, int rank) {
+    expect_matches_packed_oracle(P, [](int p, int rank) {
       std::vector<usize> send(static_cast<usize>(p), 0);
       send[static_cast<usize>(rank)] = 37;
       return send;
@@ -140,152 +156,57 @@ TEST(AlltoallvInto, MatchesPackedOnSkewedAllToOne) {
   // One rank receives everything — the serial-executor worst case the pull
   // path exists to fix.
   for (int P : {4, 8, 16})
-    expect_paths_identical(P, [](int p, int rank) {
+    expect_matches_packed_oracle(P, [](int p, int rank) {
       std::vector<usize> send(static_cast<usize>(p), 0);
       send[0] = 29 + static_cast<usize>(rank);
       return send;
     });
 }
 
-TEST(AlltoallvInto, SpanOverloadRejectsWrongSize) {
-  Team team({.nranks = 4});
-  EXPECT_THROW(team.run([&](Comm& c) {
-                 std::vector<u64> data(4, 7);
-                 std::vector<usize> send(4, 1);
-                 std::vector<u64> dst(1);  // needs 4
-                 std::vector<usize> rc;
-                 c.alltoallv_into(std::span<const u64>(data),
-                                  std::span<const usize>(send),
-                                  std::span<u64>(dst), rc);
-               }),
-               invariant_error);
-}
-
 TEST(AlltoallvInto, SendOrderMatchesPrePermutedData) {
   // Even ranks send through a KeyRef order (a reversal of their data), odd
   // ranks as their data lies; each receiver must copy each source the way
-  // that source published, into both destination kinds, at the simulated
-  // time of the same exchange of pre-permuted data.
-  for (int P : {3, 4, 8}) {
-    const PathResult want = run_alltoallv(P, random_counts, IntoMode::Packed);
-    for (bool span_dst : {false, true}) {
-      Team team({.nranks = P});
-      std::vector<std::vector<u64>> got(P);
-      std::vector<std::vector<usize>> got_counts(P);
-      team.run([&](Comm& c) {
-        const std::vector<usize> send = random_counts(P, c.rank());
-        usize total = 0;
-        for (usize s : send) total += s;
-        // run_alltoallv's data, stored reversed when this rank orders.
-        const bool ordered = c.rank() % 2 == 0;
-        std::vector<u64> data(total);
-        std::vector<KeyRef<u64>> refs;
-        for (usize i = 0; i < total; ++i) {
-          const u64 v = (static_cast<u64>(c.rank()) << 32) | i;
-          data[ordered ? total - 1 - i : i] = v;
-          if (ordered) refs.push_back({v, total - 1 - i});
-        }
-        std::vector<u64> out;
-        std::vector<usize> rc;
-        const runtime::SendOrder order =
-            send_order(std::span<const KeyRef<u64>>(refs));
-        if (span_dst) {
-          usize incoming = 0;
-          for (int src = 0; src < P; ++src)
-            incoming += random_counts(P, src)[static_cast<usize>(c.rank())];
-          out.resize(incoming);
-          c.alltoallv_into(std::span<const u64>(data),
-                           std::span<const usize>(send), std::span<u64>(out),
-                           rc, order);
-        } else {
-          c.alltoallv_into(std::span<const u64>(data),
-                           std::span<const usize>(send), out, rc, order);
-        }
-        got[c.rank()] = std::move(out);
-        got_counts[c.rank()] = std::move(rc);
-      });
-      for (int r = 0; r < P; ++r) {
-        EXPECT_EQ(got[r], want.data[r]) << "P=" << P << " rank " << r;
-        EXPECT_EQ(got_counts[r], want.counts[r]) << "P=" << P << " rank " << r;
-        EXPECT_EQ(team.rank_time(r), want.times[r])
-            << "P=" << P << " rank " << r;
-      }
-    }
-  }
+  // that source published, at the simulated time of the same exchange of
+  // pre-permuted data.
+  for (int P : {3, 4, 8})
+    expect_matches(P,
+                   run_alltoallv(P, random_counts,
+                                 [](int rank) { return rank % 2 == 0; }),
+                   packed_oracle(P, random_counts));
 }
 
 // ---------------------------------------------------------------------------
-// Sort-level grid: exchange algorithm x kernel vs the packed reference
-// (the kernel follows the per-rank size: 300 keys sort by comparison, 900
-// by radix)
+// Sort-level grid: exchange algorithm x kernel x merge vs the gathered
+// std::sort (the kernel follows the per-rank size: 300 keys sort by
+// comparison, 900 by radix)
 
-/// core::sort with its exchange superstep replaced by the packed reference:
-/// compute_send_counts followed by the arena-staged Comm::alltoallv. The op
-/// sequence is the default Alltoallv sort's, so the two must agree in
-/// simulated time as well as in bytes.
-void packed_reference_sort(Comm& c, std::vector<u64>& local,
-                           const SortConfig& cfg) {
-  SortState<u64, SortKeyImage<u64, IdentityKey>> st;
-  st.out_capacity = local.size();
-  st.data = std::move(local);
-  advance_superstep(c, st, IdentityKey{}, cfg);  // local sort
-  advance_superstep(c, st, IdentityKey{}, cfg);  // splitters
-  {
-    net::PhaseScope phase(c.clock(), net::Phase::Exchange);
-    const std::vector<usize> send =
-        compute_send_counts(c, st.data.size(), st.splitters);
-    st.data = c.alltoallv(std::span<const u64>(st.data),
-                          std::span<const usize>(send), &st.recv_counts);
-  }
-  st.completed = SuperstepId::Exchanged;
-  advance_superstep(c, st, IdentityKey{}, cfg);  // merge
-  local = std::move(st.data);
-}
-
-struct SortRun {
-  std::vector<std::vector<u64>> out;
-  std::vector<double> times;
-};
-
-SortRun run_sort(int P, const runtime::TeamConfig& tcfg, SortConfig cfg,
-                 usize n_rank, bool packed,
-                 const workload::GenConfig& gen = {}) {
+/// Sort generated shards under cfg; the ranks' outputs, concatenated in
+/// rank order, must be the gathered std::sort of the input, with every
+/// rank keeping its input count (eps = 0).
+void expect_matches_oracle(int P, const SortConfig& cfg, usize n_rank,
+                           const workload::GenConfig& gen = {}) {
   std::vector<std::vector<u64>> shards(P);
-  for (int r = 0; r < P; ++r)
+  std::vector<u64> want;
+  for (int r = 0; r < P; ++r) {
     shards[r] = workload::generate_u64(gen, r, P, n_rank);
-  SortRun res;
-  res.out.resize(P);
-  res.times.resize(P);
-  Team team(tcfg);
+    want.insert(want.end(), shards[r].begin(), shards[r].end());
+  }
+  std::sort(want.begin(), want.end());
+  std::vector<std::vector<u64>> out(P);
+  Team team({.nranks = P});
   team.run([&](Comm& c) {
     auto local = shards[c.rank()];
-    if (packed)
-      packed_reference_sort(c, local, cfg);
-    else
-      sort(c, local, cfg);
-    EXPECT_TRUE(is_globally_sorted(
-        c, std::span<const u64>(local.data(), local.size()),
-        [](u64 v) { return v; }));
-    res.out[c.rank()] = std::move(local);
+    sort(c, local, cfg);
+    out[c.rank()] = std::move(local);
   });
-  for (int r = 0; r < P; ++r) res.times[r] = team.rank_time(r);
-  return res;
-}
-
-/// Every exchange algorithm must deliver the packed reference's bytes; the
-/// collective path must also match its simulated time exactly.
-void expect_matches_packed_reference(int P, SortConfig cfg, usize n_rank) {
-  const runtime::TeamConfig tcfg{.nranks = P};
-  const SortRun pull = run_sort(P, tcfg, cfg, n_rank, false);
-  const SortRun packed = run_sort(P, tcfg, cfg, n_rank, true);
+  std::vector<u64> got;
   for (int r = 0; r < P; ++r) {
-    EXPECT_EQ(pull.out[r], packed.out[r])
-        << "P=" << P << " rank " << r << " algo "
-        << static_cast<int>(cfg.exchange) << " k=" << cfg.exchange_k;
-    if (cfg.exchange == ExchangeAlgorithm::Alltoallv) {
-      EXPECT_EQ(pull.times[r], packed.times[r]) << "P=" << P << " rank " << r;
-    }
+    EXPECT_EQ(out[r].size(), n_rank) << "P=" << P << " rank " << r;
+    got.insert(got.end(), out[r].begin(), out[r].end());
   }
+  EXPECT_EQ(got, want) << "P=" << P << " algo "
+                       << static_cast<int>(cfg.exchange)
+                       << " k=" << cfg.exchange_k;
 }
 
 SortConfig kary(int k, bool overlap_merge = false) {
@@ -296,45 +217,36 @@ SortConfig kary(int k, bool overlap_merge = false) {
   return cfg;
 }
 
-TEST(PackedReferenceGrid, AlgorithmsTimesKernelsAtP8) {
+TEST(SortOracleGrid, AlgorithmsTimesKernelsAtP8) {
   for (const SortConfig& cfg : {SortConfig{}, kary(2), kary(8)})
-    for (usize n_rank : {300, 900})
-      expect_matches_packed_reference(8, cfg, n_rank);
+    for (usize n_rank : {300, 900}) expect_matches_oracle(8, cfg, n_rank);
 }
 
-TEST(PackedReferenceGrid, AlltoallvAtP4AndP16) {
-  expect_matches_packed_reference(4, {}, 800);
-  expect_matches_packed_reference(16, {}, 250);
+TEST(SortOracleGrid, AlltoallvAtP4AndP16) {
+  expect_matches_oracle(4, {}, 800);
+  expect_matches_oracle(16, {}, 250);
 }
 
-TEST(PackedReferenceGrid, DirectOverlapMerge) {
+TEST(SortOracleGrid, DirectOverlapMerge) {
   // The direct pairwise exchange (k = P) with merge-on-arrival: borrowed
   // payloads merged straight out of the senders' buffers.
-  expect_matches_packed_reference(8, kary(8, true), 600);
-  expect_matches_packed_reference(5, kary(5, true), 400);
+  expect_matches_oracle(8, kary(8, true), 600);
+  expect_matches_oracle(5, kary(5, true), 400);
 }
 
-TEST(PackedReferenceGrid, MergeStrategiesSeeIdenticalChunks) {
+TEST(SortOracleGrid, MergeStrategies) {
   for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament,
                           MergeStrategy::Auto}) {
     SortConfig cfg;
     cfg.merge = m;
-    expect_matches_packed_reference(8, cfg, 400);
+    expect_matches_oracle(8, cfg, 400);
   }
 }
 
-TEST(PackedReferenceGrid, SkewedInputWithDuplicates) {
+TEST(SortOracleGrid, SkewedInputWithDuplicates) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::Zipf;
-  runtime::TeamConfig tcfg;
-  tcfg.nranks = 8;
-  const SortRun pull = run_sort(8, tcfg, {}, 700, false, gen);
-  const SortRun packed = run_sort(8, tcfg, {}, 700, true, gen);
-  usize total = 0;
-  for (const auto& o : pull.out) total += o.size();
-  EXPECT_EQ(total, 8u * 700u);
-  EXPECT_EQ(pull.out, packed.out);
-  EXPECT_EQ(pull.times, packed.times);
+  expect_matches_oracle(8, {}, 700, gen);
 }
 
 // ---------------------------------------------------------------------------

@@ -113,19 +113,6 @@ bool same_bytes(const std::vector<Rec>& a, const std::vector<Rec>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(Rec)) == 0);
 }
 
-/// `got` is sorted by key and holds exactly the records of `want`, equal
-/// keys in any order.
-bool same_records_sorted(std::vector<Rec> got, std::vector<Rec> want) {
-  const auto by_key = [](const Rec& a, const Rec& b) { return a.key < b.key; };
-  if (!std::is_sorted(got.begin(), got.end(), by_key)) return false;
-  const auto by_origin = [](const Rec& a, const Rec& b) {
-    return a.key != b.key ? a.key < b.key : a.origin < b.origin;
-  };
-  std::sort(got.begin(), got.end(), by_origin);
-  std::sort(want.begin(), want.end(), by_origin);
-  return same_bytes(got, want);
-}
-
 std::vector<SortConfig> configs(int P) {
   std::vector<SortConfig> out;
   for (HistogramMode h : {HistogramMode::Dense, HistogramMode::Hybrid})
@@ -193,13 +180,7 @@ TEST_P(RecordSortGrid, EveryConfigGivesTheStableSort) {
         }
         got.insert(got.end(), out[r].begin(), out[r].end());
       }
-      // The k-ary schedule hands a rank its runs in arrival order, not
-      // source order, so records with equal keys from different ranks may
-      // swap: a KAry record sort is not stable, and is checked as sorted
-      // and complete.
-      const bool stable = cfg.exchange == ExchangeAlgorithm::Alltoallv;
-      EXPECT_TRUE(stable ? same_bytes(got, want)
-                         : same_records_sorted(got, want))
+      EXPECT_TRUE(same_bytes(got, want))
           << config_name(cfg) << (balanced ? " sort_balanced" : " sort_by_key");
     }
 }

@@ -50,7 +50,9 @@ TEST(Team, SingleRankWorks) {
   team.run([&](Comm& c) {
     EXPECT_EQ(c.allreduce_value<int>(41, std::plus<>{}), 41);
     c.barrier();
-    EXPECT_EQ(c.broadcast_value(7, 0), 7);
+    int v = 7;
+    c.broadcast(&v, 1, 0);
+    EXPECT_EQ(v, 7);
   });
 }
 
@@ -168,20 +170,42 @@ TEST(Collectives, AlltoallTransposes) {
   });
 }
 
+/// The simulated seconds an alltoallv of u64 elements costs on a team of
+/// world ranks 0..P-1, `counts(src)[dst]` elements from src to dst: the
+/// CostModel charge over the byte matrix, computed here rather than read
+/// back from the collective under test.
+template <class CountsFn>
+double alltoallv_seconds(const Comm& c, const CountsFn& counts) {
+  const int P = c.size();
+  std::vector<rank_t> members(P);
+  std::iota(members.begin(), members.end(), rank_t{0});
+  std::vector<usize> matrix(static_cast<usize>(P) * P);
+  for (int src = 0; src < P; ++src)
+    for (int dst = 0; dst < P; ++dst)
+      matrix[static_cast<usize>(src) * P + dst] =
+          counts(src)[static_cast<usize>(dst)] * sizeof(u64);
+  return c.cost().alltoallv(members, matrix, net::Traffic::Data);
+}
+
 TEST(Collectives, AlltoallvMovesExactSlices) {
   Team team(small_cfg(4));
   team.run([&](Comm& c) {
     const int P = c.size();
     // Rank r sends d+1 copies of value r*10+d to destination d.
+    const auto counts_of = [P](int) {
+      std::vector<usize> counts(P);
+      for (int d = 0; d < P; ++d) counts[d] = d + 1;
+      return counts;
+    };
+    const std::vector<usize> counts = counts_of(c.rank());
     std::vector<u64> data;
-    std::vector<usize> counts(P);
-    for (int d = 0; d < P; ++d) {
-      counts[d] = d + 1;
+    for (int d = 0; d < P; ++d)
       for (usize i = 0; i < counts[d]; ++i)
         data.push_back(static_cast<u64>(c.rank() * 10 + d));
-    }
+    std::vector<u64> recv;
     std::vector<usize> rcounts;
-    const auto recv = c.alltoallv(std::span<const u64>(data), counts, &rcounts);
+    c.alltoallv_into(std::span<const u64>(data),
+                     std::span<const usize>(counts), recv, rcounts);
     ASSERT_EQ(rcounts.size(), static_cast<usize>(P));
     usize off = 0;
     for (int s = 0; s < P; ++s) {
@@ -190,38 +214,35 @@ TEST(Collectives, AlltoallvMovesExactSlices) {
         EXPECT_EQ(recv[off + i], static_cast<u64>(s * 10 + c.rank()));
       off += rcounts[s];
     }
+    EXPECT_EQ(recv.size(), off);
+    EXPECT_EQ(c.clock().now(), alltoallv_seconds(c, counts_of));
   });
 }
 
 TEST(Collectives, AlltoallvEmptyContributions) {
   Team team(small_cfg(3));
   team.run([&](Comm& c) {
-    std::vector<usize> counts(3, 0);
+    const auto counts_of = [](int r) {
+      return r == 1 ? std::vector<usize>{2, 0, 1} : std::vector<usize>(3, 0);
+    };
+    const std::vector<usize> counts = counts_of(c.rank());
     std::vector<u64> data;
-    if (c.rank() == 1) {
-      counts = {2, 0, 1};
-      data = {7, 7, 9};
-    }
+    if (c.rank() == 1) data = {7, 7, 9};
+    std::vector<u64> recv;
     std::vector<usize> rcounts;
-    const auto recv = c.alltoallv(std::span<const u64>(data), counts, &rcounts);
+    c.alltoallv_into(std::span<const u64>(data),
+                     std::span<const usize>(counts), recv, rcounts);
     if (c.rank() == 0) {
       EXPECT_EQ(recv, (std::vector<u64>{7, 7}));
+      EXPECT_EQ(rcounts, (std::vector<usize>{0, 2, 0}));
     } else if (c.rank() == 2) {
       EXPECT_EQ(recv, (std::vector<u64>{9}));
+      EXPECT_EQ(rcounts, (std::vector<usize>{0, 1, 0}));
     } else {
       EXPECT_TRUE(recv.empty());
+      EXPECT_EQ(rcounts, (std::vector<usize>{0, 0, 0}));
     }
-  });
-}
-
-TEST(Collectives, ExscanAndScan) {
-  Team team(small_cfg(8));
-  team.run([&](Comm& c) {
-    const u64 ex = c.exscan_value<u64>(c.rank() + 1, std::plus<>{}, 0);
-    // exclusive prefix of 1..8: rank r gets sum of 1..r
-    EXPECT_EQ(ex, static_cast<u64>(c.rank()) * (c.rank() + 1) / 2);
-    const u64 in = c.scan_value<u64>(c.rank() + 1, std::plus<>{});
-    EXPECT_EQ(in, static_cast<u64>(c.rank() + 1) * (c.rank() + 2) / 2);
+    EXPECT_EQ(c.clock().now(), alltoallv_seconds(c, counts_of));
   });
 }
 
@@ -236,9 +257,12 @@ TEST(Collectives, MixedSequenceStress) {
         case 0:
           acc += c.allreduce_value<u64>(c.rank(), std::plus<>{});
           break;
-        case 1:
-          acc += c.broadcast_value<u64>(round * 3, round % c.size());
+        case 1: {
+          u64 v = c.rank() == round % c.size() ? round * 3 : 0;
+          c.broadcast(&v, 1, round % c.size());
+          acc += v;
           break;
+        }
         case 2: {
           std::vector<u64> all(c.size());
           const u64 mine = round + c.rank();
@@ -249,9 +273,17 @@ TEST(Collectives, MixedSequenceStress) {
         case 3:
           c.barrier();
           break;
-        case 4:
-          acc += c.exscan_value<u64>(1, std::plus<>{}, 0);
+        case 4: {
+          // One element to every rank; each receives one from every rank.
+          std::vector<u64> mine(c.size(), round + c.rank());
+          std::vector<usize> counts(c.size(), 1);
+          std::vector<u64> got;
+          std::vector<usize> rcounts;
+          c.alltoallv_into(std::span<const u64>(mine),
+                           std::span<const usize>(counts), got, rcounts);
+          for (u64 v : got) acc += v;
           break;
+        }
       }
     }
     // Every rank must have seen identical collective results where the
@@ -357,7 +389,15 @@ TEST(SimClock, DataScaleMultipliesDataTraffic) {
     team.run([&](Comm& c) {
       std::vector<u64> data(4096);
       std::vector<usize> counts(4, 1024);
-      (void)c.alltoallv(std::span<const u64>(data), counts);
+      std::vector<u64> recv;
+      std::vector<usize> rcounts;
+      c.alltoallv_into(std::span<const u64>(data),
+                       std::span<const usize>(counts), recv, rcounts);
+      // The charge is the CostModel's at this data scale, on every rank.
+      EXPECT_EQ(c.clock().now(),
+                alltoallv_seconds(c, [](int) {
+                  return std::vector<usize>(4, 1024);
+                }));
       if (c.rank() == 0) t = c.clock().now();
     });
     return t;

@@ -26,6 +26,11 @@ Rules (see DESIGN.md sec. 10):
                      attribution and the differential profiler key on; an
                      untagged op would silently land in OpClass::None and
                      corrupt the calibration fit.
+  comm-op-caller     Every Comm op the rules above check (COMM_OP_METHODS)
+                     must be called somewhere under src/, bench/ or
+                     perfbench/; tests and examples do not count. An op
+                     only tests reach is a second path to keep correct
+                     that no sort or benchmark runs.
   opid-coverage      Every detail::OpId (= obs::OpKind) enum value must
                      appear as an explicit `case` in BOTH the race
                      checker's HB-edge table (shape_of in
@@ -47,6 +52,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+# Where a Comm op's callers must live (comm-op-caller): the library, the
+# benches and the end-to-end benchmark — not tests or examples.
+CALLER_DIRS = ("src", "bench", "perfbench")
 
 # Directories whose code is allowed to use raw thread primitives: the
 # simulator's rank harness itself, the tracer (locked merge of per-rank
@@ -74,7 +82,6 @@ COMM_OP_METHODS = [
     "sample_gatherv",
     "gatherv",
     "alltoall",
-    "alltoallv",
     "alltoallv_into",
     "send",
     "send_borrowed",
@@ -95,8 +102,6 @@ NOTE_OP_HOOKS = (
     "collective(",
     "note_op(",
     "collective_pull(",
-    "alltoallv_pull(",
-    "alltoallv_pull<",
     "allgatherv_impl(",
     "recv_bytes_into(",
 )
@@ -106,11 +111,8 @@ NOTE_OP_HOOKS = (
 # bodies name it themselves and are checked transitively).
 OP_CLASS_HOOKS = (
     "OpClass::",
-    "alltoallv_pull(",
-    "alltoallv_pull<",
     "allgatherv_impl(",
     "recv_bytes_into(",
-    "scan_impl(",
 )
 
 
@@ -216,6 +218,28 @@ def check_comm_note_op(findings: list[str]) -> None:
             )
 
 
+def check_comm_op_callers(findings: list[str]) -> None:
+    # comm.h itself does not count: its op bodies call CostModel methods of
+    # the same names (cost().broadcast(...)).
+    home = SRC / "runtime" / "comm.h"
+    sources = []
+    for d in CALLER_DIRS:
+        root = REPO / d
+        if root.is_dir():
+            sources += sorted(root.rglob("*.h")) + sorted(root.rglob("*.cpp"))
+    texts = [strip_comments_and_strings(f.read_text()) for f in sources
+             if f != home]
+    for method in COMM_OP_METHODS:
+        call = re.compile(r"(?:\.|->)\s*%s\s*[<(]" % re.escape(method))
+        if not any(call.search(text) for text in texts):
+            findings.append(
+                f"src/runtime/comm.h: [comm-op-caller] Comm::{method} has "
+                f"no caller under {', '.join(d + '/' for d in CALLER_DIRS)} "
+                "— delete it, or give it a caller outside tests and "
+                "examples"
+            )
+
+
 def enum_values(header: str, enum_name: str) -> list[str]:
     """Names declared in `enum class <enum_name>` of a stripped header."""
     m = re.search(
@@ -316,6 +340,7 @@ def main() -> int:
         return 2
     findings: list[str] = []
     check_comm_note_op(findings)
+    check_comm_op_callers(findings)
     check_opid_coverage(findings)
     check_file_rules(findings)
     for f in findings:

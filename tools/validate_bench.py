@@ -15,10 +15,11 @@ Kinds and their gates (unchanged from the historical ci.sh heredocs):
   local_sort  cell shape incl. each cell's spread (q1 <= median <= q3 over
               its reps); the radix kernel must beat std::sort on uniform
               u64 at n = 2^20 (the wall-clock claim behind Auto dispatch).
-  exchange    cell shape incl. per-round k-ary breakdowns; the pull path
-              must beat packed by >= 1.3x on the u64 P=16 exchange
-              superstep, and the best k-ary exchange must beat
-              packed-alltoallv-plus-merge by >= 1.3x on u64 P=16.
+  exchange    cell shape incl. paired samples, quartiles, wins, thread-CPU
+              and per-round k-ary breakdowns; some u64 k-ary cell must beat
+              the sort's Alltoallv path (exchange + merge supersteps, P=4)
+              by >= 1.3x as a paired gain, judged by tools/ab_perfbench.py's
+              verdict() on the cell's alternating pairs.
   recovery    cell shape; fault-free checkpoint overhead <= 10% at
               P in {4, 8, 16}; ResumeCheckpoint beats RestartFull for
               crashes at or after the exchange superstep.
@@ -45,13 +46,17 @@ Kinds and their gates (unchanged from the historical ci.sh heredocs):
               <= 1e-9 relative.
 
 Exit status: 0 OK, 1 gate failure or malformed artifact, 2 usage error.
-No dependencies beyond the standard library.
+No dependencies beyond the standard library and tools/ab_perfbench.py.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ab_perfbench import paired, verdict  # noqa: E402
 
 
 def fail(msg: str) -> None:
@@ -93,50 +98,61 @@ def check_local_sort(path: str) -> None:
           "(u64, n=2^20)")
 
 
+# The k-ary claim (DESIGN.md sec. 13): some u64 k-ary cell beats the sort's
+# Alltoallv path by this factor in wall-clock time, as a paired gain.
+KARY_SPEEDUP_BOUND = 1.3
+
+
 def check_exchange(path: str) -> None:
     cells = load(path)
     require(isinstance(cells, list) and bool(cells),
             f"{path}: empty or malformed JSON")
     for c in cells:
-        for k in ("type", "nranks", "path", "phase", "n_per_rank",
-                  "seconds_median", "speedup_vs_packed", "algo", "k"):
+        for k in ("type", "nranks", "n_per_rank", "k", "overlap", "pairs",
+                  "wins", "speedup", "rounds"):
             require(k in c, f"missing field {k}: {c}")
-        require(c["path"] in ("packed", "pull"), str(c))
-        require(c["phase"] in ("exchange", "exchange+merge"), str(c))
-        require(c["algo"] in ("alltoallv", "kary"), str(c))
-        require(c["seconds_median"] > 0.0, str(c))
-        if c["algo"] == "kary":
-            require(c["k"] >= 2 and c["phase"] == "exchange+merge", str(c))
-            require(bool(c.get("rounds")),
-                    f"kary cell missing per-round breakdown: {c}")
-            for r in c["rounds"]:
-                require(r["exchange_s"] >= 0.0 and r["merge_s"] >= 0.0,
-                        str(c))
-        else:
-            require(c["k"] == 0 and "rounds" not in c, str(c))
-    target = [c for c in cells
-              if c["type"] == "u64" and c["nranks"] == 16 and
-              c["path"] == "pull" and c["phase"] == "exchange" and
-              c["algo"] == "alltoallv"]
-    require(bool(target), "no u64 P=16 pull exchange cell")
-    speedup = target[0]["speedup_vs_packed"]
-    require(speedup >= 1.3,
-            f"pull path only {speedup:.2f}x vs packed on u64 P=16 exchange "
-            "(< 1.3x)")
-    print(f"perf gate OK: pull {speedup:.2f}x faster than packed "
-          "(u64, P=16, exchange superstep)")
-    kary = [c for c in cells
-            if c["algo"] == "kary" and c["type"] == "u64" and
-            c["nranks"] == 16]
-    require(bool(kary), "no u64 P=16 kary cells")
-    best = max(kary, key=lambda c: c["speedup_vs_packed"])
-    require(best["speedup_vs_packed"] >= 1.3,
-            f"best k-ary (k={best['k']}) only "
-            f"{best['speedup_vs_packed']:.2f}x vs packed alltoallv on u64 "
-            "P=16 exchange+merge (< 1.3x)")
-    print(f"perf gate OK: k-ary k={best['k']} "
-          f"{best['speedup_vs_packed']:.2f}x faster than packed alltoallv "
-          "(u64, P=16, exchange+merge supersteps)")
+        require(c["k"] >= 2 and c["pairs"] >= 10, str(c))
+        for side in ("alltoallv", "kary"):
+            for k in ("wall_s", "wall_median", "wall_q1", "wall_q3", "cpu_s",
+                      "cpu_median"):
+                require(f"{side}_{k}" in c, f"missing field {side}_{k}: {c}")
+            require(len(c[f"{side}_wall_s"]) == c["pairs"] and
+                    len(c[f"{side}_cpu_s"]) == c["pairs"],
+                    f"{side} samples do not match pairs: {c}")
+            require(0.0 < c[f"{side}_wall_q1"] <= c[f"{side}_wall_median"]
+                    <= c[f"{side}_wall_q3"], f"quartiles out of order: {c}")
+            require(c[f"{side}_cpu_median"] > 0.0, str(c))
+        p = paired(c["alltoallv_wall_s"], c["kary_wall_s"], "lower")
+        require(p["wins"] == c["wins"],
+                f"wins {c['wins']} but the samples give {p['wins']}: {c}")
+        require(bool(c["rounds"]),
+                f"kary cell missing per-round breakdown: {c}")
+        for r in c["rounds"]:
+            require(r["exchange_s"] >= 0.0 and r["merge_s"] >= 0.0, str(c))
+    u64 = [c for c in cells if c["type"] == "u64"]
+    require(bool(u64), "no u64 cells")
+    rows = []
+    for c in u64:
+        v = verdict(c["alltoallv_wall_s"], c["kary_wall_s"], "lower",
+                    KARY_SPEEDUP_BOUND - 1.0)
+        speedup = 1.0 / v["ratio"] if v["ratio"] > 0.0 else 0.0
+        ok = v["verdict"] == "gain" and speedup >= KARY_SPEEDUP_BOUND
+        rows.append((ok, speedup, c, v))
+        print(f"  u64 P={c['nranks']} k={c['k']} "
+              f"overlap={'yes' if c['overlap'] else 'no'}: {speedup:.2f}x "
+              f"vs Alltoallv, {v['wins']}/{v['pairs']} wins, verdict "
+              f"{v['verdict']}, thread-CPU "
+              f"{c['kary_cpu_median'] / c['alltoallv_cpu_median']:.2f}x")
+    ok, speedup, best, v = max(rows, key=lambda row: (row[0], row[1]))
+    require(ok,
+            f"best k-ary (k={best['k']}, overlap={best['overlap']}) only "
+            f"{speedup:.2f}x vs the sort's Alltoallv path on u64 "
+            f"P={best['nranks']} exchange+merge ({v['wins']}/{v['pairs']} "
+            f"wins, verdict {v['verdict']}; needs a gain of >= "
+            f"{KARY_SPEEDUP_BOUND}x)")
+    print(f"perf gate OK: k-ary k={best['k']} {speedup:.2f}x faster than the "
+          f"sort's Alltoallv path (u64, P={best['nranks']}, exchange+merge "
+          f"supersteps, {v['wins']}/{v['pairs']} wins)")
 
 
 def check_recovery(path: str) -> None:
