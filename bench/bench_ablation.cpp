@@ -71,7 +71,9 @@ RunResult run_sort(int nodes, int rpn, u64 model_keys, u64 real_keys,
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv,
+                         {"nodes", "ranks-per-node", "model-keys", "real-keys",
+                          "trace", "ledger", "calibration"});
   g_args = &args;
   const int nodes = static_cast<int>(args.get_int("nodes", 16));
   const int rpn = static_cast<int>(args.get_int("ranks-per-node", 16));
@@ -151,15 +153,9 @@ int main(int argc, char** argv) {
     std::vector<std::pair<std::string, core::SortConfig>> rows;
     rows.emplace_back("ALL-TO-ALLV collective (paper)", bench::paper_config());
     for (int k : {2, 4, P}) {
-      for (bool overlap : {false, true}) {
-        core::SortConfig scfg = bench::paper_config();
-        scfg.exchange = core::ExchangeAlgorithm::KAry;
-        scfg.exchange_k = k;
-        scfg.overlap_merge = overlap;
-        rows.emplace_back("k-ary k=" + std::to_string(k) +
-                              (overlap ? " + merge overlap" : ""),
-                          scfg);
-      }
+      core::SortConfig scfg = bench::paper_config();
+      scfg.exchange_k = k;
+      rows.emplace_back("k-ary k=" + std::to_string(k), scfg);
     }
     for (const auto& [name, scfg] : rows) {
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);

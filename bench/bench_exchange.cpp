@@ -3,8 +3,8 @@
 // same sorted input and splitters: the reference is the default config
 // (core::exchange, the pull Alltoallv, then merge_chunks under the default
 // merge with the vacated input as its spare), the other the k-ary exchange
-// with k in {2, 4}, with and without overlap_merge, on u64 keys and
-// 64-byte records.
+// with k in {2, 4}, on u64 keys and 64-byte records. At P = 4, k = 4 is one
+// round, the default path itself: those cells are an A/A noise control.
 //
 // P = 4 keeps one rank thread per core on a 4-core host: with more ranks
 // than cores, host wall time measures the OS scheduler (perfbench/README.md).
@@ -70,12 +70,10 @@ struct Cell {
   std::string type;
   usize n_per_rank = 0;
   int k = 0;
-  bool overlap = false;
   Side alltoallv;  ///< the sort's default path
   Side kary;
-  /// Per-round simulated-time attribution of rank 0's k-ary exchange: how
-  /// much of each round is communication vs overlapped tail merge.
-  std::vector<core::KAryRoundTrace> rounds;
+  /// Simulated seconds of each round of rank 0's k-ary exchange.
+  std::vector<double> rounds;
 };
 
 /// Pairs whose k-ary wall time beat the Alltoallv one (ties count for
@@ -93,14 +91,12 @@ double speedup(const Cell& c) {
 }
 
 /// Runs `pairs` alternating pairs of the sort's supersteps 3 + 4 under the
-/// default config and under k-ary (k, overlap), inside one Team.
+/// default config and under k-ary k, inside one Team.
 template <class T, class KeyFn, class MakeFn>
 void run_cell(Cell& cell, int pairs, u64 seed, KeyFn key, MakeFn make) {
   const usize n = cell.n_per_rank;
   core::SortConfig kary_cfg;
-  kary_cfg.exchange = core::ExchangeAlgorithm::KAry;
   kary_cfg.exchange_k = cell.k;
-  kary_cfg.overlap_merge = cell.overlap;
   const core::SortConfig configs[2] = {core::SortConfig{}, kary_cfg};
   Side* sides[2] = {&cell.alltoallv, &cell.kary};
   std::vector<double> cpu(kRanks, 0.0);  // one slot per rank and run
@@ -163,7 +159,7 @@ void run_cell(Cell& cell, int pairs, u64 seed, KeyFn key, MakeFn make) {
     }
     // The per-round breakdown is simulated time, so one untimed call
     // captures it.
-    (void)core::exchange_kary(c, sorted_view, sp, key, cell.k, cell.overlap,
+    (void)core::exchange_kary(c, sorted_view, sp, cell.k, {},
                               c.rank() == 0 ? &cell.rounds : nullptr);
 
     for (int i = 0; i < pairs; ++i) {
@@ -209,7 +205,6 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
     const Cell& c = cells[i];
     out << "  {\"type\": \"" << c.type << "\", \"nranks\": " << kRanks
         << ", \"n_per_rank\": " << c.n_per_rank << ", \"k\": " << c.k
-        << ", \"overlap\": " << (c.overlap ? "true" : "false")
         << ", \"pairs\": " << c.kary.wall_s.size();
     write_side(out, "alltoallv", c.alltoallv);
     write_side(out, "kary", c.kary);
@@ -217,19 +212,18 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
         << ", \"rounds\": [";
     for (usize r = 0; r < c.rounds.size(); ++r)
       out << (r ? ", " : "") << "{\"round\": " << r
-          << ", \"exchange_s\": " << c.rounds[r].comm_s
-          << ", \"merge_s\": " << c.rounds[r].merge_s << "}";
+          << ", \"exchange_s\": " << c.rounds[r] << "}";
     out << "]}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "]\n";
 }
 
 /// One representative traced run for --trace / --ledger: u64 keys at P=16
-/// through the k-ary exchange with merge overlap, executed once in a
-/// trace-enabled team so the run ledger gets real slices. It measures only
-/// simulated time, which does not depend on the host, so it keeps the rank
-/// count and config its history cells were recorded with; the wall-clock
-/// cells above stay untraced.
+/// through the k-ary exchange at k = 4 and then the default merge,
+/// executed once in a trace-enabled team so the run ledger gets real
+/// slices. It measures only simulated time, which does not depend on the
+/// host, so it keeps the rank count its history cells were recorded with;
+/// the wall-clock cells above stay untraced.
 void run_traced_representative(const bench::Args& args, usize n, u64 seed,
                                const std::vector<Cell>& cells) {
   if (!args.has("trace") && !args.has("ledger")) return;
@@ -257,9 +251,9 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
       return core::find_splitters(c, sorted_view, key,
                                   std::span<const usize>(targets));
     }();
-    net::PhaseScope ps(c.clock(), net::Phase::Exchange);
-    auto ex = core::exchange_kary(c, sorted_view, sp, key, kArity,
-                                  /*overlap_merge=*/true);
+    auto ex = core::exchange_kary(c, sorted_view, sp, kArity);
+    core::merge_chunks(c, ex.data, std::span<const usize>(ex.recv_counts),
+                       core::SortConfig{}.merge, key);
     if (!std::is_sorted(ex.data.begin(), ex.data.end())) {
       std::cerr << "FATAL: traced k-ary exchange produced unsorted output\n";
       std::exit(1);
@@ -299,7 +293,9 @@ void run_traced_representative(const bench::Args& args, usize n, u64 seed,
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv,
+                         {"pairs", "seed", "n_u64", "n_rec", "out", "trace",
+                          "ledger", "calibration"});
   const int pairs = static_cast<int>(args.get_int("pairs", 21));
   const u64 seed = static_cast<u64>(args.get_int("seed", 1));
   const usize n_u64 =
@@ -318,9 +314,8 @@ int main(int argc, char** argv) {
           std::to_string(kRanks) + ", " + std::to_string(pairs) +
           " alternating pairs per cell; median [q1, q3] ms");
 
-  Table table({"type", "n/rank", "k", "overlap", "alltoallv wall",
-               "kary wall", "speedup", "wins", "alltoallv cpu ms",
-               "kary cpu ms"});
+  Table table({"type", "n/rank", "k", "alltoallv wall", "kary wall",
+               "speedup", "wins", "alltoallv cpu ms", "kary cpu ms"});
   std::vector<Cell> cells;
   const auto u64_key = [](u64 v) { return v; };
   const auto u64_make = [](Xoshiro256& rng) { return rng(); };
@@ -331,27 +326,23 @@ int main(int argc, char** argv) {
     return r;
   };
   for (const bool rec : {false, true})
-    for (int k : {2, 4})
-      for (bool overlap : {false, true}) {
-        Cell cell;
-        cell.type = rec ? "rec64" : "u64";
-        cell.n_per_rank = rec ? n_rec : n_u64;
-        cell.k = k;
-        cell.overlap = overlap;
-        if (rec)
-          run_cell<Rec64>(cell, pairs, seed, rec_key, rec_make);
-        else
-          run_cell<u64>(cell, pairs, seed, u64_key, u64_make);
-        table.add_row({cell.type, std::to_string(cell.n_per_rank),
-                       std::to_string(k), overlap ? "yes" : "no",
-                       fmt_ms(cell.alltoallv.wall_s), fmt_ms(cell.kary.wall_s),
-                       fmt(speedup(cell)) + "x",
-                       std::to_string(wins(cell)) + "/" +
-                           std::to_string(pairs),
-                       fmt(median(cell.alltoallv.cpu_s) * 1e3),
-                       fmt(median(cell.kary.cpu_s) * 1e3)});
-        cells.push_back(std::move(cell));
-      }
+    for (int k : {2, 4}) {
+      Cell cell;
+      cell.type = rec ? "rec64" : "u64";
+      cell.n_per_rank = rec ? n_rec : n_u64;
+      cell.k = k;
+      if (rec)
+        run_cell<Rec64>(cell, pairs, seed, rec_key, rec_make);
+      else
+        run_cell<u64>(cell, pairs, seed, u64_key, u64_make);
+      table.add_row({cell.type, std::to_string(cell.n_per_rank),
+                     std::to_string(k), fmt_ms(cell.alltoallv.wall_s),
+                     fmt_ms(cell.kary.wall_s), fmt(speedup(cell)) + "x",
+                     std::to_string(wins(cell)) + "/" + std::to_string(pairs),
+                     fmt(median(cell.alltoallv.cpu_s) * 1e3),
+                     fmt(median(cell.kary.cpu_s) * 1e3)});
+      cells.push_back(std::move(cell));
+    }
 
   std::cout << table.to_string();
   run_traced_representative(args, n_u64, seed, cells);

@@ -23,7 +23,10 @@ int main(int argc, char** argv) {
   using namespace hds;
   using runtime::Comm;
   using runtime::Team;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv,
+                         {"max-nodes", "ranks-per-node", "model-keys",
+                          "real-keys", "reps", "trace", "ledger",
+                          "calibration"});
   const int max_nodes = static_cast<int>(args.get_int("max-nodes", 128));
   const int rpn = static_cast<int>(args.get_int("ranks-per-node", 16));
   const int reps = static_cast<int>(args.get_int("reps", 3));

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace hds;
   using runtime::Comm;
   using runtime::Team;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"model-keys", "real-keys", "reps"});
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const u64 model_total = args.get_int("model-keys", 671088640);  // 5 GB f64
   const u64 real_total = args.get_int("real-keys", u64{1} << 21);

@@ -175,7 +175,8 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv,
+                         {"max_exp", "reps", "seed", "out", "ledger"});
   const int max_exp = static_cast<int>(args.get_int("max_exp", 20));
   const int reps = static_cast<int>(args.get_int("reps", 5));
   const u64 seed = static_cast<u64>(args.get_int("seed", 1));

@@ -123,7 +123,7 @@ double parallel_resort(int threads, usize n_real, double data_scale,
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv, {"model-keys", "real-keys"});
   const u64 model_keys = args.get_int("model-keys", u64{4} << 30);  // 16 GB
   const u64 real_keys = args.get_int("real-keys", u64{1} << 21);
   const double scale = static_cast<double>(model_keys) /

@@ -145,7 +145,9 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv,
+                         {"n", "seed", "out", "trace", "ledger",
+                          "calibration"});
   const u64 seed = static_cast<u64>(args.get_int("seed", 9));
   const usize n = static_cast<usize>(args.get_int("n", i64{1} << 17));
   const std::string out_path = args.get_string("out", "BENCH_recovery.json");

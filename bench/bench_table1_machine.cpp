@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv,
+                         {"calibrate", "nodes", "ranks-per-node"});
   auto m = net::MachineModel::supermuc_phase2(
       static_cast<int>(args.get_int("nodes", 128)),
       static_cast<int>(args.get_int("ranks-per-node", 16)));

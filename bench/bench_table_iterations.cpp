@@ -133,7 +133,9 @@ void write_hist_json(const std::string& path,
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const bench::Args args(argc, argv);
+  const bench::Args args(argc, argv,
+                         {"keys-per-rank", "grid-keys-per-rank", "reps", "out",
+                          "skip-table", "ledger", "calibration"});
   const usize n_rank = static_cast<usize>(args.get_int("keys-per-rank", 4096));
   const int reps = static_cast<int>(args.get_int("reps", 3));
 

@@ -128,7 +128,10 @@ gate "perf smoke: bench_local_sort" local_sort_smoke
 # sort's own path — the pull Alltoallv plus the default merge, supersteps
 # 3 + 4 — by >= 1.3x in wall-clock time at P = 4 (one rank thread per core
 # on a 4-core host), as a paired gain over 21 alternating pairs judged by
-# tools/ab_perfbench.py's verdict rule. The traced representative feeds the
+# tools/ab_perfbench.py's verdict rule. It is expected to stay red: every
+# k-ary round is an Alltoallv of its own, so k = 2 moves each element
+# twice and packs it once per hop, and k = 4 is one round at P = 4, the
+# sort's own path (an A/A control). The traced representative feeds the
 # perf-history stage through LEDGER_exchange.json either way.
 exchange_gate() {
   (cd "${B}" &&
@@ -185,10 +188,12 @@ gate "check smoke: quickstart --check" check_smoke
 # Model check (DESIGN.md sec. 15): the static schedule matcher over the
 # histogram sort's exchange schedules and the two baselines (plus the seeded
 # collective-order swap that must FAIL the lint), then bounded
-# schedule-space exploration of the histogram sort at P in {2, 3} and the
-# mailbox/borrow/recovery micro-protocols at P = 4 — deadlock-freedom,
-# quiescence, and byte-identical output + exact sim-time determinism over
-# every explored interleaving — and the three seeded protocol mutations,
+# schedule-space exploration of the histogram sort at P in {2, 3}, its k-ary
+# exchange at P = 4 (k = 2, two rounds) and the mailbox and recovery
+# micro-protocols at P = 4 — deadlock-freedom, quiescence, and
+# byte-identical output + exact sim-time determinism over every explored
+# interleaving — and the three seeded protocol mutations (a dropped barrier
+# in the mailbox protocol and in a k-ary round, a reordered mailbox push),
 # each of which must be caught with a replayable counterexample. The
 # report artifact is schema-gated by validate_bench.py. HDS_MODEL_DEEP=1
 # switches exploration to exhaustive (no independence pruning) with a
@@ -237,7 +242,9 @@ fault_matrix() {
         return 1
     done
     # After a shrink the configured exchange runs on the P-1 survivors (3, 7
-    # and 15 ranks): the k-ary schedule on a subteam, prime for P = 4 and 8.
+    # and 15 ranks): --exchange-k only picks the schedule (no merge
+    # overlap), and the prime subteams of P = 4 and 8 run one round, so
+    # only P = 16's 15 survivors forward through two ({3, 5}).
     echo "--- P=${p} exchange-k=4 mode=shrink: crash ---"
     (cd "${B}" &&
       ./examples/quickstart --ranks="${p}" --keys-per-rank=4000 \

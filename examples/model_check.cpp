@@ -6,20 +6,19 @@
 //     ScheduleRecorder installed (a ghost capture: symbolic per-rank op
 //     schedules, no extra payload movement), and the recorder lints the
 //     capture: identical collective sequences across every communicator's
-//     members, every send paired with a recv, every borrowed-payload loan
-//     explicitly waited. The grid is histogram sort x {alltoallv, k-ary
-//     k in {2, 3, P}} plus the two baseline sorts, all at P = 8. A seeded
-//     collective-order swap (--matcher-negative, also run by default) must
-//     FAIL the lint — it guards the matcher itself.
+//     members and every send paired with a recv. The grid is histogram sort
+//     x {alltoallv, k-ary k in {2, 3}} plus the two baseline sorts, all at
+//     P = 8. A seeded collective-order swap (--matcher-negative, also run
+//     by default) must FAIL the lint — it guards the matcher itself.
 //
 //  2. Bounded schedule-space explorer — DFS over rank interleavings of the
 //     canonical scenarios (model/scenarios.h) under the controlled
-//     scheduler, checking deadlock-freedom, message/loan/arena quiescence,
-//     and schedule determinism (byte-identical output digests and exact
-//     final SimClock equality on every explored interleaving). Three
-//     seeded protocol mutations (drop-barrier, reorder-push,
-//     skip-borrow-wait) must each be caught with a replayable
-//     counterexample.
+//     scheduler, checking deadlock-freedom, message/arena quiescence, and
+//     schedule determinism (byte-identical output digests and exact final
+//     SimClock equality on every explored interleaving). Three seeded
+//     protocol mutations (a dropped barrier in the mailbox protocol and in
+//     a k-ary exchange round, a reordered mailbox push) must each be caught
+//     with a replayable counterexample.
 //
 //   ./model_check                      run everything with the CI budget
 //   ./model_check --explore=sort2      one scenario only
@@ -78,19 +77,12 @@ std::vector<GridCase> matcher_grid() {
 
   struct Ex {
     const char* name;
-    core::ExchangeAlgorithm algo;
     int k;
   };
-  const Ex exchanges[] = {
-      {"alltoallv", core::ExchangeAlgorithm::Alltoallv, 0},
-      {"kary-k2", core::ExchangeAlgorithm::KAry, 2},
-      {"kary-k3", core::ExchangeAlgorithm::KAry, 3},
-      {"kary-kP", core::ExchangeAlgorithm::KAry, P},
-  };
+  const Ex exchanges[] = {{"alltoallv", 0}, {"kary-k2", 2}, {"kary-k3", 3}};
   for (const Ex& ex : exchanges) {
     core::SortConfig cfg;
-    cfg.exchange = ex.algo;
-    if (ex.k > 0) cfg.exchange_k = ex.k;
+    cfg.exchange_k = ex.k;
     cases.push_back({std::string("histogram-") + ex.name, P,
                      [cfg](runtime::Comm& c) {
                        auto local = grid_data(c.rank(), c.size(), kPerRank);
@@ -130,8 +122,6 @@ struct MatcherResult {
   std::string name;
   std::vector<std::string> issues;
   usize ops = 0;
-  usize loans_opened = 0;
-  usize loans_waited = 0;
 };
 
 MatcherResult run_matcher_case(const GridCase& gc) {
@@ -149,8 +139,6 @@ MatcherResult run_matcher_case(const GridCase& gc) {
   r.name = gc.name;
   r.issues = rec.verify();
   r.ops = rec.ops();
-  r.loans_opened = rec.loans_opened();
-  r.loans_waited = rec.loans_waited();
   return r;
 }
 
@@ -159,16 +147,17 @@ struct MutationSpec {
   model::Mutation mutation;
 };
 
-/// The three seeded protocol faults and the micro-scenario that exposes
-/// each: a dropped barrier deadlocks the peers, a reordered contended push
-/// breaks per-channel FIFO (output divergence across schedules), a skipped
-/// borrow wait leaves the loan to the destructor.
+/// The three seeded protocol faults and the scenario that exposes each: a
+/// dropped barrier deadlocks the peers, in the mailbox protocol and inside
+/// a k-ary exchange round's ALL-TO-ALLV; a reordered contended push breaks
+/// per-channel FIFO (output divergence across schedules).
 std::vector<MutationSpec> mutation_specs() {
   using K = model::Mutation::Kind;
   return {
       {"mailbox", {K::DropBarrier, /*rank=*/0, /*nth=*/0}},
       {"mailbox", {K::ReorderPush, /*rank=*/0, /*nth=*/0}},
-      {"borrow", {K::SkipBorrowWait, /*rank=*/0, /*nth=*/0}},
+      {"sort4-kary2",
+       {K::DropBarrier, /*rank=*/0, model::kSort4KAry2RoundBarrier}},
   };
 }
 
@@ -334,8 +323,6 @@ int main(int argc, char** argv) {
         m.kind = K::DropBarrier;
       else if (only_mutation == "reorder-push")
         m.kind = K::ReorderPush;
-      else if (only_mutation == "skip-borrow-wait")
-        m.kind = K::SkipBorrowWait;
       else {
         std::cerr << "model_check: unknown mutation " << only_mutation
                   << "\n";
@@ -393,16 +380,13 @@ int main(int argc, char** argv) {
     std::ofstream os(json_path);
     os << "{\"schema\":\"hds-model-report\",\"version\":1,\"deep\":"
        << (ecfg.exhaustive ? "true" : "false") << ",";
-    usize ops = 0, opened = 0, waited = 0, failures = 0;
+    usize ops = 0, failures = 0;
     for (const auto& r : matcher_results) {
       ops += r.ops;
-      opened += r.loans_opened;
-      waited += r.loans_waited;
       if (!r.issues.empty()) ++failures;
     }
     os << "\"matcher\":{\"configs\":" << matcher_results.size()
        << ",\"failures\":" << failures << ",\"ops\":" << ops
-       << ",\"loans_opened\":" << opened << ",\"loans_waited\":" << waited
        << ",\"cases\":[";
     for (usize i = 0; i < matcher_results.size(); ++i) {
       if (i) os << ',';

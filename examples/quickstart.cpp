@@ -21,11 +21,11 @@
 // sort config, per-phase and per-op-class time, and the fitted cost-model
 // constants — and prints the differential-profiler attribution table
 // showing where the cost model disagrees with the traced run.
-// --exchange-k=K switches superstep 3 to the k-ary swap schedule with
-// merge/communication overlap (DESIGN.md sec. 13): ceil(log_K P) rounds of
-// K-1 partners each, merging previous arrivals while the current round's
-// copies are in flight. K=2 is the hypercube schedule, K>=P one direct
-// round. Without the flag the paper's single-alltoallv exchange is used.
+// --exchange-k=K switches superstep 3 to the k-ary swap schedule (DESIGN.md
+// sec. 13): ceil(log_K P) rounds of K-1 partners each, every round one
+// ALL-TO-ALLV. K=2 is the hypercube schedule; K>=P, or a prime P with no
+// factor <= K, runs the one round of the paper's single-alltoallv exchange,
+// which is also what runs without the flag.
 // --histogram selects the splitter-search strategy (DESIGN.md sec. 16):
 // "dense" is the paper's probe-and-allreduce baseline, "hybrid" runs
 // HSS-style sampled bracket rounds first and then dense rounds that probe
@@ -73,7 +73,11 @@ const char* histogram_mode_name(hds::core::HistogramMode m) {
 
 int main(int argc, char** argv) {
   using namespace hds;
-  const Args args(argc, argv);
+  const Args args(argc, argv,
+                  {"ranks", "keys-per-rank", "epsilon", "trace", "ledger",
+                   "check", "exchange-k", "histogram", "fault", "fault-rank",
+                   "fault-op", "fault-seed", "straggle", "drop", "recovery",
+                   "replay-schedule"});
   const int ranks = static_cast<int>(args.get_int("ranks", 8));
   const usize keys_per_rank =
       static_cast<usize>(args.get_int("keys-per-rank", 100000));
@@ -81,7 +85,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = args.get_string("trace", "");
   const std::string ledger_path = args.get_string("ledger", "");
   const bool check = args.has("check");
-  // 0 = alltoallv (the default exchange)
+  // 0 = one round, the paper's single ALL-TO-ALLV (the default exchange)
   const int exchange_k = static_cast<int>(args.get_int("exchange-k", 0));
   if (args.has("exchange-k") && exchange_k < 2) {
     std::cerr << "--exchange-k must be >= 2\n";
@@ -149,11 +153,6 @@ int main(int argc, char** argv) {
       issue = true;
       std::cout << "run failed: " << out.error << "\n";
     }
-    if (out.dtor_drains > 0) {
-      issue = true;
-      std::cout << out.dtor_drains
-                << " BorrowToken(s) drained by destructor instead of wait()\n";
-    }
     if (out.undelivered > 0) {
       issue = true;
       std::cout << out.undelivered
@@ -192,11 +191,7 @@ int main(int argc, char** argv) {
   core::SortConfig cfg;
   cfg.epsilon = epsilon;
   cfg.histogram = histogram;
-  if (exchange_k > 0) {
-    cfg.exchange = core::ExchangeAlgorithm::KAry;
-    cfg.exchange_k = exchange_k;
-    cfg.overlap_merge = true;
-  }
+  cfg.exchange_k = exchange_k;
 
   runtime::TeamConfig tcfg{
       .nranks = ranks,

@@ -9,13 +9,12 @@
 // once, the design property the paper leans on for NUMA friendliness.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/error.h"
-#include "core/kway_merge.h"
 #include "core/multiselect.h"
 #include "core/radix_sort.h"
 #include "runtime/comm.h"
@@ -151,10 +150,11 @@ ExchangeResult<T> exchange(runtime::Comm& comm, std::span<const T> local,
 /// has no divisor in [2, k] (e.g. prime P > k) its smallest prime factor is
 /// used instead — one wider round rather than a failure, so the schedule
 /// exists for every P. k == 2 at a power of two gives the hypercube's
-/// log2(P) dimensions; k >= P collapses to a single direct-exchange round.
+/// log2(P) dimensions; k >= P, and k < 2 (SortConfig's default 0), give the
+/// single round of the direct exchange.
 inline std::vector<int> kary_round_factors(int P, int k) {
   HDS_CHECK(P >= 1);
-  if (k < 2) k = 2;
+  if (k < 2) k = P;
   std::vector<int> factors;
   int rem = P;
   while (rem > 1) {
@@ -174,266 +174,147 @@ inline std::vector<int> kary_round_factors(int P, int k) {
   return factors;
 }
 
-/// Per-round simulated-time attribution of one rank's k-ary exchange
-/// (bench_exchange's round breakdown): communication seconds vs the
-/// overlapped merge seconds charged during that round.
-struct KAryRoundTrace {
-  double comm_s = 0.0;   ///< sends + receives of this round
-  double merge_s = 0.0;  ///< overlapped merge of the previous round
-};
-
-/// Tunable k-ary swap schedule with merge/communication overlap (PR 7,
-/// spanning the store-and-forward hypercube at k = 2 (Sec. VI-E1: "ceil(log
-/// p) rounds" for small N/P) and the direct exchange at k = P; cf. diy's
-/// SortPartners). View every rank id in the mixed radix
-/// given by kary_round_factors(P, k): in round r, ranks sharing all digits
-/// except digit r form a group of f_r members, and each rank swaps with its
-/// f_r - 1 group partners every bucket whose destination differs in digit
-/// r — buckets reach their destination digit by digit, store-and-forward,
-/// in ceil(log_k P) rounds for k-smooth P (any P is supported through the
-/// factorization fallback).
+/// Tunable k-ary swap schedule (DESIGN.md sec. 13), spanning the
+/// store-and-forward hypercube at k = 2 (Sec. VI-E1: "ceil(log p) rounds"
+/// for small N/P) and the direct exchange at k >= P; cf. diy's
+/// SortPartners. View every rank id in the mixed radix given by
+/// kary_round_factors(P, k): in round r, ranks sharing all digits except
+/// digit r form a group of f_r members, and each rank hands its f_r - 1
+/// group partners every bucket whose destination differs in digit r —
+/// buckets reach their destination digit by digit, store-and-forward, in
+/// ceil(log_k P) rounds for k-smooth P.
 ///
-/// With `overlap_merge`, runs that arrive at their final destination in
-/// round r-1 are merged with the accumulated output *while round r's
-/// borrowed-payload copies are in flight*: the merge is charged through
-/// CostModel::overlapped_merge against the round's p2p window, so simulated
-/// time models the overlap explicitly. Each drain is one kway_merge_into
-/// into a new buffer that replaces the accumulated output. The last batch
-/// of arrivals has no later round to hide in and is charged in full.
-/// Without `overlap_merge` the chunks are concatenated and recv_counts
-/// returned for the superstep-4 merge.
-///
-/// Each round places the runs received for a destination from partners
-/// with a lower group digit before the runs this rank already holds for it,
-/// and those from higher digits after, so every bucket lists its runs in
-/// source-rank order and equal keys leave in the Alltoallv path's order
-/// (each drain merges the held output at the same split).
-template <class T, class UK, class KeyFn>
-ExchangeResult<T> exchange_kary(
-    runtime::Comm& comm, std::span<const T> sorted_local,
-    const SplitterResult<UK>& sp, KeyFn key, int k, bool overlap_merge,
-    std::vector<KAryRoundTrace>* round_trace = nullptr) {
-  net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
+/// Every round is an ALL-TO-ALLV over the whole team, the same collective
+/// (and price) as the single-round exchange: first the run manifests
+/// (dest, nruns, runlen... per bucket) as control traffic, then the runs,
+/// packed once in member order. A one-round schedule is exchange() itself,
+/// by-reference `refs` included; more rounds forward contiguous runs, so
+/// they take a sorted `local` and no refs. In the last round each rank
+/// also sends its own bucket to itself, so that round's receive buffer is
+/// the output: one run per source, in source-rank order, and equal keys
+/// leave superstep 4 in the Alltoallv path's order. `round_s`, if given,
+/// receives each round's simulated seconds.
+template <class T, class UK>
+ExchangeResult<T> exchange_kary(runtime::Comm& comm, std::span<const T> local,
+                                const SplitterResult<UK>& sp, int k,
+                                std::span<const KeyRef<UK>> refs = {},
+                                std::vector<double>* round_s = nullptr) {
   const int P = comm.size();
-  const int me = comm.rank();
   const std::vector<int> factors = kary_round_factors(P, k);
-  const usize nrounds = factors.size();
-  if (round_trace) round_trace->assign(nrounds, {});
+  if (round_s) round_s->clear();
+  if (factors.size() <= 1) return exchange(comm, local, sp, refs);
+  HDS_CHECK(refs.empty());
+  net::PhaseScope phase(comm.clock(), net::Phase::Exchange);
+  const int me = comm.rank();
 
   ExchangeResult<T> out;
-  const std::vector<usize> send =
-      compute_send_counts(comm, sorted_local.size(), sp);
-  std::vector<usize> offsets(P + 1, 0);
-  for (int d = 0; d < P; ++d) offsets[d + 1] = offsets[d] + send[d];
+  const std::vector<usize> send = compute_send_counts(comm, local.size(), sp);
   for (int d = 0; d < P; ++d)
     if (d != me) out.elements_sent_off_rank += send[d];
   note_exchange_metrics(comm, send, sizeof(T));
 
-  auto less = [&](const T& a, const T& b) { return key(a) < key(b); };
-
-  // Runs in flight, keyed by final destination. A run is a *view*: into the
-  // caller's sorted_local (initial slices, valid for the whole call) or
-  // into an earlier round's arrival buffer (kept alive in `arrivals` until
-  // the exchange returns). Store-and-forward therefore costs exactly one
-  // copy per forwarding hop — at serialization — plus the single receive
-  // copy, and a package holding a single run is lent straight from its
-  // source buffer without any serialization copy at all (for k >= P the
-  // whole exchange degenerates to lending sorted_local slices).
+  // Runs in flight, keyed by final destination. A run is a view into
+  // `local` or into an earlier round's receive buffer, kept alive in
+  // `arrivals` until the exchange returns.
   std::vector<std::vector<std::span<const T>>> bucket(P);
-  for (int d = 0; d < P; ++d)
-    if (send[d] != 0 && (d != me || !overlap_merge))
-      bucket[d].push_back(sorted_local.subspan(offsets[d], send[d]));
-  std::vector<T> acc;
-  std::vector<std::span<const T>> pending;  // final-destination arrivals
-  std::vector<std::unique_ptr<T[]>> arrivals;  // keep-alive arrival buffers
-  // The rank's own kept slice stays in sorted_local until the first drain
-  // merges it — no upfront copy.
-  const std::span<const T> kept = sorted_local.subspan(offsets[me], send[me]);
-  bool kept_in_acc = !overlap_merge;
+  usize off = 0;
+  for (int d = 0; d < P; ++d) {
+    if (send[d] != 0) bucket[d].push_back(local.subspan(off, send[d]));
+    off += send[d];
+  }
+  std::vector<std::vector<T>> arrivals;
+  std::vector<u64> manifest, manifest_in;
+  std::vector<T> pack, in;
+  std::vector<usize> manifest_counts(P), pack_counts(P), manifest_in_counts,
+      in_counts;
 
-  // The first `pending_split` pending runs came from lower group digits
-  // than this rank's in the round that received them.
-  usize pending_split = 0;
-
-  // Merge the pending runs with the held output (first drain: the kept
-  // slice, directly out of sorted_local; later: acc), placed between the
-  // runs from lower and higher group digits, into a new buffer that then
-  // replaces acc; charged by `charge`. The first run of that order is the
-  // merge's base, so the base is never an empty span.
-  auto drain_pending = [&](auto&& charge) {
-    const std::span<const T> held =
-        kept_in_acc ? std::span<const T>(acc) : kept;
-    const auto split = pending.begin() + static_cast<std::ptrdiff_t>(
-                                             pending_split);
-    std::vector<std::span<const T>> runs(pending.begin(), split);
-    if (!held.empty()) runs.push_back(held);
-    runs.insert(runs.end(), split, pending.end());
-    usize n = 0;
-    for (const auto& run : runs) n += run.size();
-    std::vector<T> next(n);
-    kway_merge_into(std::span<T>(next), runs[0],
-                    std::span<const std::span<const T>>(runs).subspan(1),
-                    less);
-    acc.swap(next);
-    kept_in_acc = true;
-    charge(acc.size(), runs.size());
-    pending.clear();
-  };
-
-  const u64 tag_base = 0x4a59ULL << 24;
   int stride = 1;
-  for (usize r = 0; r < nrounds; ++r) {
+  for (usize r = 0; r < factors.size(); ++r) {
     const int f = factors[r];
+    const bool last = r + 1 == factors.size();
     const int digit = (me / stride) % f;
     const int base = me - digit * stride;
     const double round_t0 = comm.clock().now();
 
-    // Serialize one package per group partner: every bucket whose
-    // destination's round-r digit matches that partner's digit. Header =
-    // [ndests, (dest, nruns, runlen...)...], payload the runs concatenated
-    // in header order.
-    std::vector<std::vector<u64>> header(f);
-    std::vector<std::vector<std::span<const T>>> outruns(f);
-    std::vector<std::vector<T>> payload(f);  // only built for >1 run
-    for (int c = 0; c < f; ++c) header[c].assign(1, 0);
-    for (int d = 0; d < P; ++d) {
-      const int dd = (d / stride) % f;
-      if (dd == digit || bucket[d].empty()) continue;
-      auto& h = header[dd];
-      ++h[0];
-      h.push_back(static_cast<u64>(d));
-      h.push_back(bucket[d].size());
-      for (const auto& run : bucket[d]) {
-        h.push_back(run.size());
-        outruns[dd].push_back(run);
-      }
-      bucket[d].clear();
-    }
-
-    // Post every send of the round before any receive, so the
-    // borrowed-payload copies are in flight while the previous round's
-    // merge below runs. `window_s` is the p2p time of this round's
-    // outgoing copies — the communication window the merge hides under.
-    std::vector<runtime::BorrowToken> loans;
-    loans.reserve(static_cast<usize>(f) - 1);
-    double window_s = 0.0;
+    // Pack, in member order, every bucket whose destination's round-r digit
+    // names a partner; buckets matching this rank's own digit stay put,
+    // except in the last round, where they are sent to itself.
+    const auto sends_to = [&](int c) { return c != digit || last; };
+    usize need = 0;
+    for (int d = 0; d < P; ++d)
+      if (sends_to((d / stride) % f))
+        for (const auto& run : bucket[d]) need += run.size();
+    manifest.clear();
+    pack.clear();
+    pack.reserve(need);
+    std::fill(manifest_counts.begin(), manifest_counts.end(), 0);
+    std::fill(pack_counts.begin(), pack_counts.end(), 0);
     for (int c = 0; c < f; ++c) {
-      if (c == digit) continue;
-      const int partner = base + c * stride;
-      comm.send(partner, tag_base + 2 * r, std::span<const u64>(header[c]),
-                net::Traffic::Control);
-      std::span<const T> pkg;
-      if (outruns[c].size() == 1) {
-        pkg = outruns[c][0];  // lend the source buffer itself
-      } else if (!outruns[c].empty()) {
-        auto& pl = payload[c];
-        usize need = 0;
-        for (const auto& run : outruns[c]) need += run.size();
-        pl.reserve(need);
-        for (const auto& run : outruns[c])
-          pl.insert(pl.end(), run.begin(), run.end());
-        pkg = std::span<const T>(pl);
+      if (!sends_to(c)) continue;
+      const usize m0 = manifest.size(), p0 = pack.size();
+      for (int d = 0; d < P; ++d) {
+        if ((d / stride) % f != c || bucket[d].empty()) continue;
+        manifest.push_back(static_cast<u64>(d));
+        manifest.push_back(bucket[d].size());
+        for (const auto& run : bucket[d]) {
+          manifest.push_back(run.size());
+          pack.insert(pack.end(), run.begin(), run.end());
+        }
+        bucket[d].clear();
       }
-      loans.push_back(comm.send_borrowed(partner, tag_base + 2 * r + 1, pkg));
-      window_s += comm.cost().p2p(comm.world_rank(),
-                                  comm.world_rank_of(partner),
-                                  pkg.size() * sizeof(T), net::Traffic::Data);
+      const auto member = static_cast<usize>(base + c * stride);
+      manifest_counts[member] = manifest.size() - m0;
+      pack_counts[member] = pack.size() - p0;
+    }
+    comm.alltoallv_into(std::span<const u64>(manifest),
+                        std::span<const usize>(manifest_counts), manifest_in,
+                        manifest_in_counts, {}, net::Traffic::Control);
+    comm.alltoallv_into(std::span<const T>(pack),
+                        std::span<const usize>(pack_counts), in, in_counts);
+    if (round_s) round_s->push_back(comm.clock().now() - round_t0);
+
+    if (last) {
+      // Every run received is for this rank, in source order.
+      for (usize m = 0; m < manifest_in.size();) {
+        HDS_CHECK(manifest_in[m] == static_cast<u64>(me));
+        const u64 nruns = manifest_in[m + 1];
+        for (u64 q = 0; q < nruns; ++q)
+          out.recv_counts.push_back(manifest_in[m + 2 + q]);
+        m += 2 + nruns;
+      }
+      out.data = std::move(in);
+      break;
     }
 
-    // Overlap: merge the previous round's final-destination runs while
-    // this round's copies are in flight. Only the residue of the merge not
-    // hidden by the window lands on the clock (Merge phase, so the obs
-    // attribution still reconciles).
-    if (overlap_merge && !pending.empty()) {
-      net::PhaseScope merge_phase(comm.clock(), net::Phase::Merge);
-      const double m0 = comm.clock().now();
-      drain_pending([&](usize n, usize nruns) {
-        comm.charge_overlapped_merge(n, nruns, window_s);
-      });
-      if (round_trace) (*round_trace)[r].merge_s = comm.clock().now() - m0;
-    }
-
-    // Receive from every group partner in digit order and dispatch the
-    // runs: final destination runs (d == me) feed the overlap pipeline, the
-    // rest are forwarded in a later round. The runs this rank held for the
-    // destinations it keeps come from sources with its own digit, so they
-    // go in at c == digit. In the last round every digit has been
-    // resolved, so every incoming run is for this rank.
-    std::vector<std::vector<std::span<const T>>> holding(P);
-    holding.swap(bucket);
+    // Re-file the arrivals by destination, partners in digit order with
+    // the runs this rank kept at its own digit, so every bucket lists its
+    // runs in source-rank order.
+    std::vector<std::vector<std::span<const T>>> kept(P);
+    kept.swap(bucket);
+    usize moff = 0, poff = 0;
     for (int c = 0; c < f; ++c) {
       if (c == digit) {
         for (int d = 0; d < P; ++d)
-          bucket[d].insert(bucket[d].end(), holding[d].begin(),
-                           holding[d].end());
-        pending_split = pending.size();
+          bucket[d].insert(bucket[d].end(), kept[d].begin(), kept[d].end());
         continue;
       }
-      const int partner = base + c * stride;
-      const std::vector<u64> rheader =
-          comm.recv<u64>(partner, tag_base + 2 * r);
-      usize incoming = 0;
-      {
-        usize hoff = 1;
-        for (u64 e = 0; e < rheader[0]; ++e) {
-          hoff++;  // dest
-          const u64 nruns = rheader[hoff++];
-          for (u64 q = 0; q < nruns; ++q) incoming += rheader[hoff++];
-        }
-      }
-      // The header carries every run length, so the payload lands in an
-      // exactly-sized, deliberately uninitialized buffer in one copy from
-      // the partner's lent source (a zero-initializing vector here would
-      // cost a full extra pass over the arrival data).
-      auto raw = std::make_unique_for_overwrite<T[]>(incoming);
-      const usize got = comm.recv_into(partner, tag_base + 2 * r + 1,
-                                       std::span<T>(raw.get(), incoming));
-      HDS_CHECK(got == incoming);
-      const std::span<const T> buf(raw.get(), incoming);
-      arrivals.push_back(std::move(raw));
-      usize hoff = 1, poff = 0;
-      for (u64 e = 0; e < rheader[0]; ++e) {
-        const int d = static_cast<int>(rheader[hoff++]);
-        const u64 nruns = rheader[hoff++];
+      const auto member = static_cast<usize>(base + c * stride);
+      const usize mend = moff + manifest_in_counts[member];
+      while (moff < mend) {
+        const auto d = static_cast<usize>(manifest_in[moff]);
+        const u64 nruns = manifest_in[moff + 1];
+        moff += 2;
         for (u64 q = 0; q < nruns; ++q) {
-          const u64 len = rheader[hoff++];
-          const std::span<const T> run(buf.data() + poff, len);
-          if (overlap_merge && d == me)
-            pending.push_back(run);
-          else
-            bucket[d].push_back(run);
+          const usize len = manifest_in[moff++];
+          bucket[d].push_back(std::span<const T>(in).subspan(poff, len));
           poff += len;
         }
       }
-      HDS_CHECK(poff == buf.size());
     }
-    // Reclaim the loans only after our own receives: the group round is
-    // symmetric, so waiting before them would deadlock it.
-    for (auto& loan : loans) loan.wait();
-    if (round_trace)
-      (*round_trace)[r].comm_s =
-          comm.clock().now() - round_t0 - (*round_trace)[r].merge_s;
+    HDS_CHECK(moff == manifest_in.size() && poff == in.size());
+    arrivals.push_back(std::move(in));
+    in = std::vector<T>();
     stride *= f;
-  }
-
-  if (overlap_merge) {
-    // The final arrivals have no later round to overlap with: full charge.
-    if (!pending.empty()) {
-      net::PhaseScope merge_phase(comm.clock(), net::Phase::Merge);
-      drain_pending(
-          [&](usize n, usize nruns) { comm.charge_kway_merge(n, nruns); });
-    }
-    if (!kept_in_acc) acc.assign(kept.begin(), kept.end());
-    out.data = std::move(acc);
-    if (!out.data.empty()) out.recv_counts.push_back(out.data.size());
-  } else {
-    usize mine = 0;
-    for (const auto& run : bucket[me]) mine += run.size();
-    out.data.reserve(mine);
-    for (const auto& run : bucket[me]) {
-      out.data.insert(out.data.end(), run.begin(), run.end());
-      out.recv_counts.push_back(run.size());
-    }
   }
   usize total = 0;
   for (usize c : out.recv_counts) total += c;

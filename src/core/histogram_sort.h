@@ -2,7 +2,8 @@
 //
 //   1. Local Sort      fast shared-memory sort of the local partition
 //   2. Splitting       distributed multiselection by histogramming (Alg. 2+3)
-//   3. Data Exchange   permutation matrix + single ALL-TO-ALLV (Alg. 4)
+//   3. Data Exchange   permutation matrix + single ALL-TO-ALLV (Alg. 4), or
+//                      the k-ary schedule's rounds of ALL-TO-ALLV
 //   4. Local Merge     merge of the received sorted chunks (Sec. V-C)
 //
 // Output invariant: each rank's partition is sorted, no element on rank i
@@ -35,17 +36,6 @@
 
 namespace hds::core {
 
-/// How superstep 3 moves the data.
-enum class ExchangeAlgorithm : u8 {
-  Alltoallv,  ///< single collective ALL-TO-ALLV (the paper's evaluated path)
-  KAry,  ///< tunable k-ary swap schedule (DESIGN.md sec. 13): store-and-
-         ///< forward in ceil(log_k P) rounds of k-1 group partners each,
-         ///< spanning the hypercube (k = 2, Sec. VI-E1's log2(P) rounds for
-         ///< small N/P) to direct exchange (k >= P); any rank count; with
-         ///< overlap_merge, round r-1's arrivals are tail-merged while
-         ///< round r's payload copies are in flight
-};
-
 struct SortConfig {
   /// Load-balance threshold epsilon (Def. 1); 0 = perfect partitioning.
   double epsilon = 0.0;
@@ -57,18 +47,13 @@ struct SortConfig {
   /// rounds first, then dense rounds that probe each bracket's midpoint
   /// plus one interpolated key. Both modes produce identical sorted output.
   HistogramMode histogram = HistogramMode::Dense;
-  ExchangeAlgorithm exchange = ExchangeAlgorithm::Alltoallv;
-  /// With ExchangeAlgorithm::KAry: per-round group size ("radix") of the
-  /// swap schedule. 2 gives the hypercube's log2(P) rounds of one partner;
-  /// >= P collapses to a single direct-exchange round; values in between
-  /// trade rounds (latency, forwarding traffic) against partners per round
-  /// and merge fan-in. See kary_round_factors for non-k-smooth P.
-  int exchange_k = 4;
-  /// With ExchangeAlgorithm::KAry: merge received chunks on arrival instead
-  /// of in superstep 4, overlapping the merge with the remaining
-  /// communication rounds (charged against the round's p2p window via
-  /// CostModel::overlapped_merge).
-  bool overlap_merge = false;
+  /// Per-round group size ("radix") of superstep 3's k-ary swap schedule
+  /// (exchange_kary, DESIGN.md sec. 13). 0 (the default) or >= P runs one
+  /// round: the paper's single ALL-TO-ALLV. 2 gives the hypercube's
+  /// log2(P) rounds of one partner (Sec. VI-E1, small N/P); values in
+  /// between trade rounds (latency, forwarding traffic) against partners
+  /// per round. See kary_round_factors for non-k-smooth P.
+  int exchange_k = 0;
 };
 
 /// The unsigned key image type the splitter search runs over, for a given
@@ -164,25 +149,17 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
 /// Superstep 3 (SplittersReady -> Exchanged): permutation matrix + data
 /// exchange. st.data becomes the received chunk concatenation; unless the
 /// merge is pinned to the re-sort, the vacated input is kept as st.spare
-/// for the k-way merge to write into. The Alltoallv exchange sends a
-/// by-reference partition through st.refs, so its receivers gather the
-/// records; the k-ary schedule forwards contiguous runs, so it gathers
-/// them first.
-template <class T, class UK, class KeyFn>
+/// for the k-way merge to write into. One round sends a by-reference
+/// partition through st.refs, so its receivers gather the records; more
+/// rounds forward contiguous runs, so they gather them first.
+template <class T, class UK>
 void superstep_exchange(runtime::Comm& comm, SortState<T, UK>& st,
-                        KeyFn key, const SortConfig& cfg) {
-  ExchangeResult<T> ex;
-  switch (cfg.exchange) {
-    case ExchangeAlgorithm::KAry:
-      gather_by_refs(st.data, st.refs);
-      ex = exchange_kary(comm, std::span<const T>(st.data), st.splitters,
-                         key, cfg.exchange_k, cfg.overlap_merge);
-      break;
-    case ExchangeAlgorithm::Alltoallv:
-      ex = exchange(comm, std::span<const T>(st.data), st.splitters,
-                    std::span<const KeyRef<UK>>(st.refs));
-      break;
-  }
+                        const SortConfig& cfg) {
+  if (kary_round_factors(comm.size(), cfg.exchange_k).size() > 1)
+    gather_by_refs(st.data, st.refs);
+  ExchangeResult<T> ex =
+      exchange_kary(comm, std::span<const T>(st.data), st.splitters,
+                    cfg.exchange_k, std::span<const KeyRef<UK>>(st.refs));
   st.refs = std::vector<KeyRef<UK>>();
   st.stats.elements_sent_off_rank = ex.elements_sent_off_rank;
   if (cfg.merge != MergeStrategy::Sort) st.spare = std::move(st.data);
@@ -219,7 +196,7 @@ void advance_superstep(runtime::Comm& comm, SortState<T, UK>& st, KeyFn key,
       st.completed = SuperstepId::SplittersReady;
       break;
     case SuperstepId::SplittersReady:
-      superstep_exchange(comm, st, key, cfg);
+      superstep_exchange(comm, st, cfg);
       st.completed = SuperstepId::Exchanged;
       break;
     case SuperstepId::Exchanged:

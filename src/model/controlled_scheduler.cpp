@@ -19,7 +19,6 @@ const char* mutation_kind_name(Mutation::Kind k) {
     case Mutation::Kind::None: return "none";
     case Mutation::Kind::DropBarrier: return "drop-barrier";
     case Mutation::Kind::ReorderPush: return "reorder-push";
-    case Mutation::Kind::SkipBorrowWait: return "skip-borrow-wait";
   }
   return "?";
 }
@@ -221,14 +220,6 @@ bool ControlledScheduler::mutate_reorder_push(int dst_world, int src,
   // Counts only contended pushes (the mailbox calls this with a non-empty
   // channel queue); atomic because the mailbox mutex is held here.
   return reorder_seen_.fetch_add(1, std::memory_order_relaxed) ==
-         cfg_.mutation.nth;
-}
-
-bool ControlledScheduler::mutate_skip_borrow_wait() {
-  if (cfg_.mutation.kind != Mutation::Kind::SkipBorrowWait ||
-      tl_rank != cfg_.mutation.rank)
-    return false;
-  return skip_seen_.fetch_add(1, std::memory_order_relaxed) ==
          cfg_.mutation.nth;
 }
 

@@ -10,7 +10,7 @@
 // rank does between two blocking sites is one atomic transition, which is
 // the right granularity here because the runtime's only cross-rank
 // interaction points are the hooked blocking sites and their effects
-// (mailbox pushes, barrier arrivals, borrow signals) — per-(src,tag) FIFO
+// (mailbox pushes, barrier arrivals) — per-(src,tag) FIFO
 // channels make any finer interleaving invisible to receivers.
 //
 // Decisions are recorded (enabled set, park footprints, chosen rank,
@@ -43,10 +43,9 @@ struct Mutation {
     None = 0,
     DropBarrier = 1,     ///< `rank` skips its nth Barrier::wait entirely
     ReorderPush = 2,     ///< nth contended mailbox push jumps its channel's queue
-    SkipBorrowWait = 3,  ///< `rank`'s nth BorrowToken::wait is skipped
   };
   Kind kind = Kind::None;
-  int rank = 0;  ///< target rank (DropBarrier, SkipBorrowWait)
+  int rank = 0;  ///< target rank (DropBarrier)
   int nth = 0;   ///< 0-based occurrence to mutate
 
   bool active() const { return kind != Kind::None; }
@@ -109,10 +108,6 @@ class ControlledScheduler final : public ScheduleHook {
   }
   bool mutate_drop_barrier() override;
   bool mutate_reorder_push(int dst_world, int src, u64 tag) override;
-  bool mutate_skip_borrow_wait() override;
-  void note_borrow_dtor_drain() override {
-    dtor_drains_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // --- post-run inspection ---------------------------------------------------
   bool deadlocked() const { return deadlock_; }
@@ -123,9 +118,6 @@ class ControlledScheduler final : public ScheduleHook {
   const std::string& deadlock_report() const { return deadlock_report_; }
   const std::vector<int>& choices() const { return choices_; }
   const std::vector<StepRecord>& steps() const { return steps_; }
-  usize dtor_drains() const {
-    return dtor_drains_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct RankState {
@@ -159,14 +151,12 @@ class ControlledScheduler final : public ScheduleHook {
   std::string deadlock_report_;
 
   std::atomic<bool> abandoned_{false};
-  std::atomic<usize> dtor_drains_{0};
   /// Mutation occurrence counters. reorder_seen_ is atomic because
   /// mutate_reorder_push is called under the mailbox mutex and must not
-  /// take mu_ (lock-order hygiene); the others run lock-free too for
+  /// take mu_ (lock-order hygiene); barrier_seen_ runs lock-free too for
   /// symmetry.
   std::atomic<int> barrier_seen_{0};
   std::atomic<int> reorder_seen_{0};
-  std::atomic<int> skip_seen_{0};
 };
 
 }  // namespace hds::model

@@ -41,7 +41,6 @@ RunOutcome run_scenario(const Scenario& s, const std::vector<int>& prefix,
   out.deadlock_report = sched.deadlock_report();
   out.choices = sched.choices();
   out.steps = sched.steps();
-  out.dtor_drains = sched.dtor_drains();
   out.undelivered = team.undelivered_messages();
   out.quiescence = team.model_quiescence_issues();
   if (out.completed) {
@@ -97,13 +96,6 @@ ExploreReport explore(const Scenario& s, const ExploreConfig& cfg) {
     if (!run.completed) {
       rep.issues.push_back("run failed: " + run.error);
       return "error";
-    }
-    if (run.dtor_drains > 0) {
-      std::ostringstream os;
-      os << run.dtor_drains
-         << " BorrowToken(s) drained by destructor instead of wait()";
-      rep.issues.push_back(os.str());
-      return "unwaited-borrow";
     }
     if (run.undelivered > 0) {
       std::ostringstream os;

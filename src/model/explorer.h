@@ -14,8 +14,7 @@
 //   - deadlock (empty enabled set with unfinished ranks), with a wait-for
 //     report naming each parked rank's site;
 //   - step/run budget exhaustion (reported, not an error);
-//   - undelivered messages, unwaited BorrowTokens (destructor drains), and
-//     un-reset barriers/arenas at quiescence;
+//   - undelivered messages and un-reset barriers/arenas at quiescence;
 //   - determinism: byte-identical per-rank output digests and exact final
 //     SimClock equality against the first completed schedule (the
 //     reference) — the repository's "simulated time is a function of the
@@ -74,7 +73,6 @@ struct RunOutcome {
   std::vector<u64> digests;       ///< per-rank, valid when completed
   std::vector<double> final_times;  ///< per-rank SimClock, valid when completed
   usize undelivered = 0;
-  usize dtor_drains = 0;
   std::vector<std::string> quiescence;
 };
 

@@ -1,7 +1,7 @@
 // hds::model — scheduler hook contract (DESIGN.md sec. 15).
 //
-// The runtime's blocking primitives (Barrier, Mailbox, BorrowState, the
-// recovery rendezvous) consult an optional ScheduleHook installed via
+// The runtime's blocking primitives (Barrier, Mailbox, the recovery
+// rendezvous) consult an optional ScheduleHook installed via
 // TeamConfig::model. With no hook installed (the default), every primitive
 // behaves exactly as before — the hook pointer is the only overhead, and
 // simulated times are bit-identical.
@@ -23,8 +23,8 @@
 //      scheduler may have released the rank in abort mode.
 //
 // The hook also carries the seeded protocol-mutation switches the explorer
-// uses to prove it has teeth (skip a borrow-token wait, reorder one mailbox
-// delivery, drop a barrier entry), and effect notes that feed the
+// uses to prove it has teeth (reorder one mailbox delivery, drop a barrier
+// entry), and effect notes that feed the
 // sleep-set/DPOR independence relation.
 #pragma once
 
@@ -42,8 +42,7 @@ enum class Site : u32 {
   Start = 0,    ///< rank thread registered, not yet scheduled
   Barrier = 1,  ///< runtime::Barrier::wait (epoch barriers)
   Mailbox = 2,  ///< runtime::Mailbox::pop, channel (a=src, b=tag)
-  Borrow = 3,   ///< runtime::BorrowState::wait / wait_nothrow
-  Recovery = 4, ///< Team::recover survivor rendezvous
+  Recovery = 3, ///< Team::recover survivor rendezvous
 };
 
 constexpr std::string_view site_name(Site s) {
@@ -51,7 +50,6 @@ constexpr std::string_view site_name(Site s) {
     case Site::Start: return "start";
     case Site::Barrier: return "barrier";
     case Site::Mailbox: return "mailbox";
-    case Site::Borrow: return "borrow";
     case Site::Recovery: return "recovery";
   }
   return "?";
@@ -76,7 +74,7 @@ class ScheduleHook {
                     const std::function<bool()>& ready) = 0;
 
   /// Record a visible effect of the currently running rank's step (a
-  /// mailbox push, a barrier arrival, a borrow signal) for the
+  /// mailbox push, a barrier arrival) for the
   /// independence relation. `obj`/(a, b) as for park().
   virtual void note_effect(Site site, const void* obj, u64 a, u64 b) = 0;
 
@@ -95,14 +93,6 @@ class ScheduleHook {
   /// `dst_world`'s mailbox should be delivered ahead of the queued messages
   /// (a FIFO-order violation on one channel).
   virtual bool mutate_reorder_push(int dst_world, int src, u64 tag) = 0;
-  /// True iff the current rank's Nth explicit BorrowToken::wait should be
-  /// skipped (the loan is abandoned to the token's destructor).
-  virtual bool mutate_skip_borrow_wait() = 0;
-
-  /// A BorrowToken was destroyed with its loan still pending and no
-  /// exception in flight — the "unwaited token" discipline violation the
-  /// terminal-state check reports.
-  virtual void note_borrow_dtor_drain() = 0;
 };
 
 }  // namespace hds::model

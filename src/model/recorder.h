@@ -14,10 +14,9 @@
 //   1. on every communicator, all member ranks issued the identical
 //      sequence of arena collectives (transition_of(op) == Collective —
 //      P2P, Agree and Checkpoint are excluded so legal cross-collective
-//      loan patterns and recovery rendezvous don't false-positive);
-//   2. every (src, dst, tag) send count equals the matching recv count;
-//   3. every borrowed-payload loan was explicitly waited (BorrowToken::wait,
-//      not the destructor) before the run ended.
+//      point-to-point patterns and recovery rendezvous don't
+//      false-positive);
+//   2. every (src, dst, tag) send count equals the matching recv count.
 //
 // Header-only on purpose: runtime/comm.h calls the recording taps inline,
 // and hds_model links hds_runtime — an out-of-line recorder would make the
@@ -57,19 +56,6 @@ class ScheduleRecorder {
     by_rank_[world].push_back(OpRecord{sig, op, cls, peer, tag});
   }
 
-  /// A borrowed-payload loan opened by `world` (key = BorrowState address).
-  void note_loan_open(rank_t world, const void* loan) {
-    std::lock_guard lock(mu_);
-    open_loans_[loan] = world;
-    ++loans_opened_;
-  }
-
-  /// The loan was explicitly waited (BorrowToken::wait reached done).
-  void note_loan_closed(const void* loan) {
-    std::lock_guard lock(mu_);
-    if (open_loans_.erase(loan) != 0) ++loans_waited_;
-  }
-
   /// Lint the captured schedules; empty = the communication schedule
   /// matches across ranks. Call after Team::run returned (or threw).
   std::vector<std::string> verify() const {
@@ -77,12 +63,6 @@ class ScheduleRecorder {
     std::vector<std::string> issues;
     verify_collective_sequences(issues);
     verify_send_recv_pairing(issues);
-    for (const auto& [loan, rank] : open_loans_) {
-      std::ostringstream os;
-      os << "borrowed-payload loan from rank " << rank
-         << " never explicitly waited (BorrowToken::wait)";
-      issues.push_back(os.str());
-    }
     return issues;
   }
 
@@ -100,23 +80,10 @@ class ScheduleRecorder {
     return comms_.size();
   }
 
-  /// Loans opened / explicitly waited (matcher report fields).
-  usize loans_opened() const {
-    std::lock_guard lock(mu_);
-    return loans_opened_;
-  }
-  usize loans_waited() const {
-    std::lock_guard lock(mu_);
-    return loans_waited_;
-  }
-
   void clear() {
     std::lock_guard lock(mu_);
     by_rank_.clear();
     comms_.clear();
-    open_loans_.clear();
-    loans_opened_ = 0;
-    loans_waited_ = 0;
   }
 
  private:
@@ -203,10 +170,6 @@ class ScheduleRecorder {
   std::map<rank_t, std::vector<OpRecord>> by_rank_;
   /// First-seen member list per communicator signature.
   std::map<u64, std::vector<rank_t>> comms_;
-  /// Open loans: BorrowState address -> lender world rank.
-  std::map<const void*, rank_t> open_loans_;
-  usize loans_opened_ = 0;
-  usize loans_waited_ = 0;
 };
 
 }  // namespace hds::model

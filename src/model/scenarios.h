@@ -8,15 +8,13 @@
 // seeded generators, so the explorer's determinism oracle is meaningful.
 //
 //   sort2 / sort3        full histogram sort, alltoallv exchange, P = 2 / 3
-//   sort2-kary2          full histogram sort, k-ary exchange with k = 2 (the
-//                        hypercube schedule), P = 2
+//   sort4-kary2          full histogram sort, k-ary exchange with k = 2 (the
+//                        hypercube schedule): two rounds at P = 4
 //   mailbox              P = 4 ack-window protocol: three senders each push
 //                        two same-channel messages with a blocking ack
 //                        between them, so channel-queue contention (and the
 //                        reorder-push mutation's trigger point) depends on
 //                        the schedule
-//   borrow               P = 4 borrowed-payload loans: rank 0 lends its
-//                        buffer to every peer and must wait each token
 //   recovery             P = 4 recoverable run: rank 2 crashes mid-round,
 //                        survivors rendezvous in recover_survivors() and
 //                        finish on the shrunk team
@@ -92,33 +90,6 @@ inline Scenario mailbox_scenario() {
   return s;
 }
 
-/// P = 4 borrowed-payload micro-protocol: rank 0 lends its send buffer to
-/// every peer and must explicitly wait each token before the epoch closes
-/// (the loan discipline the skip-borrow-wait mutation violates).
-inline Scenario borrow_scenario() {
-  constexpr u64 kTag = 7;
-  Scenario s;
-  s.name = "borrow";
-  s.nranks = 4;
-  s.body = [](runtime::Comm& c) -> u64 {
-    if (c.rank() == 0) {
-      std::vector<u64> payload(8);
-      for (usize i = 0; i < payload.size(); ++i) payload[i] = 1000 + i;
-      for (int dst = 1; dst < 4; ++dst) {
-        auto token = c.send_borrowed<u64>(
-            dst, kTag, std::span<const u64>(payload.data(), payload.size()));
-        token.wait();
-      }
-      c.barrier();
-      return digest_values(payload);
-    }
-    const auto got = c.recv<u64>(0, kTag);
-    c.barrier();
-    return digest_values(got);
-  };
-  return s;
-}
-
 /// P = 4 recoverable run: rank 2 crashes at its third communication op
 /// (mid allreduce round), survivors unwind into the recover_survivors()
 /// rendezvous (WaitSite::Recovery under the controlled scheduler) and
@@ -152,20 +123,23 @@ inline Scenario recovery_scenario() {
   return s;
 }
 
+/// Rank 0's 0-based Barrier::wait inside sort4-kary2's first k-ary round
+/// (the manifest ALL-TO-ALLV's first barrier): the drop-barrier mutation
+/// that proves the explorer covers the k-ary exchange targets it.
+inline constexpr int kSort4KAry2RoundBarrier = 72;
+
 /// The registry quickstart --replay-schedule and model_check --explore
 /// resolve names against. Sort scenarios use few keys per rank: the
 /// schedule space, not the data volume, is what the explorer probes.
 inline std::vector<Scenario> all_scenarios() {
   core::SortConfig plain;
   core::SortConfig kary2;
-  kary2.exchange = core::ExchangeAlgorithm::KAry;
   kary2.exchange_k = 2;
   return {
       sort_scenario("sort2", 2, plain, 48),
       sort_scenario("sort3", 3, plain, 48),
-      sort_scenario("sort2-kary2", 2, kary2, 48),
+      sort_scenario("sort4-kary2", 4, kary2, 48),
       mailbox_scenario(),
-      borrow_scenario(),
       recovery_scenario(),
   };
 }

@@ -41,8 +41,6 @@ std::optional<ScheduleFile> read_schedule(const std::string& path) {
         s.mutation.kind = Mutation::Kind::DropBarrier;
       else if (kind == "reorder-push")
         s.mutation.kind = Mutation::Kind::ReorderPush;
-      else if (kind == "skip-borrow-wait")
-        s.mutation.kind = Mutation::Kind::SkipBorrowWait;
       else
         return std::nullopt;
       if (ls.fail()) return std::nullopt;

@@ -268,11 +268,6 @@ double CostModel::kway_heap_merge(usize n, usize k) const {
   return base + machine_.heap_merge_cache_s_per_elem * scaled(n) * excess;
 }
 
-double CostModel::overlapped_merge(usize n, usize k, double window_s) const {
-  const double full = kway_heap_merge(n, k);
-  return std::max(full - window_s, machine_.merge_overlap_residue * full);
-}
-
 double CostModel::partition(usize n) const {
   return machine_.partition_s_per_elem * scaled(n);
 }

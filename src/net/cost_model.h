@@ -120,13 +120,6 @@ class CostModel {
   double radix_sort(usize n, usize passes, bool pairs = false) const;
   double merge_pass(usize n) const;
   double kway_heap_merge(usize n, usize k) const;
-  /// Critical-path cost of a k-way merge over n elements that runs while
-  /// `window_s` seconds of exchange copies are in flight (the k-ary
-  /// schedule's merge/communication overlap, PR 7): the merge hides under
-  /// the window except for the machine's merge_overlap_residue floor —
-  /// merge and in-flight copies contend for memory bandwidth, so the
-  /// residue fraction always lands on the clock.
-  double overlapped_merge(usize n, usize k, double window_s) const;
   double partition(usize n) const;
   double linear_scan(usize n) const;
   /// `probes` binary searches over a local array of n elements.

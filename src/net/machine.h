@@ -83,12 +83,6 @@ struct MachineModel {
   /// next superstep's computation runs, so only this overlap residue is
   /// charged to the rank's clock (the rest rides in network slack).
   double checkpoint_overlap_residue = 0.25;
-  /// Fraction of an exchange-overlapped merge pass that stays on the
-  /// critical path (PR 7). The k-ary exchange (core/exchange.h) runs round
-  /// r-1's tail merge while round r's borrowed-payload copies are in
-  /// flight; merge and copies contend for the memory system, so at most
-  /// (1 - residue) of the merge can hide under the communication window.
-  double merge_overlap_residue = 0.3;
   /// Time for survivors to *detect* a failed peer: the failure detector's
   /// timeout plus RDMA read probes (ULFM-style revoke propagation).
   double fault_detect_s = 5.0e-4;

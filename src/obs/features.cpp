@@ -142,10 +142,6 @@ CostFeatures fit_features(const RunLedger& ledger,
         ledger.compute_phase_s[static_cast<usize>(net::Phase::Merge)] /
         scaled_elems;
   }
-  out.overlap_residue_charged = cost.machine().merge_overlap_residue;
-  if (ledger.overlap_merge_full_s > 0.0)
-    out.overlap_residue_realized =
-        ledger.overlap_merge_charged_s / ledger.overlap_merge_full_s;
   return out;
 }
 
@@ -182,10 +178,6 @@ void write_calibration_json(std::ostream& os, const RunLedger& ledger) {
   put(os, ft.radix_s_per_elem);
   os << ",\"merge_s_per_elem\":";
   put(os, ft.merge_s_per_elem);
-  os << ",\"overlap_residue_realized\":";
-  put(os, ft.overlap_residue_realized);
-  os << ",\"overlap_residue_charged\":";
-  put(os, ft.overlap_residue_charged);
   os << ",\n\"classes\":{";
   for (usize i = 0; i < ft.fits.size(); ++i) {
     const ClassFit& f = ft.fits[i];

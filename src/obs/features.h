@@ -39,8 +39,8 @@ void attach_features(RunLedger& ledger, const net::CostModel& cost);
 std::string attribution_table(const RunLedger& ledger);
 
 /// Emit the hds-calibration JSON document from a ledger with features
-/// attached: fitted alpha/beta per class (clamped to >= 0), radix and merge
-/// seconds-per-element, and the realized overlap residue.
+/// attached: fitted alpha/beta per class (clamped to >= 0) and radix and
+/// merge seconds-per-element.
 void write_calibration_json(std::ostream& os, const RunLedger& ledger);
 
 }  // namespace hds::obs

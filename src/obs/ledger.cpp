@@ -54,7 +54,6 @@ RunLedger RunLedger::from_trace(const TraceReport& trace,
       {"binsearch_s_per_step", m.binsearch_s_per_step},
       {"intra_node_shortcut", m.intra_node_shortcut ? 1.0 : 0.0},
       {"checkpoint_overlap_residue", m.checkpoint_overlap_residue},
-      {"merge_overlap_residue", m.merge_overlap_residue},
       {"fault_detect_s", m.fault_detect_s},
       {"agree_stage_s", m.agree_stage_s},
   };
@@ -105,10 +104,6 @@ RunLedger RunLedger::from_trace(const TraceReport& trace,
   for (usize r = 0; r < have_metrics; ++r) {
     for (usize c = 0; c < kCounterCount; ++c)
       led.counters[c] += trace.metrics[r].value(static_cast<Counter>(c));
-    for (double v : trace.metrics[r].series(Series::OverlapMergeFull))
-      led.overlap_merge_full_s += v;
-    for (double v : trace.metrics[r].series(Series::OverlapMergeCharged))
-      led.overlap_merge_charged_s += v;
   }
   return led;
 }
@@ -202,11 +197,7 @@ void RunLedger::write_json(std::ostream& os) const {
     os << "\"" << counter_name(static_cast<Counter>(c))
        << "\":" << counters[c];
   }
-  os << "},\n\"overlap_merge_full_s\":";
-  put(os, overlap_merge_full_s);
-  os << ",\"overlap_merge_charged_s\":";
-  put(os, overlap_merge_charged_s);
-  os << ",\n\"scalars\":{";
+  os << "},\n\"scalars\":{";
   for (usize i = 0; i < scalars.size(); ++i) {
     if (i > 0) os << ",";
     put_str(os, scalars[i].first);
@@ -219,10 +210,6 @@ void RunLedger::write_json(std::ostream& os) const {
     put(os, features.radix_s_per_elem);
     os << ",\"merge_s_per_elem\":";
     put(os, features.merge_s_per_elem);
-    os << ",\"overlap_residue_realized\":";
-    put(os, features.overlap_residue_realized);
-    os << ",\"overlap_residue_charged\":";
-    put(os, features.overlap_residue_charged);
     os << ",\"total_err2_fit\":";
     put(os, features.total_err2_fit);
     os << ",\"total_err2_default\":";

@@ -5,7 +5,7 @@
 // latencies (distilled from RankTracer slices and obs::Metrics), the
 // superstep timeline, and — once attach_features ran — the derived cost
 // features (fitted alpha/beta per collective class, radix and merge
-// seconds-per-element, realized vs charged overlap residue).
+// seconds-per-element).
 //
 // The ledger is the data source for two consumers built in this PR:
 //   - the differential profiler (obs/features.h), which replays the ledger
@@ -16,9 +16,11 @@
 //     append-only BENCH_history.jsonl and gates >10% regressions in ci.sh.
 //
 // Schema versioning: the top-level JSON always carries
-// {"schema": "hds-run-ledger", "version": kVersion}. Fields are only ever
-// added; existing keys and the OpClass value order are frozen because
-// committed history files persist them.
+// {"schema": "hds-run-ledger", "version": kVersion}. A field leaves only
+// with the mechanism that wrote it (the overlap-residue fields went with
+// the k-ary overlap merge); the keys tools/perf_history.py reads and the
+// OpClass value order are frozen because committed history files persist
+// them.
 #pragma once
 
 #include <array>
@@ -77,11 +79,6 @@ struct CostFeatures {
   std::vector<ClassFit> fits;   ///< one row per class that had samples
   double radix_s_per_elem = 0.0;  ///< LocalSort compute seconds / element
   double merge_s_per_elem = 0.0;  ///< Merge compute seconds / element
-  /// Realized overlap residue of the k-ary merge windows: sum of charged
-  /// overlapped-merge seconds over the sum of full (un-overlapped) costs.
-  double overlap_residue_realized = 0.0;
-  /// What the machine model charges (MachineModel::merge_overlap_residue).
-  double overlap_residue_charged = 0.0;
   double total_err2_fit = 0.0;
   double total_err2_default = 0.0;
 };
@@ -119,9 +116,6 @@ struct RunLedger {
   std::vector<OpSample> samples;
   std::vector<SuperstepSpan> timeline;
   std::array<u64, kCounterCount> counters{};  ///< summed over ranks
-  /// Sum over ranks of the overlapped-merge series (see obs::Series).
-  double overlap_merge_full_s = 0.0;
-  double overlap_merge_charged_s = 0.0;
 
   /// Headline cells of the producing bench (speedups, per-cell seconds) —
   /// what tools/perf_history.py tracks across commits.

@@ -74,23 +74,13 @@ enum class Series : u8 {
   /// One value per recovery round: simulated seconds from the failure
   /// becoming visible to this rank until the survivor agreement completed.
   RecoverySeconds,
-  /// One value per overlapped merge window: the un-overlapped cost the
-  /// k-way heap merge would have charged (kway_heap_merge). Paired with
-  /// OverlapMergeCharged so the ledger can derive the *realized* overlap
-  /// residue (charged / full) against the model's merge_overlap_residue.
-  OverlapMergeFull,
-  /// One value per overlapped merge window: the residue-discounted cost the
-  /// clock actually advanced (overlapped_merge).
-  OverlapMergeCharged,
 };
-inline constexpr usize kSeriesCount = 4;
+inline constexpr usize kSeriesCount = 2;
 
 constexpr std::string_view series_name(Series s) {
   switch (s) {
     case Series::HistogramConvergence: return "histogram_convergence";
     case Series::RecoverySeconds: return "recovery_seconds";
-    case Series::OverlapMergeFull: return "overlap_merge_full_s";
-    case Series::OverlapMergeCharged: return "overlap_merge_charged_s";
   }
   return "?";
 }

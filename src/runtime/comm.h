@@ -19,8 +19,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <exception>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -47,73 +45,6 @@ using OpId = obs::OpKind;
 
 constexpr std::string_view op_name(OpId op) { return obs::op_kind_name(op); }
 }  // namespace detail
-
-/// Loan handle from Comm::send_borrowed: the sender's buffer stays live
-/// until the receiver has copied it out. wait() blocks until the loan is
-/// returned (throws team_aborted if the team fails first). The destructor
-/// drains the loan non-throwing as a last resort, but relying on it is a
-/// bug — wait() explicitly after posting your own receives, or a pairwise
-/// exchange can deadlock until the watchdog fires.
-///
-/// Error paths are the exception to "the destructor is a bug": when an
-/// exception unwinds past a pending token, the destructor poisons the team
-/// before draining. Without that, the drain blocks on a receiver that may
-/// itself be parked waiting for this failing rank — a deadlock the watchdog
-/// converts into a timeout only a minute later (the bug the model checker's
-/// borrow micro-protocol regression pins down).
-class [[nodiscard]] BorrowToken {
- public:
-  BorrowToken() = default;
-  BorrowToken(BorrowToken&&) noexcept = default;
-  BorrowToken& operator=(BorrowToken&&) noexcept = default;
-  BorrowToken(const BorrowToken&) = delete;
-  BorrowToken& operator=(const BorrowToken&) = delete;
-
-  ~BorrowToken() {
-    if (!state_) return;
-    model::ScheduleHook* hook = team_ != nullptr ? team_->cfg_.model : nullptr;
-    if (std::uncaught_exceptions() > 0) {
-      // Unwinding past a pending loan: the protocol around this token is
-      // already broken, so poison the team. Peers unwind promptly and the
-      // drain below returns instead of spinning until the watchdog.
-      if (team_ != nullptr &&
-          !team_->abort_.load(std::memory_order_relaxed)) {
-        team_->abort_.store(true, std::memory_order_relaxed);
-        team_->poison_all();
-      }
-    } else if (hook != nullptr) {
-      // Clean-path dtor drain: the token was never waited — a loan
-      // discipline violation the model checker reports at the terminal
-      // state.
-      hook->note_borrow_dtor_drain();
-    }
-    state_->wait_nothrow(team_ != nullptr ? &team_->abort_ : nullptr, hook);
-  }
-
-  /// Block until the receiver released the buffer (or the team aborted).
-  void wait() {
-    if (!state_) return;
-    model::ScheduleHook* hook = team_ != nullptr ? team_->cfg_.model : nullptr;
-    // Seeded mutation (model checker self-test): abandon the loan to the
-    // destructor as if the call site forgot to wait.
-    if (hook != nullptr && hook->mutate_skip_borrow_wait()) return;
-    state_->wait(team_ != nullptr ? &team_->abort_ : nullptr, hook);
-    if (team_ != nullptr)
-      if (auto* rec = team_->cfg_.recorder) rec->note_loan_closed(state_.get());
-    state_.reset();
-  }
-
-  /// True while the receiver still holds the loan.
-  bool pending() const { return state_ && !state_->done(); }
-
- private:
-  friend class Comm;
-  BorrowToken(std::shared_ptr<BorrowState> state, Team* team)
-      : state_(std::move(state)), team_(team) {}
-
-  std::shared_ptr<BorrowState> state_;
-  Team* team_ = nullptr;
-};
 
 class Comm {
  public:
@@ -151,18 +82,6 @@ class Comm {
   void charge_merge_pass(usize n) { clock().advance(cost().merge_pass(n)); }
   void charge_kway_merge(usize n, usize k) {
     clock().advance(cost().kway_heap_merge(n, k));
-  }
-  /// K-way merge overlapped with `window_s` seconds of in-flight exchange
-  /// copies (the k-ary schedule's round pipeline): only the non-hidden
-  /// residue of the merge lands on this rank's clock. Both the full
-  /// (un-overlapped) cost and the charged residue are surfaced as series so
-  /// the run ledger can report realized vs charged overlap.
-  void charge_overlapped_merge(usize n, usize k, double window_s) {
-    const double full = cost().kway_heap_merge(n, k);
-    const double charged = cost().overlapped_merge(n, k, window_s);
-    metrics().append(obs::Series::OverlapMergeFull, full);
-    metrics().append(obs::Series::OverlapMergeCharged, charged);
-    clock().advance(charged);
   }
   void charge_partition(usize n) { clock().advance(cost().partition(n)); }
   void charge_scan(usize n) { clock().advance(cost().linear_scan(n)); }
@@ -510,56 +429,21 @@ class Comm {
   template <class T>
   std::vector<T> recv(int src, u64 tag) {
     check_trivial<T>();
-    std::vector<T> out;
-    recv_bytes_into(src, tag, [&](usize nbytes) {
-      out.resize(nbytes / sizeof(T));
-      return reinterpret_cast<std::byte*>(out.data());
-    });
-    return out;
-  }
-
-  /// Loaned-payload send: the payload never round-trips through
-  /// Message::data — the receiver's recv/recv_into copies it straight from
-  /// the caller's buffer into its destination (one copy total). Charges and
-  /// traces exactly like send(). The returned token MUST be waited on before
-  /// the buffer is mutated or freed; the send itself never blocks on the
-  /// receiver (a blocking send would deadlock pairwise exchanges), so post
-  /// your own receives first, then wait().
-  template <class T>
-  [[nodiscard]] BorrowToken send_borrowed(
-      int dst, u64 tag, std::span<const T> data,
-      net::Traffic traffic = net::Traffic::Data) {
-    check_trivial<T>();
-    const rank_t dw = world_rank_of(dst);
-    note_op(detail::OpId::Send, obs::OpClass::Send, data.size() * sizeof(T),
-            dw, tag, traffic);
-    const double dt =
-        cost().p2p(world_rank(), dw, data.size() * sizeof(T), traffic);
-    tracer().op_model(dt);
-    clock().advance(dt);  // synchronous send: sender busy for the transfer
-    auto state = std::make_shared<BorrowState>();
-    if (auto* rec = team_->cfg_.recorder)
-      rec->note_loan_open(world_rank(), state.get());
-    deliver_borrowed(dw, tag, std::as_bytes(data), state);
+    const rank_t sw = world_rank_of(src);
+    note_op(detail::OpId::Recv, obs::OpClass::Recv, 0, sw, tag);
+    Message msg;
+    {
+      detail::SiteScope site(progress(), detail::WaitSite::MailboxRecv,
+                             static_cast<u64>(sw), tag);
+      msg = team_->mailboxes_[world_rank()]->pop(sw, tag);
+    }
+    if (auto* rd = team_->race_detector()) rd->on_recv(world_rank(), msg.hb_vc);
+    clock().sync_to(std::max(clock().now(), msg.arrival_s));
+    std::vector<T> out(msg.data.size() / sizeof(T));
+    if (!out.empty()) std::memcpy(out.data(), msg.data.data(), msg.data.size());
+    tracer().op_bytes(msg.data.size());
     tracer().op_end(clock().now());
-    return BorrowToken(std::move(state), team_);
-  }
-
-  /// Receive directly into a caller-provided span (capacity must cover the
-  /// payload). Returns the element count received. Pairs with either
-  /// send() or send_borrowed(); for the latter this is the single copy.
-  template <class T>
-  usize recv_into(int src, u64 tag, std::span<T> dst) {
-    check_trivial<T>();
-    const usize nbytes = recv_bytes_into(src, tag, [&](usize nb) {
-      HDS_CHECK_MSG(nb % sizeof(T) == 0,
-                    "recv_into: payload is not a whole element count");
-      HDS_CHECK_MSG(nb / sizeof(T) <= dst.size(),
-                    "recv_into: destination span too small (" << dst.size()
-                        << " elements for " << nb << " bytes)");
-      return reinterpret_cast<std::byte*>(dst.data());
-    });
-    return nbytes / sizeof(T);
+    return out;
   }
 
   // --- failure recovery ------------------------------------------------------
@@ -669,64 +553,6 @@ class Comm {
     team_->mailboxes_[dst_world]->push(std::move(msg));
   }
 
-  /// Borrowed-payload delivery: the message carries a pointer into the
-  /// sender's buffer plus the BorrowState the receiver signals after
-  /// copying. A fault-dropped send returns the loan immediately — the
-  /// receiver never sees the message, so nobody else would.
-  void deliver_borrowed(rank_t dst_world, u64 tag,
-                        std::span<const std::byte> payload,
-                        const std::shared_ptr<BorrowState>& state) {
-    double extra_delay_s = 0.0;
-    if (FaultPlan* fp = team_->fault_plan()) {
-      if (!fp->on_send(world_rank(), dst_world, tag, &extra_delay_s)) {
-        state->signal();  // dropped on the wire: loan returns to the sender
-        return;
-      }
-    }
-    Message msg;
-    msg.src = world_rank();
-    msg.tag = tag;
-    msg.arrival_s = clock().now() + extra_delay_s;
-    msg.borrowed = payload.data();
-    msg.borrowed_bytes = payload.size();
-    msg.borrow = state;
-    if (auto* rd = team_->race_detector()) rd->on_send(world_rank(), msg.hb_vc);
-    team_->mailboxes_[dst_world]->push(std::move(msg));
-  }
-
-  /// Shared receive body: pop the matching message, join its HB edge, sync
-  /// the clock, then copy the payload (inline or borrowed) to wherever
-  /// `place(nbytes)` points and return the loan if there is one. Returns
-  /// the payload size in bytes.
-  template <class PlaceFn>
-  usize recv_bytes_into(int src, u64 tag, PlaceFn&& place) {
-    const rank_t sw = world_rank_of(src);
-    note_op(detail::OpId::Recv, obs::OpClass::Recv, 0, sw, tag);
-    Message msg;
-    {
-      detail::SiteScope site(progress(), detail::WaitSite::MailboxRecv,
-                             static_cast<u64>(sw), tag);
-      msg = team_->mailboxes_[world_rank()]->pop(sw, tag);
-    }
-    if (auto* rd = team_->race_detector()) rd->on_recv(world_rank(), msg.hb_vc);
-    clock().sync_to(std::max(clock().now(), msg.arrival_s));
-    const bool borrowed = msg.borrow != nullptr;
-    const std::byte* payload = borrowed ? msg.borrowed : msg.data.data();
-    const usize nbytes = borrowed ? msg.borrowed_bytes : msg.data.size();
-    std::byte* out = place(nbytes);
-    if (nbytes > 0) std::memcpy(out, payload, nbytes);
-    // Signal strictly after the copy: the sender's wait() + this mutex
-    // round-trip give the copy a happens-before edge to buffer reuse.
-    if (borrowed) {
-      msg.borrow->signal();
-      if (model::ScheduleHook* hook = team_->cfg_.model)
-        hook->note_effect(model::Site::Borrow, msg.borrow.get(), 0, 0);
-    }
-    tracer().op_bytes(nbytes);
-    tracer().op_end(clock().now());
-    return nbytes;
-  }
-
   void zero_out(detail::EpochArena& a) {
     a.result.clear();
     fill_out(a, 0, 0);
@@ -773,10 +599,8 @@ class Comm {
       try {
         fp->on_op(world_rank(), static_cast<u32>(op), clock());
       } catch (const rank_failed&) {
-        // Poison the team before the victim unwinds: any BorrowToken the
-        // victim still holds drains instantly in its destructor (the abort
-        // flag is already set) instead of spinning until the watchdog, and
-        // peers see the failure at their next blocking op.
+        // Poison the team before the victim unwinds, so peers see the
+        // failure at their next blocking op.
         team_->note_rank_failure(world_rank());
         throw;
       }

@@ -429,8 +429,7 @@ Team::RecoveryOutcome Team::recover(rank_t world) {
     if (all_live_parked && all_failed_done && rec_pending_) {
       // This thread performs the round's rebuild: every survivor is parked
       // right here and every failed thread has exited, so nobody else can
-      // touch clocks, tracers, or mailboxes concurrently — and no stale
-      // BorrowToken can still be draining once the abort flag is lifted.
+      // touch clocks, tracers, or mailboxes concurrently.
       std::vector<rank_t> survivors;
       for (int r = 0; r < cfg_.nranks; ++r)
         if (!is_failed(r)) survivors.push_back(r);

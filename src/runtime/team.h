@@ -43,7 +43,6 @@ class ScheduleRecorder;
 
 namespace hds::runtime {
 
-class BorrowToken;
 class Comm;
 class FaultPlan;
 
@@ -294,7 +293,6 @@ class Team {
 
  private:
   friend class Comm;
-  friend class BorrowToken;  ///< error-path poison (see comm.h)
   /// Run-abandon poison (deadlock / budget; see model/controlled_scheduler.h).
   friend class model::ControlledScheduler;
 

@@ -228,10 +228,9 @@ TEST(CheckedRunTest, HistogramSortAndAllBaselinesAreViolationFree) {
 TEST(CheckedRunTest, ExchangeKernelGridIsViolationFree) {
   const int P = 8;
   auto shards = make_shards(P, 300);
-  for (auto ex :
-       {core::ExchangeAlgorithm::Alltoallv, core::ExchangeAlgorithm::KAry}) {
+  for (int k : {0, 4}) {  // one round; two k-ary rounds ({4, 2})
     core::SortConfig scfg;
-    scfg.exchange = ex;
+    scfg.exchange_k = k;
     const CheckReport rep = run_checked(P, [&](Comm& c) {
       auto local = shards[c.rank()];
       core::sort(c, local, scfg);
@@ -263,10 +262,9 @@ std::vector<std::vector<WideRec>> make_wide_shards(int P, usize n) {
 TEST(CheckedRunTest, RecordGatherSortIsViolationFree) {
   const int P = 4;
   auto shards = make_wide_shards(P, 600);
-  for (auto ex :
-       {core::ExchangeAlgorithm::Alltoallv, core::ExchangeAlgorithm::KAry}) {
+  for (int k : {0, 2}) {  // one round by reference; two k-ary rounds
     core::SortConfig scfg;
-    scfg.exchange = ex;
+    scfg.exchange_k = k;
     const CheckReport rep = run_checked(P, [&](Comm& c) {
       auto local = shards[c.rank()];
       const bool by_ref =
@@ -593,9 +591,7 @@ TEST(CheckInvariantTest, ReportCountersArePopulated) {
   auto shards = make_shards(P, 300);
   const CheckReport rep = run_checked(P, [&](Comm& c) {
     auto local = shards[c.rank()];
-    core::SortConfig scfg;
-    scfg.exchange = core::ExchangeAlgorithm::KAry;  // uses send/recv
-    core::sort(c, local, scfg);
+    baselines::parallel_merge_sort(c, local);  // its merge tree uses send/recv
   });
   EXPECT_TRUE(rep.clean()) << rep.summary();
   EXPECT_EQ(rep.nranks, P);

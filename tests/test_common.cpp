@@ -1,8 +1,11 @@
-// Unit tests for src/common: bits, rng, morton, stats, table.
+// Unit tests for src/common: args, bits, rng, morton, stats, table.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/args.h"
 #include "common/bits.h"
 #include "common/error.h"
 #include "common/morton.h"
@@ -207,6 +210,34 @@ TEST(Table, FmtBytes) {
   EXPECT_EQ(fmt_bytes(512), "512.0 B");
   EXPECT_EQ(fmt_bytes(2048), "2.00 KiB");
   EXPECT_NE(fmt_bytes(3.5 * 1024 * 1024 * 1024).find("GiB"), std::string::npos);
+}
+
+/// Parses `argv` (program name first) against the flags "ranks" and
+/// "check".
+Args parse_args(std::vector<std::string> argv) {
+  std::vector<char*> ptrs;
+  for (std::string& a : argv) ptrs.push_back(a.data());
+  return Args(static_cast<int>(ptrs.size()), ptrs.data(), {"ranks", "check"});
+}
+
+TEST(Args, ParsesKnownFlags) {
+  const Args args = parse_args({"prog", "--ranks=4", "--check"});
+  EXPECT_EQ(args.get_int("ranks", 8), 4);
+  EXPECT_TRUE(args.has("check"));
+  EXPECT_EQ(parse_args({"prog"}).get_int("ranks", 8), 8);
+}
+
+TEST(Args, RejectsUnknownFlagsAndBareArgumentsWithUsage) {
+  // Each exits with status 2 before the program could run at defaults.
+  EXPECT_EXIT(parse_args({"prog", "--help"}), ::testing::ExitedWithCode(2),
+              "unknown argument --help\nusage: prog \\[--ranks\\] "
+              "\\[--check\\]");
+  EXPECT_EXIT(parse_args({"prog", "--rank=4"}), ::testing::ExitedWithCode(2),
+              "unknown argument --rank=4");
+  EXPECT_EXIT(parse_args({"prog", "--ranks=4", "ranks=4"}),
+              ::testing::ExitedWithCode(2), "unknown argument ranks=4");
+  EXPECT_EXIT(parse_args({"prog", "--=4"}), ::testing::ExitedWithCode(2),
+              "unknown argument --=4");
 }
 
 }  // namespace

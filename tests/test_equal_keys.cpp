@@ -3,7 +3,7 @@
 // — every key identical, or a two-symbol alphabet whose histogram cannot
 // separate ranks. The sort must still terminate with the epsilon = 0
 // perfect-partitioning contract (every rank keeps its element count) on
-// every exchange algorithm, because duplicate handling rides the exchange
+// every exchange schedule, because duplicate handling rides the exchange
 // schedule's tie-breaking (world-rank order), not the key values.
 #include <gtest/gtest.h>
 
@@ -57,15 +57,14 @@ void check_equal_key_sort(const SortConfig& cfg, workload::GenConfig gen) {
 
 struct ExchangeCase {
   const char* name;
-  ExchangeAlgorithm algo;
   int k;
 };
 
 const ExchangeCase kExchanges[] = {
-    {"alltoallv", ExchangeAlgorithm::Alltoallv, 0},
-    {"kary-k2", ExchangeAlgorithm::KAry, 2},
-    {"kary-k4", ExchangeAlgorithm::KAry, 4},
-    {"kary-k16", ExchangeAlgorithm::KAry, 16},
+    {"alltoallv", 0},
+    {"kary-k2", 2},
+    {"kary-k4", 4},
+    {"kary-k16", 16},
 };
 
 TEST(EqualKeys, AllEqualAcrossExchangeAlgorithms) {
@@ -74,8 +73,7 @@ TEST(EqualKeys, AllEqualAcrossExchangeAlgorithms) {
   for (const ExchangeCase& ex : kExchanges) {
     SCOPED_TRACE(ex.name);
     SortConfig cfg;
-    cfg.exchange = ex.algo;
-    if (ex.k > 0) cfg.exchange_k = ex.k;
+    cfg.exchange_k = ex.k;
     check_equal_key_sort(cfg, gen);
   }
 }
@@ -87,8 +85,7 @@ TEST(EqualKeys, TwoDistinctValuesAcrossExchangeAlgorithms) {
   for (const ExchangeCase& ex : kExchanges) {
     SCOPED_TRACE(ex.name);
     SortConfig cfg;
-    cfg.exchange = ex.algo;
-    if (ex.k > 0) cfg.exchange_k = ex.k;
+    cfg.exchange_k = ex.k;
     check_equal_key_sort(cfg, gen);
   }
 }
@@ -146,9 +143,7 @@ TEST(EqualKeys, AllEqualWithOverlapMergeAndPackedPath) {
   workload::GenConfig gen;
   gen.dist = workload::Dist::AllEqual;
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::KAry;
   cfg.exchange_k = 4;
-  cfg.overlap_merge = true;
   check_equal_key_sort(cfg, gen);
   // The tie-split send counts keep the perfect partition through the
   // collective itself too: each rank receives exactly its own keys back,

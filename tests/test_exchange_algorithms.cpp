@@ -1,9 +1,9 @@
-// Tests for the point-to-point exchange schedules of superstep 3: the k-ary
-// swap schedule at its two extremes — k = 2, the store-and-forward
-// hypercube (Sec. VI-E1's log2(P) rounds for small N/P), and k >= P, the
-// direct pairwise exchange the 1-factor rounds used to schedule. Each suite
-// checks the full sort contract through the schedule, with and without
-// merge overlap.
+// Tests for the k-ary exchange schedule of superstep 3 at its two
+// extremes — k = 2, the store-and-forward hypercube (Sec. VI-E1's log2(P)
+// rounds for small N/P), and k >= P, one round of direct pairwise
+// transfers, which is the default exchange itself (KAryOneRound in
+// test_records.cpp checks the two bit-identical). Each suite checks the
+// full sort contract through the schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,37 +54,21 @@ void check_sort(int P, const SortConfig& cfg, workload::GenConfig gen,
 /// Sec. VI-E1, log2(P) rounds of one partner each.
 SortConfig hypercube() {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::KAry;
   cfg.exchange_k = 2;
   return cfg;
 }
 
 /// The k >= P k-ary schedule: one round in which every rank exchanges
-/// directly with each of its P - 1 partners. The KAryDirectExchange suite
-/// runs it: the 1-factor exchange spread the same pairwise transfers over
-/// P - 1 matched rounds, and KAry now covers that engine.
-SortConfig direct(int P, bool overlap_merge = false) {
+/// directly with each of its P - 1 partners.
+SortConfig direct(int P) {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::KAry;
   cfg.exchange_k = P;
-  cfg.overlap_merge = overlap_merge;
   return cfg;
 }
 
 TEST(KAryDirectExchange, SortsEvenP) { check_sort(8, direct(8), {}, 700); }
 
 TEST(KAryDirectExchange, SortsOddP) { check_sort(7, direct(7), {}, 500); }
-
-TEST(KAryDirectExchange, OverlapMergeProducesSameResult) {
-  check_sort(8, direct(8, true), {}, 900);
-  check_sort(5, direct(5, true), {}, 400);
-}
-
-TEST(KAryDirectExchange, OverlapWithDuplicatesAndSkew) {
-  workload::GenConfig gen;
-  gen.dist = workload::Dist::Zipf;
-  check_sort(6, direct(6, true), gen, 800);
-}
 
 TEST(KAryDirectExchange, SparseInput) {
   workload::GenConfig gen;
@@ -93,29 +77,12 @@ TEST(KAryDirectExchange, SparseInput) {
   check_sort(10, direct(10), gen, 300);
 }
 
-TEST(KAryDirectExchange, TwoRanks) { check_sort(2, direct(2, true), {}, 1000); }
+TEST(KAryDirectExchange, TwoRanks) { check_sort(2, direct(2), {}, 1000); }
 
 TEST(KAryDirectExchange, EpsilonBalanced) {
   SortConfig cfg = direct(8);
   cfg.epsilon = 0.1;
   check_sort(8, cfg, {}, 1500);
-}
-
-TEST(KAryDirectExchange, OverlapSkipsSeparateMergePhase) {
-  // With overlap the final data is one sorted run, so merge_chunks is a
-  // no-op; the Merge phase time comes from the arrival merge instead.
-  const int P = 4;
-  workload::GenConfig gen;
-  std::vector<std::vector<u64>> shards(P);
-  for (int r = 0; r < P; ++r)
-    shards[r] = workload::generate_u64(gen, r, P, 2000);
-  Team team({.nranks = P});
-  team.run([&](Comm& c) {
-    auto local = shards[c.rank()];
-    sort(c, local, direct(P, true));
-  });
-  EXPECT_GT(team.stats().phase_seconds(net::Phase::Merge), 0.0);
-  EXPECT_GT(team.stats().phase_seconds(net::Phase::Exchange), 0.0);
 }
 
 TEST(KAryRadix2Exchange, SortsPowerOfTwo) {

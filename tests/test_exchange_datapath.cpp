@@ -1,8 +1,7 @@
 // Single-copy data path (DESIGN.md sec. 11): the pull-based alltoallv_into
 // must deliver each receiver its senders' slices in source-rank order, with
 // the counts and the simulated time a sequential oracle computes, and
-// every sort config must give the gathered std::sort of its input; the
-// borrowed-payload P2P must hand over exactly the lent bytes, and the
+// every sort config must give the gathered std::sort of its input, and the
 // channel-indexed mailbox must preserve FIFO-per-channel semantics the
 // runtime's P2P ordering rests on.
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "core/exchange.h"
 #include "core/histogram_sort.h"
 #include "runtime/comm.h"
-#include "runtime/fault.h"
 #include "runtime/mailbox.h"
 #include "runtime/team.h"
 #include "workload/distributions.h"
@@ -204,16 +202,12 @@ void expect_matches_oracle(int P, const SortConfig& cfg, usize n_rank,
     EXPECT_EQ(out[r].size(), n_rank) << "P=" << P << " rank " << r;
     got.insert(got.end(), out[r].begin(), out[r].end());
   }
-  EXPECT_EQ(got, want) << "P=" << P << " algo "
-                       << static_cast<int>(cfg.exchange)
-                       << " k=" << cfg.exchange_k;
+  EXPECT_EQ(got, want) << "P=" << P << " k=" << cfg.exchange_k;
 }
 
-SortConfig kary(int k, bool overlap_merge = false) {
+SortConfig kary(int k) {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::KAry;
   cfg.exchange_k = k;
-  cfg.overlap_merge = overlap_merge;
   return cfg;
 }
 
@@ -225,13 +219,6 @@ TEST(SortOracleGrid, AlgorithmsTimesKernelsAtP8) {
 TEST(SortOracleGrid, AlltoallvAtP4AndP16) {
   expect_matches_oracle(4, {}, 800);
   expect_matches_oracle(16, {}, 250);
-}
-
-TEST(SortOracleGrid, DirectOverlapMerge) {
-  // The direct pairwise exchange (k = P) with merge-on-arrival: borrowed
-  // payloads merged straight out of the senders' buffers.
-  expect_matches_oracle(8, kary(8, true), 600);
-  expect_matches_oracle(5, kary(5, true), 400);
 }
 
 TEST(SortOracleGrid, MergeStrategies) {
@@ -295,99 +282,6 @@ TEST(DataPathCheck, ElidedAlltoallvJoinIsNoticedOnPullPath) {
   ASSERT_NE(team.check_report(), nullptr);
   EXPECT_GT(team.check_report()->joins_elided, 0u);
   EXPECT_FALSE(team.check_report()->clean());
-}
-
-// ---------------------------------------------------------------------------
-// Borrowed-payload P2P
-
-TEST(BorrowedSend, PairwiseSwapThroughRecvInto) {
-  const int P = 4;
-  Team team({.nranks = P});
-  std::vector<std::vector<u64>> got(P);
-  team.run([&](Comm& c) {
-    const int partner = c.rank() ^ 1;
-    std::vector<u64> mine(64);
-    for (usize i = 0; i < mine.size(); ++i)
-      mine[i] = (static_cast<u64>(c.rank()) << 16) | i;
-    auto loan =
-        c.send_borrowed(partner, /*tag=*/42, std::span<const u64>(mine));
-    std::vector<u64> theirs(64);
-    const usize n = c.recv_into(partner, 42, std::span<u64>(theirs));
-    loan.wait();
-    EXPECT_FALSE(loan.pending());
-    ASSERT_EQ(n, 64u);
-    for (usize i = 0; i < n; ++i)
-      EXPECT_EQ(theirs[i], (static_cast<u64>(partner) << 16) | i);
-    got[c.rank()] = std::move(theirs);
-  });
-}
-
-TEST(BorrowedSend, PlainRecvAndRecvIntoConsumeLoans) {
-  Team team({.nranks = 2});
-  team.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      std::vector<u32> a{1, 2, 3}, b{4, 5};
-      auto la = c.send_borrowed(1, 7, std::span<const u32>(a));
-      auto lb = c.send_borrowed(1, 8, std::span<const u32>(b));
-      la.wait();
-      lb.wait();
-    } else {
-      const std::vector<u32> a = c.recv<u32>(0, 7);
-      EXPECT_EQ(a, (std::vector<u32>{1, 2, 3}));
-      // recv_into a subspan: the loan lands in the tail of an
-      // already-filled buffer.
-      std::vector<u32> acc{9, 0, 0};
-      EXPECT_EQ(c.recv_into(0, 8, std::span<u32>(acc).subspan(1)), 2u);
-      EXPECT_EQ(acc, (std::vector<u32>{9, 4, 5}));
-    }
-  });
-}
-
-TEST(BorrowedSend, EmptyPayloadRoundTrips) {
-  Team team({.nranks = 2});
-  team.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      std::vector<u64> empty;
-      auto loan = c.send_borrowed(1, 3, std::span<const u64>(empty));
-      loan.wait();
-    } else {
-      EXPECT_TRUE(c.recv<u64>(0, 3).empty());
-    }
-  });
-}
-
-TEST(BorrowedSend, DroppedMessageReturnsLoanImmediately) {
-  // A fault-dropped borrowed send must pre-signal the token: the receiver
-  // never sees the message, so nobody else would return the loan.
-  runtime::TeamConfig tcfg;
-  tcfg.nranks = 2;
-  auto plan = std::make_shared<runtime::FaultPlan>();
-  plan->drop_message(0, 1, /*tag=*/11);
-  tcfg.fault = plan;
-  Team team(tcfg);
-  team.run([&](Comm& c) {
-    if (c.rank() == 0) {
-      std::vector<u64> data(16, 5);
-      auto loan = c.send_borrowed(1, 11, std::span<const u64>(data));
-      loan.wait();  // must not hang: the drop signals the token
-      EXPECT_FALSE(loan.pending());
-    }
-    // Rank 1 deliberately does not receive (the message was dropped).
-  });
-}
-
-TEST(BorrowedSend, RecvIntoRejectsTooSmallSpan) {
-  Team team({.nranks = 2});
-  EXPECT_THROW(team.run([&](Comm& c) {
-                 if (c.rank() == 0) {
-                   std::vector<u64> data(8, 1);
-                   c.send(1, 5, std::span<const u64>(data));
-                 } else {
-                   std::vector<u64> dst(4);  // too small for 8
-                   c.recv_into(0, 5, std::span<u64>(dst));
-                 }
-               }),
-               invariant_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-// Tests for the k-ary interleaved exchange (PR 7, DESIGN.md sec. 13): the
-// factorized swap schedule, the k-way tournament merge kernel, sort
-// correctness across the k x P x kernel grid (byte-identical to the
-// alltoallv exchange), degenerate layouts, hds::check coverage (clean run +
-// elide mutation), and crash recovery through a k-ary exchange.
+// Tests for the k-ary exchange (DESIGN.md sec. 13): the factorized swap
+// schedule, the k-way tournament merge kernel, sort correctness across the
+// k x P x kernel grid (byte-identical to the alltoallv exchange),
+// degenerate layouts, hds::check coverage (clean run + elide mutation), and
+// crash recovery through a k-ary exchange round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -64,8 +63,8 @@ TEST(KArySchedule, KnownShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// kway_merge_into unit: merged into a new buffer, as the k-ary drains and
-// the Tournament strategy do
+// kway_merge_into unit: merged into a new buffer, as the Tournament
+// strategy does
 
 /// Merge `base` and `chunks` into a newly allocated buffer.
 template <class T, class Less>
@@ -208,8 +207,7 @@ void check_kary_sort(int P, SortConfig cfg, workload::GenConfig gen,
   };
 
   SortConfig ref = cfg;
-  ref.exchange = ExchangeAlgorithm::Alltoallv;
-  ref.overlap_merge = false;
+  ref.exchange_k = 0;
   const auto expected = run_with(ref);
   const auto got = run_with(cfg);
   for (int r = 0; r < P; ++r) {
@@ -225,9 +223,7 @@ TEST(KAryExchange, GridOverKPathKernel) {
   for (int P : {4, 8, 16}) {
     for (int k : {2, 3, 4, 8, P}) {
       SortConfig cfg;
-      cfg.exchange = ExchangeAlgorithm::KAry;
       cfg.exchange_k = k;
-      cfg.overlap_merge = true;
       // 600 keys per rank clear the radix crossover, 300 do not.
       check_kary_sort(P, cfg, {}, (k % 2 == 0) ? 600 : 300);
     }
@@ -238,9 +234,7 @@ TEST(KAryExchange, NonPowerOfTwoP) {
   for (int P : {6, 12}) {
     for (int k : {2, 3, 4, P}) {
       SortConfig cfg;
-      cfg.exchange = ExchangeAlgorithm::KAry;
       cfg.exchange_k = k;
-      cfg.overlap_merge = true;
       check_kary_sort(P, cfg, {}, 350);
     }
   }
@@ -248,9 +242,7 @@ TEST(KAryExchange, NonPowerOfTwoP) {
 
 TEST(KAryExchange, PrimePUsesOneWideRound) {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::KAry;
   cfg.exchange_k = 4;  // 7 has no divisor <= 4: single 7-wide round
-  cfg.overlap_merge = true;
   check_kary_sort(7, cfg, {}, 400);
 }
 
@@ -258,67 +250,15 @@ TEST(KAryExchange, WithoutOverlapFeedsSuperstepFourMerge) {
   for (MergeStrategy m : {MergeStrategy::Sort, MergeStrategy::Tournament,
                           MergeStrategy::Auto}) {
     SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::KAry;
     cfg.exchange_k = 4;
-    cfg.overlap_merge = false;
     cfg.merge = m;
     check_kary_sort(8, cfg, {}, 400);
   }
 }
 
-TEST(KAryExchange, OverlapMatchesTournamentOnTiedRecords) {
-  // Keys from a 5-value alphabet, each record tagged with its origin: the
-  // overlapped drains must place tied records exactly where the
-  // superstep-4 tournament merge does. Bare u64 keys cannot see this.
-  struct Rec {
-    u32 key;
-    u32 origin;
-  };
-  const auto key = [](const Rec& r) { return r.key; };
-  constexpr usize kPerRank = 300;
-  for (int P : {4, 6, 16}) {
-    std::vector<std::vector<Rec>> shards(P);
-    for (int r = 0; r < P; ++r) {
-      Xoshiro256 rng(hash_mix(31, static_cast<u64>(r)));
-      for (usize i = 0; i < kPerRank; ++i)
-        shards[r].push_back({static_cast<u32>(rng() % 5),
-                             static_cast<u32>(r * kPerRank + i)});
-    }
-    for (int k : {2, 3, 4, P}) {
-      auto run_with = [&](bool overlap) {
-        std::vector<std::vector<Rec>> out(P);
-        Team team({.nranks = P});
-        team.run([&](Comm& c) {
-          auto local = shards[c.rank()];
-          SortConfig cfg;
-          cfg.exchange = ExchangeAlgorithm::KAry;
-          cfg.exchange_k = k;
-          cfg.overlap_merge = overlap;
-          cfg.merge = MergeStrategy::Tournament;
-          sort_by_key(c, local, key, cfg);
-          out[c.rank()] = std::move(local);
-        });
-        return out;
-      };
-      const auto merged_late = run_with(false);
-      const auto overlapped = run_with(true);
-      for (int r = 0; r < P; ++r) {
-        ASSERT_EQ(overlapped[r].size(), merged_late[r].size())
-            << "P=" << P << " k=" << k << " rank " << r;
-        EXPECT_EQ(std::memcmp(overlapped[r].data(), merged_late[r].data(),
-                              overlapped[r].size() * sizeof(Rec)),
-                  0)
-            << "P=" << P << " k=" << k << " rank " << r;
-      }
-    }
-  }
-}
-
 TEST(KAryExchange, EmptyInput) {
   SortConfig cfg;
-  cfg.exchange = ExchangeAlgorithm::KAry;
   cfg.exchange_k = 4;
-  cfg.overlap_merge = true;
   check_kary_sort(8, cfg, {}, 0);
 }
 
@@ -339,9 +279,7 @@ TEST(KAryExchange, AllToSelfLayout) {
     team.run([&](Comm& c) {
       auto local = shards[c.rank()];
       SortConfig cfg;
-      cfg.exchange = ExchangeAlgorithm::KAry;
       cfg.exchange_k = k;
-      cfg.overlap_merge = true;
       const SortStats st = sort(c, local, cfg);
       EXPECT_EQ(st.elements_sent_off_rank, 0u);
       out[c.rank()] = std::move(local);
@@ -362,9 +300,7 @@ TEST(KAryExchange, SkewedDuplicatesAndSparse) {
   sparse.seed = 9;
   for (int k : {3, 8}) {
     SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::KAry;
     cfg.exchange_k = k;
-    cfg.overlap_merge = true;
     check_kary_sort(8, cfg, zipf, 600);
     check_kary_sort(6, cfg, sparse, 300);
   }
@@ -386,10 +322,8 @@ TEST(KAryCheck, RunsViolationFreeAcrossK) {
       team.run([&](Comm& c) {
         auto local = shards[c.rank()];
         SortConfig cfg;
-        cfg.exchange = ExchangeAlgorithm::KAry;
-        cfg.exchange_k = k;
-        cfg.overlap_merge = true;
-        sort(c, local, cfg);
+          cfg.exchange_k = k;
+          sort(c, local, cfg);
       });
       ASSERT_NE(team.check_report(), nullptr);
       EXPECT_TRUE(team.check_report()->clean())
@@ -401,7 +335,7 @@ TEST(KAryCheck, RunsViolationFreeAcrossK) {
 }
 
 TEST(KAryCheck, ElidedAlltoallJoinIsNoticed) {
-  // Mutation test: the k-ary exchange itself is pure P2P, but its send
+  // Mutation test: the k-ary rounds are Alltoallv ops, but their send
   // counts come from compute_send_counts' alltoall of the boundary cuts.
   // Logically deleting that collective's happens-before joins must be
   // flagged — proving the checker covers the k-ary schedule's inputs.
@@ -417,9 +351,7 @@ TEST(KAryCheck, ElidedAlltoallJoinIsNoticed) {
   team.run([&](Comm& c) {
     auto local = shards[c.rank()];
     SortConfig cfg;
-    cfg.exchange = ExchangeAlgorithm::KAry;
     cfg.exchange_k = 4;
-    cfg.overlap_merge = true;
     sort(c, local, cfg);
   });
   ASSERT_NE(team.check_report(), nullptr);
@@ -431,7 +363,7 @@ TEST(KAryCheck, ElidedAlltoallJoinIsNoticed) {
 // Crash during a k-ary exchange: both checkpoint recovery modes, across k
 
 TEST(KAryRecovery, CrashDuringKAryExchangeRecovers) {
-  constexpr int P = 8;
+  constexpr int P = 16;
   constexpr usize kPerRank = 256;
   std::vector<std::vector<u64>> original(P);
   for (int r = 0; r < P; ++r) {
@@ -444,17 +376,18 @@ TEST(KAryRecovery, CrashDuringKAryExchangeRecovers) {
     expected.insert(expected.end(), p.begin(), p.end());
   std::sort(expected.begin(), expected.end());
 
-  // After a shrink the configured k-ary exchange runs on the 7 survivors:
-  // a prime team size, so every k here takes kary_round_factors' one-wide-
-  // round fallback on a subteam.
+  // After a shrink the configured k-ary exchange runs on the 15 survivors:
+  // k = 2 and k = 4 both factor 15 as {3, 5} (kary_round_factors' prime
+  // fallback), so the shrunken team still forwards through two rounds.
   for (int k : {2, 4, P}) {
     for (RecoveryMode mode :
          {RecoveryMode::ResumeCheckpoint, RecoveryMode::ShrinkSurvivors}) {
       SCOPED_TRACE(::testing::Message()
                    << recovery_mode_name(mode) << " k=" << k);
       auto plan = std::make_shared<runtime::FaultPlan>();
-      // A few ops into the Exchange phase: mid k-ary rounds, after local
-      // sort and splitters are checkpointed.
+      // Exchange ops 0 and 1 are compute_send_counts' two Alltoalls; op 2
+      // is the first round's manifest Alltoallv (at k = P the one round's
+      // data Alltoallv), after local sort and splitters are checkpointed.
       plan->crash_rank_at_phase_op(1, net::Phase::Exchange, 2);
       runtime::TeamConfig tcfg;
       tcfg.nranks = P;
@@ -463,9 +396,7 @@ TEST(KAryRecovery, CrashDuringKAryExchangeRecovers) {
       Team team(tcfg);
       auto parts = original;
       SortConfig cfg;
-      cfg.exchange = ExchangeAlgorithm::KAry;
       cfg.exchange_k = k;
-      cfg.overlap_merge = true;
       ResilienceConfig rcfg;
       rcfg.mode = mode;
       ResilienceReport rep;
@@ -481,37 +412,6 @@ TEST(KAryRecovery, CrashDuringKAryExchangeRecovers) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Overlap attribution: merge work is charged, phases reconcile
-
-TEST(KAryOverlap, ChargesBothPhasesAndBeatsFullMergeCharge) {
-  const int P = 16;
-  std::vector<std::vector<u64>> shards(P);
-  for (int r = 0; r < P; ++r)
-    shards[r] = workload::generate_u64({}, r, P, 4096);
-  auto run_with = [&](bool overlap) {
-    Team team({.nranks = P});
-    team.run([&](Comm& c) {
-      auto local = shards[c.rank()];
-      SortConfig cfg;
-      cfg.exchange = ExchangeAlgorithm::KAry;
-      cfg.exchange_k = 4;
-      cfg.overlap_merge = overlap;
-      cfg.merge = MergeStrategy::Tournament;
-      sort(c, local, cfg);
-    });
-    return std::make_pair(team.stats().phase_seconds(net::Phase::Exchange) +
-                              team.stats().phase_seconds(net::Phase::Merge),
-                          team.stats().phase_seconds(net::Phase::Merge));
-  };
-  const auto with = run_with(true);
-  const auto without = run_with(false);
-  EXPECT_GT(with.second, 0.0);  // overlapped merges still attributed
-  // Hiding the early rounds' merges under the communication window must
-  // shrink combined exchange+merge time vs merging after the exchange.
-  EXPECT_LT(with.first, without.first);
 }
 
 }  // namespace

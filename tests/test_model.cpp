@@ -3,13 +3,11 @@
 // run), the explorer proves schedule determinism for the histogram sort
 // and the runtime micro-protocols, each seeded protocol mutation is caught
 // with a counterexample that replays from its serialized schedule file,
-// the static matcher passes on correct programs and fails on a seeded
-// collective-order swap, and a BorrowToken abandoned by an exception
-// poisons the team instead of deadlocking the drain.
+// and the static matcher passes on correct programs and fails on a seeded
+// collective-order swap.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +15,7 @@
 #include "model/recorder.h"
 #include "model/scenarios.h"
 #include "model/schedule_file.h"
+#include "obs/report.h"
 #include "runtime/comm.h"
 #include "runtime/team.h"
 
@@ -33,7 +32,6 @@ using runtime::TeamConfig;
 std::string classify(const RunOutcome& out) {
   if (out.deadlock) return "deadlock";
   if (!out.completed) return "error";
-  if (out.dtor_drains > 0) return "unwaited-borrow";
   if (out.undelivered > 0) return "undelivered";
   if (!out.quiescence.empty()) return "quiescence";
   return "";
@@ -88,10 +86,11 @@ TEST(ModelExplorer, HistogramSortP3Deterministic) {
 }
 
 TEST(ModelExplorer, KAry2ExchangeDeterministic) {
-  // The k = 2 k-ary exchange: the hypercube's store-and-forward schedule.
+  // The k = 2 k-ary exchange: the hypercube's store-and-forward schedule,
+  // two rounds of ALL-TO-ALLV at P = 4.
   ExploreConfig cfg;
   cfg.max_runs = 32;
-  expect_clean(explore(find_scenario("sort2-kary2"), cfg));
+  expect_clean(explore(find_scenario("sort4-kary2"), cfg));
 }
 
 TEST(ModelExplorer, MailboxProtocolDeterministicWithRealBranching) {
@@ -103,12 +102,6 @@ TEST(ModelExplorer, MailboxProtocolDeterministicWithRealBranching) {
   // otherwise the determinism claim is vacuous.
   EXPECT_GE(rep.branch_points, 1u);
   EXPECT_GE(rep.runs, 2u);
-}
-
-TEST(ModelExplorer, BorrowProtocolClean) {
-  ExploreConfig cfg;
-  cfg.max_runs = 64;
-  expect_clean(explore(find_scenario("borrow"), cfg));
 }
 
 TEST(ModelExplorer, RecoveryRendezvousClean) {
@@ -179,10 +172,28 @@ TEST(ModelMutations, ReorderPushCaughtWithReplayableCounterexample) {
                         "reorder_push");
 }
 
-TEST(ModelMutations, SkipBorrowWaitCaughtWithReplayableCounterexample) {
-  check_mutation_caught("borrow",
-                        Mutation{Mutation::Kind::SkipBorrowWait, 0, 0},
-                        "skip_borrow_wait");
+TEST(ModelMutations, DropBarrierInKAryRoundCaughtWithReplayableCounterexample) {
+  // The targeted entry is the first barrier of rank 0's first Alltoallv,
+  // the first k-ary round's manifest exchange: every collective before it
+  // enters the epoch barrier twice.
+  const Scenario s = find_scenario("sort4-kary2");
+  TeamConfig tcfg{.nranks = s.nranks};
+  tcfg.trace = true;
+  Team team(tcfg);
+  team.run([&](Comm& c) { (void)s.body(c); });
+  int barrier_entries = 0;
+  for (const obs::TraceEvent& e : team.trace()->events[0]) {
+    if (e.op == obs::OpKind::Alltoallv) break;
+    if (e.op != obs::OpKind::Compute && e.op != obs::OpKind::Send &&
+        e.op != obs::OpKind::Recv)
+      barrier_entries += 2;
+  }
+  EXPECT_EQ(barrier_entries, kSort4KAry2RoundBarrier);
+
+  check_mutation_caught(
+      "sort4-kary2",
+      Mutation{Mutation::Kind::DropBarrier, 0, kSort4KAry2RoundBarrier},
+      "drop_barrier_kary");
 }
 
 // --- schedule file round-trip ------------------------------------------------
@@ -272,64 +283,6 @@ TEST(ScheduleMatcher, UnreceivedSendFails) {
   ASSERT_FALSE(issues.empty());
   EXPECT_NE(issues.front().find("unreceived send"), std::string::npos)
       << issues.front();
-}
-
-TEST(ScheduleMatcher, UnwaitedLoanReported) {
-  // A loan the caller never waits: the recorder must flag it even though
-  // the destructor drains it cleanly at scope exit.
-  ScheduleRecorder rec;
-  TeamConfig cfg{.nranks = 2};
-  cfg.recorder = &rec;
-  Team team(cfg);
-  team.run([](Comm& c) {
-    if (c.rank() == 0) {
-      std::vector<u64> buf(4, 5);
-      {
-        auto token = c.send_borrowed<u64>(
-            1, 11, std::span<const u64>(buf.data(), buf.size()));
-        // no token.wait(): dropped at scope exit
-      }
-      c.barrier();
-    } else {
-      (void)c.recv<u64>(0, 11);
-      c.barrier();
-    }
-  });
-  EXPECT_EQ(rec.loans_opened(), 1u);
-  EXPECT_EQ(rec.loans_waited(), 0u);
-  const auto issues = rec.verify();
-  ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues.front().find("never explicitly waited"),
-            std::string::npos)
-      << issues.front();
-}
-
-// --- BorrowToken error-path regression (satellite 6) -------------------------
-
-// A rank that throws while holding an unwaited BorrowToken must poison the
-// team in the token's destructor: the receiver never posts its recv (it is
-// parked in the barrier), so without the poison the drain would block until
-// the watchdog timeout. The run must fail promptly with the *original*
-// exception, not a watchdog report.
-TEST(BorrowTokenErrorPath, PendingLoanOnUnwindPoisonsTeam) {
-  TeamConfig cfg{.nranks = 2};
-  cfg.watchdog_timeout_s = 120.0;  // a hang would trip the 600 s test timeout
-  Team team(cfg);
-  try {
-    team.run([](Comm& c) {
-      if (c.rank() == 0) {
-        std::vector<u64> buf(64, 1);
-        auto token = c.send_borrowed<u64>(
-            1, 17, std::span<const u64>(buf.data(), buf.size()));
-        throw std::runtime_error("sender failed mid-loan");
-        // token's destructor runs during unwind with the loan pending
-      }
-      c.barrier();  // rank 1 parks here; must be released by the poison
-    });
-    FAIL() << "run completed despite the thrown error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "sender failed mid-loan");
-  }
 }
 
 }  // namespace

@@ -197,8 +197,6 @@ TEST(DifferentialProfiler, ComputeFeaturesMatchPhaseComputeSeconds) {
       led.compute_phase_s[static_cast<usize>(net::Phase::LocalSort)] / elems,
       1e-18);
   EXPECT_GT(led.features.radix_s_per_elem, 0.0);
-  EXPECT_EQ(led.features.overlap_residue_charged,
-            run.tm().cost().machine().merge_overlap_residue);
 }
 
 TEST(DifferentialProfiler, CalibrationJsonClampsToNonNegative) {

@@ -39,10 +39,8 @@ void random_trial(u64 seed) {
   cfg.histogram = (rng() % 2 == 0) ? core::HistogramMode::Dense
                                    : core::HistogramMode::Hybrid;
   if (rng() % 2 == 0) {
-    cfg.exchange = core::ExchangeAlgorithm::KAry;
     const int ks[] = {2, 3, P};
     cfg.exchange_k = ks[rng() % 3];
-    cfg.overlap_merge = rng() % 2 == 0;
   }
 
   std::vector<std::vector<u64>> shards(P);

@@ -2,9 +2,11 @@
 // 1 sorts them by reference ((key image, index) pairs, radix_sort_refs) and
 // the pull Alltoallv gathers each record straight into its receiver; ranks
 // below the radix crossover sort with the comparison kernel and send their
-// records as they lie, and the k-ary exchange and checkpointed sorts gather
-// first. Every combination must give the bytes of a stable sort, and the
-// deferred gather must leave the simulated plane and the stats untouched.
+// records as they lie, and a multi-round k-ary exchange and checkpointed
+// sorts gather first. Every combination must give the bytes of a stable
+// sort, the deferred gather must leave the simulated plane and the stats
+// untouched, and a one-round k-ary schedule must be the default exchange
+// bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,10 +109,11 @@ std::vector<Rec> oracle(std::vector<std::vector<Rec>> shards) {
   return all;
 }
 
-bool same_bytes(const std::vector<Rec>& a, const std::vector<Rec>& b) {
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(Rec)) == 0);
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 std::vector<SortConfig> configs(int P) {
@@ -122,23 +125,19 @@ std::vector<SortConfig> configs(int P) {
       cfg.histogram = h;
       cfg.merge = m;
       out.push_back(cfg);
-      cfg.exchange = ExchangeAlgorithm::KAry;
-      for (int k : {2, P})
-        for (bool overlap : {false, true}) {
-          cfg.exchange_k = k;
-          cfg.overlap_merge = overlap;
-          out.push_back(cfg);
-        }
+      for (int k : {2, P}) {
+        cfg.exchange_k = k;
+        out.push_back(cfg);
+      }
     }
   return out;
 }
 
 std::string config_name(const SortConfig& cfg) {
   std::string s = "alltoallv";
-  if (cfg.exchange == ExchangeAlgorithm::KAry) {
+  if (cfg.exchange_k != 0) {
     s = "kary";
     s += std::to_string(cfg.exchange_k);
-    if (cfg.overlap_merge) s += "+overlap";
   }
   s += cfg.histogram == HistogramMode::Hybrid ? "/hybrid/" : "/dense/";
   s += merge_name(cfg.merge);
@@ -203,30 +202,33 @@ INSTANTIATE_TEST_SUITE_P(
 /// Per-rank simulated clocks after each superstep, the stats and the
 /// output of one sort run superstep by superstep, optionally gathering the
 /// records into key order right after superstep 1.
+template <class T>
 struct SteppedRun {
   std::vector<std::array<double, kSupersteps>> clocks;
   std::vector<SortStats> stats;
-  std::vector<std::vector<Rec>> out;
+  std::vector<std::vector<T>> out;
 };
 
-SteppedRun run_stepped(const std::vector<std::vector<Rec>>& shards,
-                       const SortConfig& cfg, bool gather_first) {
+template <class T, class KeyFn>
+SteppedRun<T> run_stepped(const std::vector<std::vector<T>>& shards,
+                          KeyFn key, const SortConfig& cfg,
+                          bool gather_first) {
   const int P = static_cast<int>(shards.size());
-  SteppedRun run;
+  SteppedRun<T> run;
   run.clocks.resize(P);
   run.stats.resize(P);
   run.out.resize(P);
   Team team({.nranks = P});
   team.run([&](Comm& c) {
-    SortState<Rec, u64> st;
+    SortState<T, SortKeyImage<T, KeyFn>> st;
     st.data = shards[c.rank()];
     st.out_capacity = st.data.size();
     st.stats.elements_before = st.data.size();
     for (usize s = 0; s < kSupersteps; ++s) {
-      advance_superstep(c, st, RecKey{}, cfg);
+      advance_superstep(c, st, key, cfg);
       if (gather_first && st.completed == SuperstepId::LocalSorted) {
         const bool by_ref =
-            sorts_by_ref<Rec, RecKey>(c.machine(), st.data.size());
+            sorts_by_ref<T, KeyFn>(c.machine(), st.data.size());
         EXPECT_EQ(st.refs.empty(), !by_ref);
         gather_by_refs(st.data, st.refs);
       }
@@ -262,8 +264,8 @@ TEST(RecordSupersteps, DeferredGatherMatchesGatherAfterLocalSort) {
       hybrid.histogram = HistogramMode::Hybrid;
       hybrid.merge = MergeStrategy::Tournament;
       for (const SortConfig& cfg : {SortConfig{}, hybrid}) {
-        const SteppedRun deferred = run_stepped(shards, cfg, false);
-        const SteppedRun gathered = run_stepped(shards, cfg, true);
+        const auto deferred = run_stepped(shards, RecKey{}, cfg, false);
+        const auto gathered = run_stepped(shards, RecKey{}, cfg, true);
         for (int r = 0; r < P; ++r) {
           for (usize s = 0; s < kSupersteps; ++s)
             EXPECT_EQ(deferred.clocks[r][s], gathered.clocks[r][s])
@@ -274,6 +276,43 @@ TEST(RecordSupersteps, DeferredGatherMatchesGatherAfterLocalSort) {
         }
       }
     }
+}
+
+/// A one-round k-ary schedule is the default exchange itself: per-rank
+/// clocks after every superstep, stats and output bytes bit-identical.
+template <class T, class KeyFn>
+void expect_one_round_is_default(const std::vector<std::vector<T>>& shards,
+                                 KeyFn key, int k) {
+  SortConfig one_round;
+  one_round.exchange_k = k;
+  const auto want = run_stepped(shards, key, SortConfig{}, false);
+  const auto got = run_stepped(shards, key, one_round, false);
+  for (usize r = 0; r < shards.size(); ++r) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    for (usize s = 0; s < kSupersteps; ++s)
+      EXPECT_EQ(got.clocks[r][s], want.clocks[r][s])
+          << "rank " << r << " after superstep " << s + 1;
+    expect_same_stats(got.stats[r], want.stats[r], static_cast<int>(r));
+    EXPECT_TRUE(same_bytes(got.out[r], want.out[r])) << "rank " << r;
+  }
+}
+
+TEST(KAryOneRound, BitIdenticalToDefaultForKeysAndRecordsByRef) {
+  // Skewed1357 is P = 4, where k = 4 and 64 are >= P; SevenRanks is the
+  // prime P = 7, where k = 4 has no factor <= 4 and k = 64 is >= P. Every
+  // rank holds at least 512 records, so each sorts by reference; Zipf keys
+  // tie, so a change in record order shows in the bytes.
+  for (usize li : {usize{0}, usize{3}}) {
+    const auto recs = make_records(layouts()[li], Keys::Zipf);
+    std::vector<std::vector<u64>> keys(recs.size());
+    for (usize r = 0; r < recs.size(); ++r)
+      for (const Rec& x : recs[r]) keys[r].push_back(x.key);
+    SCOPED_TRACE(layouts()[li].name);
+    for (int k : {4, 64}) {
+      expect_one_round_is_default(recs, RecKey{}, k);
+      expect_one_round_is_default(keys, IdentityKey{}, k);
+    }
+  }
 }
 
 }  // namespace

@@ -484,53 +484,6 @@ TEST(ShrinkSurvivors, RecoveryMetricsAndHappensBeforeClean) {
   for (double s : rep.recovery_seconds) EXPECT_GT(s, 0.0);
 }
 
-// --- BorrowToken abort-path regression (satellite) ---------------------------
-
-// A crash between a send_borrowed and the receiver's matching recv must not
-// leave the loan stuck: the sender's BorrowToken destructor would otherwise
-// spin against a receiver that will never copy. Both orientations.
-TEST(BorrowAbort, CrashBeforeReceiverWaitsDoesNotHang) {
-  constexpr u64 kTag = 17;
-  for (int victim : {0, 1}) {
-    auto plan = std::make_shared<FaultPlan>();
-    // Op 1 is the collective after the loan is posted but before it is
-    // consumed — the victim dies holding (or owing) the loan.
-    plan->crash_rank_at_op(victim, 1);
-    Team team(cfg_with(2, plan, /*watchdog_s=*/5.0));
-    EXPECT_THROW(team.run([&](Comm& c) {
-                   std::vector<u64> payload{1, 2, 3};
-                   BorrowToken tok;
-                   if (c.rank() == 0)
-                     tok = c.send_borrowed(
-                         1, kTag, std::span<const u64>(payload));  // op 0
-                   (void)c.allreduce_value<int>(1, std::plus<>{});  // op 1
-                   if (c.rank() == 1) (void)c.recv<u64>(0, kTag);
-                   tok.wait();
-                 }),
-                 rank_failed)
-        << "victim " << victim;
-    // The team is reusable: no leaked loan blocks the next run.
-    team.run([&](Comm& c) { c.barrier(); });
-  }
-}
-
-TEST(BorrowAbort, ShrinkRecoveryDrainsOutstandingLoans) {
-  // Under ShrinkSurvivors the survivors re-enter collectives after the
-  // rendezvous; any loan outstanding at the crash must have been released
-  // by the mailbox reset or the whole recovery deadlocks the watchdog.
-  constexpr int P = 4;
-  const auto original = random_partitions(P, 128, 81);
-  auto plan = std::make_shared<FaultPlan>();
-  plan->crash_rank_at_phase_op(2, net::Phase::Exchange, 3);
-  Team team(cfg_with(P, plan, /*watchdog_s=*/20.0));
-  auto parts = original;
-  core::ResilienceConfig rcfg;
-  rcfg.mode = core::RecoveryMode::ShrinkSurvivors;
-  core::ResilienceReport rep;
-  (void)core::sort_resilient(team, parts, core::SortConfig{}, rcfg, &rep);
-  EXPECT_EQ(flatten(parts), flatten_sorted(original));
-}
-
 // --- skewed inputs under faults (satellite) ----------------------------------
 
 TEST(SkewedInputs, DuplicateHeavyAndZipfSurviveFaults) {

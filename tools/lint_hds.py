@@ -84,10 +84,8 @@ COMM_OP_METHODS = [
     "alltoall",
     "alltoallv_into",
     "send",
-    "send_borrowed",
     "send_uncharged",
     "recv",
-    "recv_into",
     # Failure-recovery entry points (PR 6): the agreement rendezvous and
     # both checkpoint transfers are simulated operations too.
     "recover_survivors",
@@ -97,13 +95,12 @@ COMM_OP_METHODS = [
 
 # A method body satisfies comm-note-op if it hits the hook directly or
 # delegates to one of the internal helpers that do (the single-copy pull
-# protocol, the shared allgatherv body and the shared P2P receive path).
+# protocol and the shared allgatherv body).
 NOTE_OP_HOOKS = (
     "collective(",
     "note_op(",
     "collective_pull(",
     "allgatherv_impl(",
-    "recv_bytes_into(",
 )
 
 # A body satisfies comm-op-class if it names the obs::OpClass it charges
@@ -112,7 +109,6 @@ NOTE_OP_HOOKS = (
 OP_CLASS_HOOKS = (
     "OpClass::",
     "allgatherv_impl(",
-    "recv_bytes_into(",
 )
 
 
@@ -184,7 +180,7 @@ def check_comm_note_op(findings: list[str]) -> None:
     text = strip_comments_and_strings(raw)
     for method in COMM_OP_METHODS:
         pattern = re.compile(
-            r"(?:^|[ \t])(?:void|T|usize|std::vector<T>|Comm|BorrowToken"
+            r"(?:^|[ \t])(?:void|T|usize|std::vector<T>|Comm"
             r"|std::optional<CheckpointBlob>)"
             r"\s+(%s)\s*\(" % re.escape(method),
             re.M,

@@ -108,8 +108,8 @@ def check_exchange(path: str) -> None:
     require(isinstance(cells, list) and bool(cells),
             f"{path}: empty or malformed JSON")
     for c in cells:
-        for k in ("type", "nranks", "n_per_rank", "k", "overlap", "pairs",
-                  "wins", "speedup", "rounds"):
+        for k in ("type", "nranks", "n_per_rank", "k", "pairs", "wins",
+                  "speedup", "rounds"):
             require(k in c, f"missing field {k}: {c}")
         require(c["k"] >= 2 and c["pairs"] >= 10, str(c))
         for side in ("alltoallv", "kary"):
@@ -125,10 +125,11 @@ def check_exchange(path: str) -> None:
         p = paired(c["alltoallv_wall_s"], c["kary_wall_s"], "lower")
         require(p["wins"] == c["wins"],
                 f"wins {c['wins']} but the samples give {p['wins']}: {c}")
-        require(bool(c["rounds"]),
+        # k >= P is one round, the Alltoallv path itself: no breakdown.
+        require(bool(c["rounds"]) or c["k"] >= c["nranks"],
                 f"kary cell missing per-round breakdown: {c}")
         for r in c["rounds"]:
-            require(r["exchange_s"] >= 0.0 and r["merge_s"] >= 0.0, str(c))
+            require(r["exchange_s"] >= 0.0, str(c))
     u64 = [c for c in cells if c["type"] == "u64"]
     require(bool(u64), "no u64 cells")
     rows = []
@@ -138,14 +139,13 @@ def check_exchange(path: str) -> None:
         speedup = 1.0 / v["ratio"] if v["ratio"] > 0.0 else 0.0
         ok = v["verdict"] == "gain" and speedup >= KARY_SPEEDUP_BOUND
         rows.append((ok, speedup, c, v))
-        print(f"  u64 P={c['nranks']} k={c['k']} "
-              f"overlap={'yes' if c['overlap'] else 'no'}: {speedup:.2f}x "
+        print(f"  u64 P={c['nranks']} k={c['k']}: {speedup:.2f}x "
               f"vs Alltoallv, {v['wins']}/{v['pairs']} wins, verdict "
               f"{v['verdict']}, thread-CPU "
               f"{c['kary_cpu_median'] / c['alltoallv_cpu_median']:.2f}x")
     ok, speedup, best, v = max(rows, key=lambda row: (row[0], row[1]))
     require(ok,
-            f"best k-ary (k={best['k']}, overlap={best['overlap']}) only "
+            f"best k-ary (k={best['k']}) only "
             f"{speedup:.2f}x vs the sort's Alltoallv path on u64 "
             f"P={best['nranks']} exchange+merge ({v['wins']}/{v['pairs']} "
             f"wins, verdict {v['verdict']}; needs a gain of >= "
@@ -288,15 +288,12 @@ def check_model_report(path: str) -> None:
         require(k in rep, f"{path}: missing key {k!r}")
 
     mt = rep["matcher"]
-    for k in ("configs", "failures", "ops", "loans_opened", "loans_waited"):
+    for k in ("configs", "failures", "ops"):
         require(k in mt, f"{path}: matcher missing {k!r}")
     require(mt["configs"] >= 1, f"{path}: matcher ran no configurations")
     require(mt["failures"] == 0,
             f"{path}: static matcher found {mt['failures']} schedule "
             "mismatch(es)")
-    require(mt["loans_waited"] == mt["loans_opened"],
-            f"{path}: {mt['loans_opened'] - mt['loans_waited']} loan(s) "
-            "not explicitly waited")
 
     require(len(rep["explorations"]) >= 1, f"{path}: no explorations")
     for ex in rep["explorations"]:
