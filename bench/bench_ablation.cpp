@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     for (auto strategy :
          {core::MergeStrategy::Sort, core::MergeStrategy::Tournament,
           core::MergeStrategy::Auto}) {
-      core::SortConfig scfg;
+      core::SortConfig scfg = bench::paper_config();
       scfg.merge = strategy;
       const auto r = run_sort(nodes, rpn, model_keys, real_keys, scfg, true);
       t.add_row({std::string(core::merge_name(strategy)), fmt(r.time)});

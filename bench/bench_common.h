@@ -30,14 +30,15 @@ namespace hds::bench {
 using hds::Args;
 
 /// The paper's evaluated sort: SortConfig with the final merge pinned to
-/// the re-sort (Sec. V-C). Its other defaults already are the paper's —
-/// the ALL-TO-ALLV exchange, dense histogramming, epsilon = 0. Every bench
-/// whose output is a committed snapshot or a perf-history cell starts from
-/// this, so a change of SortConfig's defaults cannot move a reproduced
-/// number.
+/// the re-sort (Sec. V-C) and the splitter search pinned to the dense
+/// rounds of Alg. 2/3. Its other defaults already are the paper's — the
+/// ALL-TO-ALLV exchange, epsilon = 0. Every bench whose output is a
+/// committed snapshot or a perf-history cell starts from this, so a change
+/// of SortConfig's defaults cannot move a reproduced number.
 inline core::SortConfig paper_config() {
   core::SortConfig cfg;
   cfg.merge = core::MergeStrategy::Sort;
+  cfg.histogram = core::HistogramMode::Dense;
   return cfg;
 }
 

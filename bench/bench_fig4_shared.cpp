@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     };
 
     const double t_dash = run_sorter([](Comm& c, std::vector<double>& v) {
-      core::SortConfig scfg;
+      core::SortConfig scfg = bench::paper_config();
       scfg.merge = core::MergeStrategy::Tournament;  // move data once
       core::sort(c, v, scfg);
     });

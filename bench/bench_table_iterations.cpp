@@ -5,11 +5,13 @@
 //
 // Paper reference points: 64-bit floats converge in 60-64 iterations,
 // 32-bit floats in 25-35, uniform u64 in [0,1e9] in ~30; P does not matter.
-// It also sweeps the histogram modes (dense / hybrid) over
+// It also sweeps the histogram modes (dense / hybrid / auto) over
 // distribution x epsilon x P cells and emits BENCH_histogram.json: per-cell
 // rounds, probe volume, histogram traffic split sampled-vs-dense, and the
 // histogram-phase / total simulated seconds. tools/validate_bench.py gates
-// the hybrid mode's histogram-time win on the canonical cell.
+// the hybrid mode's histogram-time win on the canonical cell, auto's
+// makespan against the better of the other two, and every sampled round's
+// pool.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -52,13 +54,7 @@ usize median_iterations(int P, [[maybe_unused]] usize n_rank, int reps,
 
 // --- histogram-mode sweep (PR 10) ------------------------------------------
 
-constexpr const char* mode_name(core::HistogramMode m) {
-  switch (m) {
-    case core::HistogramMode::Dense: return "dense";
-    case core::HistogramMode::Hybrid: return "hybrid";
-  }
-  return "?";
-}
+using core::histogram_mode_name;
 
 struct HistCell {
   std::string dist;
@@ -92,7 +88,7 @@ HistCell run_hist_cell(int P, usize n_rank, double epsilon,
             c, std::span<const u64>(local.data(), local.size()),
             [](u64 v) { return v; })) {
       std::cerr << "FATAL: histogram sweep produced unsorted output ("
-                << dist << ", " << mode_name(mode) << ")\n";
+                << dist << ", " << histogram_mode_name(mode) << ")\n";
       std::abort();
     }
     if (c.rank() == 0) got = stats;
@@ -116,10 +112,14 @@ void write_hist_json(const std::string& path,
     const HistCell& c = cells[i];
     out << "  {\"type\": \"u64\", \"dist\": \"" << c.dist
         << "\", \"epsilon\": " << c.epsilon << ", \"nranks\": " << c.nranks
-        << ", \"mode\": \"" << mode_name(c.mode)
+        << ", \"mode\": \"" << histogram_mode_name(c.mode)
         << "\", \"iterations\": " << c.stats.histogram_iterations
-        << ", \"sampled_rounds\": " << c.stats.sampled_rounds
-        << ", \"probes_total\": " << c.stats.splitter_probes
+        << ", \"sampled_rounds\": " << c.stats.sampled_rounds;
+    // Pooled keys over the sampled rounds, where any ran: the per-round
+    // pool the histogram gate bounds.
+    if (c.stats.sampled_rounds > 0)
+      out << ", \"sample_keys_total\": " << c.stats.sample_keys_total;
+    out << ", \"probes_total\": " << c.stats.splitter_probes
         << ", \"hist_bytes_sampled\": " << c.stats.hist_bytes_sampled
         << ", \"hist_bytes_dense\": " << c.stats.hist_bytes_dense
         << ", \"histogram_s\": " << c.histogram_s
@@ -258,7 +258,8 @@ int main(int argc, char** argv) {
   const std::vector<double> epsilons = {0.0, 0.01, 0.1};
   const std::vector<int> grid_ranks = {16, 64};
   const std::vector<core::HistogramMode> modes = {
-      core::HistogramMode::Dense, core::HistogramMode::Hybrid};
+      core::HistogramMode::Dense, core::HistogramMode::Hybrid,
+      core::HistogramMode::Auto};
 
   std::vector<HistCell> cells;
   Table ht({"dist", "eps", "P", "mode", "iters (sampled)", "probes",
@@ -271,7 +272,7 @@ int main(int argc, char** argv) {
           g.seed = 42;
           HistCell c = run_hist_cell(P, grid_n, eps, g, dname, m);
           ht.add_row(
-              {dname, fmt(eps, 2), std::to_string(P), mode_name(m),
+              {dname, fmt(eps, 2), std::to_string(P), histogram_mode_name(m),
                std::to_string(c.stats.histogram_iterations) + " (" +
                    std::to_string(c.stats.sampled_rounds) + ")",
                std::to_string(c.stats.splitter_probes),
@@ -302,13 +303,14 @@ int main(int argc, char** argv) {
     auto find_cell = [&](const char* mode) -> const HistCell& {
       for (const HistCell& c : cells)
         if (c.dist == "uniform" && c.epsilon == 0.01 && c.nranks == 16 &&
-            std::string(mode_name(c.mode)) == mode)
+            std::string(histogram_mode_name(c.mode)) == mode)
           return c;
       std::cerr << "FATAL: gated histogram cell missing from sweep\n";
       std::abort();
     };
     const HistCell& dense = find_cell("dense");
     const HistCell& hybrid = find_cell("hybrid");
+    const HistCell& autom = find_cell("auto");
     auto g = uni_1e9;
     g.seed = 42;
     runtime::TeamConfig tcfg{.nranks = 16, .trace = true};
@@ -332,7 +334,9 @@ int main(int argc, char** argv) {
          {"sim_hist_speedup",
           hybrid.histogram_s > 0.0 ? dense.histogram_s / hybrid.histogram_s
                                    : 0.0},
-         {"sim_makespan_hybrid_s", hybrid.makespan_s}});
+         {"sim_makespan_hybrid_s", hybrid.makespan_s},
+         {"sim_hist_auto_s", autom.histogram_s},
+         {"sim_makespan_auto_s", autom.makespan_s}});
   }
   return 0;
 }

@@ -145,8 +145,11 @@ gate "perf gate: bench_exchange" exchange_gate
 # histogram-phase simulated time by >= 1.2x AND the probe volume vs the
 # dense baseline on the canonical uniform u64 P=16 eps=0.01 cell, may
 # never regress the end-to-end makespan by more than 5% in any sweep cell
-# (all distributions x epsilons x P), and must resolve every few-distinct
-# cell in <= 8 histogram rounds. The sweep's headline numbers feed the
+# (all distributions x epsilons x P, every cell multi-node), and must
+# resolve every few-distinct cell in <= 8 histogram rounds. Auto, the
+# default, must stay within 5% of the better of dense and hybrid in every
+# cell, and every hybrid or auto sampled round must pool at most
+# 2 * P * (kOversample + 2) keys. The sweep's headline numbers feed the
 # perf-history stage through LEDGER_histogram.json.
 histogram_gate() {
   (cd "${B}" &&

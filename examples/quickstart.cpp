@@ -9,7 +9,7 @@
 //
 //   ./quickstart [--ranks=8] [--keys-per-rank=100000] [--epsilon=0.0]
 //               [--trace=trace.json] [--ledger=ledger.json] [--check]
-//               [--exchange-k=4] [--histogram=dense|hybrid]
+//               [--exchange-k=4] [--histogram=auto|dense|hybrid]
 //               [--fault=crash] [--fault-rank=1] [--fault-op=20]
 //               [--fault-seed=7] [--straggle=0.5] [--drop=0.05]
 //               [--recovery=restart|resume|shrink]
@@ -29,8 +29,13 @@
 // --histogram selects the splitter-search strategy (DESIGN.md sec. 16):
 // "dense" is the paper's probe-and-allreduce baseline, "hybrid" runs
 // HSS-style sampled bracket rounds first and then dense rounds that probe
-// each bracket's midpoint plus one interpolated key. Both modes sort
-// identically; they differ in histogram rounds and bytes.
+// each bracket's midpoint plus one interpolated key, and "auto" (the
+// default) runs each sampled round only while the cost model prices it
+// below the dense rounds it saves. All modes sort identically; they
+// differ in histogram rounds and bytes. The summary prints the mode asked
+// for and the sampled rounds that ran; --ledger also records each of
+// Auto's decisions (its priced sampled and dense round) and the realised
+// Histogram phase seconds.
 // --fault=crash kills --fault-rank at its --fault-op'th communication op;
 // --straggle=S delays it by S simulated seconds instead; --drop=P drops
 // each message with probability P (seeded by --fault-seed). Any of these
@@ -61,16 +66,6 @@
 #include "runtime/team.h"
 #include "workload/distributions.h"
 
-namespace {
-const char* histogram_mode_name(hds::core::HistogramMode m) {
-  switch (m) {
-    case hds::core::HistogramMode::Dense: return "dense";
-    case hds::core::HistogramMode::Hybrid: return "hybrid";
-  }
-  return "?";
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace hds;
   const Args args(argc, argv,
@@ -91,12 +86,15 @@ int main(int argc, char** argv) {
     std::cerr << "--exchange-k must be >= 2\n";
     return 2;
   }
-  core::HistogramMode histogram = core::HistogramMode::Dense;
-  if (const std::string v = args.get_string("histogram", "dense");
-      v == "hybrid") {
+  core::HistogramMode histogram = core::HistogramMode::Auto;
+  if (const std::string v = args.get_string("histogram", "auto");
+      v == "dense") {
+    histogram = core::HistogramMode::Dense;
+  } else if (v == "hybrid") {
     histogram = core::HistogramMode::Hybrid;
-  } else if (v != "dense") {
-    std::cerr << "unknown --histogram value: " << v << " (dense|hybrid)\n";
+  } else if (v != "auto") {
+    std::cerr << "unknown --histogram value: " << v
+              << " (auto|dense|hybrid)\n";
     return 2;
   }
   const std::string fault = args.get_string("fault", "");
@@ -283,8 +281,8 @@ int main(int argc, char** argv) {
 
   std::cout << "sorted " << ranks << " x " << keys_per_rank
             << " keys: " << (ok ? "globally sorted" : "FAILED") << "\n"
-            << "  histogram mode       : " << histogram_mode_name(histogram)
-            << "\n"
+            << "  histogram mode       : "
+            << core::histogram_mode_name(histogram) << "\n"
             << "  histogram iterations : " << stats.histogram_iterations
             << " (" << stats.sampled_rounds << " sampled)\n"
             << "  splitter probes      : " << stats.splitter_probes << "\n"
@@ -317,8 +315,18 @@ int main(int argc, char** argv) {
           static_cast<u64>(ranks) * static_cast<u64>(keys_per_rank);
       led.config = {{"epsilon", std::to_string(epsilon)},
                     {"exchange_k", std::to_string(exchange_k)},
-                    {"histogram", histogram_mode_name(histogram)}};
-      led.scalars = {{"sim_makespan_s", team.stats().makespan_s}};
+                    {"histogram", core::histogram_mode_name(histogram)}};
+      led.scalars = {{"sim_makespan_s", team.stats().makespan_s},
+                     {"sim_histogram_s", team.stats().phase_seconds(
+                                             net::Phase::Histogram)}};
+      for (usize i = 0; i < stats.histogram_decisions.size(); ++i) {
+        const core::SampleDecision& d = stats.histogram_decisions[i];
+        const std::string at = "auto_round" + std::to_string(i) + "_";
+        led.scalars.emplace_back(at + "sampled_s", d.sampled_s);
+        led.scalars.emplace_back(at + "dense_s", d.dense_s);
+        led.scalars.emplace_back(at + "saved_rounds", d.saved_rounds);
+        led.scalars.emplace_back(at + "taken", d.taken ? 1.0 : 0.0);
+      }
       obs::attach_features(led, team.cost());
       std::ofstream out(ledger_path);
       led.write_json(out);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -214,8 +215,8 @@ ExchangeResult<T> exchange_kary(runtime::Comm& comm, std::span<const T> local,
   note_exchange_metrics(comm, send, sizeof(T));
 
   // Runs in flight, keyed by final destination. A run is a view into
-  // `local` or into an earlier round's receive buffer, kept alive in
-  // `arrivals` until the exchange returns.
+  // `local` or into an earlier round's receive buffer, kept in `arrivals`
+  // until no bucket holds a run in it.
   std::vector<std::vector<std::span<const T>>> bucket(P);
   usize off = 0;
   for (int d = 0; d < P; ++d) {
@@ -265,6 +266,19 @@ ExchangeResult<T> exchange_kary(runtime::Comm& comm, std::span<const T> local,
       const auto member = static_cast<usize>(base + c * stride);
       manifest_counts[member] = manifest.size() - m0;
       pack_counts[member] = pack.size() - p0;
+    }
+    // Release every receive buffer the pack emptied before this round's
+    // exchange allocates the next: the last round packs every bucket, so
+    // all of them go by then.
+    for (std::vector<T>& a : arrivals) {
+      const auto in_a = [&, lt = std::less<const T*>{}](
+                            const std::span<const T>& run) {
+        return !lt(run.data(), a.data()) && lt(run.data(), a.data() + a.size());
+      };
+      bool held = false;
+      for (int d = 0; d < P && !held; ++d)
+        held = std::any_of(bucket[d].begin(), bucket[d].end(), in_a);
+      if (!held) std::vector<T>().swap(a);
     }
     comm.alltoallv_into(std::span<const u64>(manifest),
                         std::span<const usize>(manifest_counts), manifest_in,

@@ -42,11 +42,13 @@ struct SortConfig {
   /// Superstep 4's merge. Auto lets each rank pick the k-way merge or the
   /// paper's re-sort by the cost model (core/merge.h); Sort pins the paper.
   MergeStrategy merge = MergeStrategy::Auto;
-  /// Histogramming strategy of the splitter search (PR 10): Dense is the
-  /// paper's probe-and-allreduce baseline; Hybrid runs HSS-style sampled
-  /// rounds first, then dense rounds that probe each bracket's midpoint
-  /// plus one interpolated key. Both modes produce identical sorted output.
-  HistogramMode histogram = HistogramMode::Dense;
+  /// Histogramming strategy of the splitter search: Dense is the paper's
+  /// probe-and-allreduce baseline; Hybrid runs HSS-style sampled rounds
+  /// first, then dense rounds that probe each bracket's midpoint plus one
+  /// interpolated key; Auto (the default) runs each sampled round only
+  /// while the cost model prices it below the dense rounds it saves. All
+  /// modes produce identical sorted output at epsilon = 0.
+  HistogramMode histogram = HistogramMode::Auto;
   /// Per-round group size ("radix") of superstep 3's k-ary swap schedule
   /// (exchange_kary, DESIGN.md sec. 13). 0 (the default) or >= P runs one
   /// round: the paper's single ALL-TO-ALLV. 2 gives the hypercube's
@@ -144,6 +146,7 @@ void superstep_splitters(runtime::Comm& comm, SortState<T, UK>& st,
   st.stats.hist_bytes_sampled = st.splitters.hist_bytes_sampled;
   st.stats.hist_bytes_dense = st.splitters.hist_bytes_dense;
   st.stats.round_probes = st.splitters.round_probes;
+  st.stats.histogram_decisions = st.splitters.decisions;
 }
 
 /// Superstep 3 (SplittersReady -> Exchanged): permutation matrix + data
@@ -299,6 +302,8 @@ inline SortStats aggregate_rank_stats(std::span<const SortStats> per_rank) {
         std::max(agg.hist_bytes_sampled, s.hist_bytes_sampled);
     agg.hist_bytes_dense = std::max(agg.hist_bytes_dense, s.hist_bytes_dense);
     if (agg.round_probes.empty()) agg.round_probes = s.round_probes;
+    if (agg.histogram_decisions.empty())
+      agg.histogram_decisions = s.histogram_decisions;
   }
   return agg;
 }

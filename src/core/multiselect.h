@@ -18,9 +18,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/key_traits.h"
@@ -29,28 +31,57 @@
 
 namespace hds::core {
 
-/// Histogramming strategy of the splitter search. Both modes start
+/// Histogramming strategy of the splitter search. Every mode starts
 /// from the global (min, max) key range — one reduction, no assumptions.
 enum class HistogramMode : u8 {
   /// Every round probes candidate keys and counts them exactly with one
   /// dense (lb, ub) allreduce — the paper's Alg. 2/3 baseline.
   Dense,
-  /// HSS-style sampled rounds first: each round pools a seeded per-rank
-  /// sample of the still-unresolved key range via a sparse gather and
-  /// shrinks every boundary's bracket from the weighted sample CDF. Dense
-  /// rounds then finish inside the narrowed brackets: each probes its
-  /// bracket's midpoint plus one interpolated key, and the allreduce also
-  /// returns the nearest real key on either side of each probe, onto which
-  /// the bracket ends snap. The midpoint halves every bracket per round, so
-  /// the dense rounds stay within the key width plus one restart for each
-  /// sampled bracket side that turns out wrong.
+  /// HSS-style sampled rounds first: each round pools a seeded sample of
+  /// the still-unresolved key range via a sparse gather — about
+  /// (kOversample + 2) keys per open boundary over all ranks — and shrinks
+  /// every boundary's bracket from the sample CDF. Dense rounds then finish
+  /// inside the narrowed brackets: each probes its bracket's midpoint plus
+  /// one interpolated key, and the allreduce also returns the nearest real
+  /// key on either side of each probe, onto which the bracket ends snap.
+  /// The midpoint halves every bracket per round, so the dense rounds stay
+  /// within the key width plus one restart for each sampled bracket side
+  /// that turns out wrong.
   Hybrid,
+  /// Hybrid's rounds, each sampled round run only while the cost model
+  /// prices it below the dense rounds it is expected to save (the
+  /// bisection bound of the active brackets' bit widths). Declining the
+  /// first one runs Dense's exact op sequence.
+  Auto,
 };
+
+/// Name of a histogram mode as the CLIs and snapshots spell it.
+constexpr const char* histogram_mode_name(HistogramMode m) {
+  switch (m) {
+    case HistogramMode::Dense: return "dense";
+    case HistogramMode::Hybrid: return "hybrid";
+    case HistogramMode::Auto: return "auto";
+  }
+  return "?";
+}
 
 struct MultiselectConfig {
   /// Load-balance threshold epsilon of Def. 1; 0 = perfect partitioning.
   double epsilon = 0.0;
+  /// The bare search defaults to the paper's Dense rounds; core::sort's
+  /// SortConfig defaults to Auto.
   HistogramMode histogram = HistogramMode::Dense;
+};
+
+/// One Auto pricing of the next sampled round. Every input is the cost
+/// model or replicated search state, so every rank records the same.
+struct SampleDecision {
+  /// Priced sampled round, at its pool bound; at round 0 plus the extra
+  /// price of the dense rounds after it being Hybrid's two-probe rounds.
+  double sampled_s = 0.0;
+  double dense_s = 0.0;       ///< priced dense round over the active brackets
+  double saved_rounds = 0.0;  ///< dense rounds the sampled round should save
+  bool taken = false;         ///< sampled_s < saved_rounds * dense_s
 };
 
 /// Result of find_splitters. All vectors are indexed by boundary
@@ -71,8 +102,8 @@ struct SplitterResult {
   /// |achieved - target| / N (0.0 in the round that resolves the last
   /// boundary) — the convergence curve behind the paper's Table 3.
   std::vector<double> convergence;
-  // Hybrid histogramming accounting (PR 10). Sampled rounds count toward
-  // `iterations` but not `probes_total` (they probe no candidate keys).
+  // Sampled-round accounting. Sampled rounds count toward `iterations`
+  // but not `probes_total` (they probe no candidate keys).
   usize sampled_rounds = 0;      ///< sampled-histogram rounds executed
   usize sample_keys_total = 0;   ///< sample keys pooled over sampled rounds
   usize hist_bytes_sampled = 0;  ///< bytes gathered by sampled rounds
@@ -80,6 +111,16 @@ struct SplitterResult {
   /// Per-round probe volume, parallel to `convergence`: pooled sample keys
   /// for a sampled round, probed candidate splitters for a dense round.
   std::vector<u32> round_probes;
+  /// Sampled-round bracket repairs: a bracket end an earlier sampled
+  /// round's slack-guarded shrink lost, reopened once the segment's exact
+  /// counts disprove it, and a sampled top end disproved by an exact
+  /// anchor count at or above it.
+  usize sampled_reopens = 0;
+  usize anchor_disproofs = 0;
+  /// Auto only: one pricing per sampled round considered, the last one
+  /// declined unless the rounds ended for another reason. Observability
+  /// only; not checkpointed.
+  std::vector<SampleDecision> decisions;
 };
 
 namespace detail {
@@ -91,10 +132,35 @@ inline constexpr usize kMaxSampledRounds = 8;
 /// Seed of the per-(rank, round) sample-position jitter. Identical on all
 /// ranks (the pooled sample is decoded redundantly).
 inline constexpr u64 kSampleSeed = 0x9e3779b9;
-/// Oversampling factor of the sampled rounds: each rank contributes
-/// ~(kOversample + 2) * sqrt(#boundaries in segment) systematically sampled
-/// keys per search segment per round.
-inline constexpr usize kOversample = 8;
+/// Oversampling factor of the sampled rounds: a search segment holding nb
+/// open boundaries pools about (kOversample + 2) * nb keys over all ranks
+/// per round, so a round pools about P * (kOversample + 2) keys (more only
+/// where a segment's estimated mass falls short of its exact one). A
+/// round's own pooled CDF resolves a target only to +-(1 + 2 sqrt(ranks))
+/// sample weights, so the brackets shrink mostly through the next round's
+/// exact anchor counts — by the pool's keys per boundary every two rounds.
+/// At 40 keys per boundary the histogram sweep's 16- and 64-rank cells
+/// resolve in at most five rounds; 10, 20 and 30 each left a uniform
+/// 64-rank cell at 10 (DESIGN.md sec. 16).
+inline constexpr usize kOversample = 38;
+
+/// Global sample budget of a search segment holding `nb` open boundaries.
+inline usize segment_budget(usize nb) { return (kOversample + 2) * nb; }
+
+/// Rank slack of a sampled segment before a pooled sample position is
+/// trusted as a bracket end: one sample weight `wt` for the position inside
+/// its stratum, plus four standard deviations of the pooled CDF. Each of
+/// the `ranks` ranks holding keys in the segment samples its run with the
+/// common stride wt, one jittered position per stratum, so its error at any
+/// key is wt * (B - phi), B ~ Bernoulli(phi): variance <= wt^2 / 4, and
+/// <= wt * (its keys below the key) for a rank whose share is below one
+/// key. Summed over ranks, sigma <= wt * sqrt(min(ranks, 4 * s) / 4) for a
+/// pool of s keys — the stratified sqrt(ranks) bound, or HSS's Bernoulli
+/// sqrt(s) bound once the shares fall below a quarter key per rank.
+inline double sample_slack(double wt, usize ranks, usize s) {
+  return wt * (1.0 + 2.0 * std::sqrt(static_cast<double>(
+                               std::min(ranks, 4 * s))));
+}
 
 /// Per-boundary search state in uint key space. The target lies in the
 /// bracket: f(cand_lo - 1) < K <= f(cand_hi), f(v) = #keys <= v globally.
@@ -247,7 +313,7 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
   const usize window = static_cast<usize>(
       cfg.epsilon * static_cast<double>(N) / (2.0 * static_cast<double>(P)));
 
-  const bool hybrid = cfg.histogram == HistogramMode::Hybrid;
+  const HistogramMode mode = cfg.histogram;
   std::vector<detail::BoundarySearch<UK>> search(B);
   for (usize b : active) {
     auto& s = search[b];
@@ -259,54 +325,56 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
                                       static_cast<double>(s.target));
   }
 
-  // --- sampled rounds (Hybrid) ---------------------------------------------
-  // Each round pools a seeded per-rank sample of the union of the active
-  // brackets through one sparse SampleGather. Exact below-range / in-range
-  // counts ride along with the keys, so the pooled CDF is exact outside the
+  // One probe's counts and the nearest real keys around it: pred < probe <
+  // succ. Only the Hybrid dense rounds reduce the keys; Dense moves the
+  // paper's (lb, ub).
+  struct ProbeCount {
+    u64 lb, ub;
+    UK pred, succ;
+  };
+
+  // --- sampled rounds (Hybrid, Auto) ---------------------------------------
+  // Each round pools a seeded sample of the union of the active brackets
+  // through one sparse SampleGather. Exact below-range / in-range counts
+  // ride along with the keys, so the pooled CDF is exact outside the
   // sampled range and only the in-range interpolation carries sampling
   // error — which the slack term absorbs before a bracket is trusted.
   // Sampled bracket ends are estimates; a dense probe that crosses one
   // disproves it and reopens it to the global extreme.
-  if (hybrid && !active.empty() && gmin < gmax) {
-    struct WeightedKey {
-      u64 key;
-      double weight;
-    };
+  if (mode != HistogramMode::Dense && !active.empty() && gmin < gmax) {
     // A maximal run of overlapping active brackets, sampled as one unit.
     // Sampling per segment — not the contiguous hull of all brackets — is
     // what makes successive rounds concentrate: round k's samples land only
-    // inside key ranges still unresolved after round k-1, so the effective
-    // per-boundary resolution multiplies round over round instead of
-    // staying pinned at whole-range resolution.
+    // inside key ranges still unresolved after round k-1.
     struct Segment {
-      UK lo, hi;       ///< inclusive key range of the merged brackets
-      usize nb;        ///< active boundaries inside (drives sample budget)
-      double c_below;  ///< exact global #keys < lo (rides the gather)
-      double w;        ///< exact global #keys in [lo, hi]
-      double wmax;     ///< heaviest pooled sample weight
-      double slack;    ///< rank slack before a sample position is trusted
-      usize s_off;     ///< this segment's pool offset in samp / est_le
-      usize s_n;       ///< pooled sample keys of this segment
+      UK lo = 0, hi = 0;     ///< inclusive key range of the merged brackets
+      usize nb = 0;          ///< active boundaries inside (its budget)
+      double c_lo = 0.0;     ///< estimated global #keys < lo (bracket ends)
+      double c_hi = 0.0;     ///< estimated global #keys <= hi
+      double stride = 1.0;   ///< rank keys per sample position, >= 1
+      double c_below = 0.0;  ///< exact global #keys < lo (rides the gather)
+      double w = 0.0;        ///< exact global #keys in [lo, hi]
+      usize ranks = 0;       ///< ranks holding keys in [lo, hi]
+      double wt = 0.0;       ///< rank mass one pooled key stands for
+      double slack = 0.0;    ///< rank slack before a sample is trusted
+      usize s_off = 0;       ///< this segment's offset in the sorted pool
+      usize s_n = 0;         ///< pooled sample keys of this segment
     };
     std::vector<Segment> segs;
     std::vector<usize> seg_of;  // position in `active` -> segment index
+    std::vector<u8> resolved;   // position in `active` -> accepted this round
     std::vector<u32> idx;
     std::vector<u64> contrib;
-    std::vector<std::vector<WeightedKey>> pools;
-    std::vector<WeightedKey> samp;  // per-segment pools, concatenated
-    std::vector<double> est_le;     // weighted CDF, aligned with samp
+    // The pool, sorted once decoded: ascending disjoint segments make each
+    // segment's keys one contiguous run of it.
+    std::vector<UK> samp;
+    // The previous round's pool, narrowed to the keys inside this round's
+    // segments, and their exact global #keys <= anchor.
+    std::vector<UK> anchors;
+    std::vector<double> anchor_le;
     double prev_mass = std::numeric_limits<double>::max();
-    // Per-rank, per-segment sample budget. Scaling with sqrt(boundaries)
-    // rather than linearly keeps the early hull rounds (one segment
-    // covering many boundaries, where evenly spread samples serve them all
-    // at once) from gathering far more keys than the CDF resolution needs,
-    // while a segment holding a single boundary still gets the full
-    // kOversample + 2 keys.
-    const auto seg_budget = [](usize nb) {
-      return (detail::kOversample + 2) *
-             static_cast<usize>(
-                 std::ceil(std::sqrt(static_cast<double>(nb))));
-    };
+    const net::CostModel& cost = comm.cost();
+    const usize n_mean = N / static_cast<usize>(P);
     for (usize round = 0;
          round < detail::kMaxSampledRounds && !active.empty(); ++round) {
       // Merge the active brackets into disjoint segments — identical on
@@ -321,23 +389,121 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
       for (u32 i : idx) {
         const auto& s = search[active[i]];
         if (!segs.empty() && s.cand_lo <= segs.back().hi) {
-          segs.back().hi = std::max(segs.back().hi, s.cand_hi);
-          ++segs.back().nb;
+          Segment& g = segs.back();
+          g.hi = std::max(g.hi, s.cand_hi);
+          g.c_lo = std::min(g.c_lo, s.c_lo);
+          g.c_hi = std::max(g.c_hi, s.c_hi);
+          ++g.nb;
         } else {
-          segs.push_back({s.cand_lo, s.cand_hi, 1, 0, 0, 0, 0, 0, 0});
+          segs.push_back({.lo = s.cand_lo,
+                          .hi = s.cand_hi,
+                          .nb = 1,
+                          .c_lo = s.c_lo,
+                          .c_hi = s.c_hi});
         }
         seg_of[i] = segs.size() - 1;
       }
+      // The segment's budget is global, (kOversample + 2) keys per open
+      // boundary, and every rank samples its keys in the segment at the
+      // one common stride: each rank contributes its share of the
+      // segment's estimated mass, so the pool stays near the budget
+      // however many ranks hold keys. A stride of 1 (budget >= mass)
+      // takes every key.
+      usize pool_bound = 0;
+      for (Segment& g : segs) {
+        const usize budget = detail::segment_budget(g.nb);
+        pool_bound += budget;
+        g.stride = std::max(1.0, (g.c_hi - g.c_lo) /
+                                     static_cast<double>(budget));
+      }
+      // Anchors: the previous round's pooled keys inside this round's
+      // segments. Their exact counts ride this round's gather, so every
+      // bracket tightens exactly onto the anchors around its target — the
+      // HSS histogram of the previous sample, one round late, in the same
+      // collective.
+      {
+        usize kept = 0, gi = 0;
+        for (const UK a : anchors) {
+          while (gi < segs.size() && a > segs[gi].hi) ++gi;
+          if (gi == segs.size()) break;
+          if (a >= segs[gi].lo) anchors[kept++] = a;
+        }
+        anchors.resize(kept);
+      }
+      const auto anchors_in = [&](UK lo, UK hi) {
+        const auto a0 = std::lower_bound(anchors.begin(), anchors.end(), lo);
+        const auto a1 = std::upper_bound(a0, anchors.end(), hi);
+        return std::pair{static_cast<usize>(a0 - anchors.begin()),
+                         static_cast<usize>(a1 - anchors.begin())};
+      };
 
-      // Local block, segment-major: [keys below lo, keys in [lo, hi],
-      // sampled keys...] per segment. The sample count is min(keys in
-      // range, seg_budget(boundaries in segment)) — derivable by
-      // every receiver from the replicated budget, so it does not travel.
+      if (mode == HistogramMode::Auto) {
+        // Price this round against the dense rounds it should save, from
+        // the cost model and replicated state only: every rank takes the
+        // same branch, and pricing adds no op. The saving is the fall of
+        // Dense's bisection bound (the largest active bracket's bit
+        // width) when each bracket shrinks to the gap between the exact
+        // anchors around its target or to the +-slack band its segment's
+        // pool resolves, whichever is narrower (one key under full
+        // coverage); a bracket is taken as uniform in key space.
+        SampleDecision d;
+        const usize block = 2 * segs.size() + anchors.size() +
+                            div_ceil(pool_bound, usize(P));
+        d.sampled_s = cost.sample_gather(P, comm.nodes(),
+                                         block * sizeof(u64)) +
+                      cost.batched_search(n_mean, 2 * segs.size() +
+                                                      anchors.size()) +
+                      cost.control_scan(block) +
+                      cost.control_sort(pool_bound) +
+                      cost.control_scan(pool_bound + active.size());
+        // The dense round it competes with: Dense's (lb, ub) per boundary
+        // before any sampled round, Hybrid's two probes after.
+        const auto dense_round = [&](usize probes, usize probe_bytes) {
+          return cost.allreduce(P, comm.nodes(), probes * probe_bytes,
+                                net::Traffic::Control) +
+                 cost.control_sort(probes) +
+                 cost.batched_search(n_mean, 2 * probes) +
+                 cost.control_scan(B);
+        };
+        const double hybrid_s =
+            dense_round(2 * active.size(), sizeof(ProbeCount));
+        d.dense_s = round == 0 ? dense_round(active.size(), 2 * sizeof(u64))
+                               : hybrid_s;
+        double bits_now = 0.0, bits_after = 0.0;
+        for (usize i = 0; i < active.size(); ++i) {
+          const auto& s = search[active[i]];
+          const Segment& g = segs[seg_of[i]];
+          const double bits = std::log2(
+              static_cast<double>(static_cast<UK>(s.cand_hi - s.cand_lo)) +
+              1.0);
+          bits_now = std::max(bits_now, bits);
+          if (g.stride <= 1.0) continue;  // full coverage: one key left
+          const double m = std::max(1.0, s.c_hi - s.c_lo);
+          const auto [a0, a1] = anchors_in(s.cand_lo, s.cand_hi);
+          const double left = std::min(
+              m / static_cast<double>(a1 - a0 + 1),
+              2.0 * detail::sample_slack(g.stride, usize(P),
+                                         detail::segment_budget(g.nb)));
+          bits_after = std::max(
+              bits_after,
+              left >= m ? bits : std::max(0.0, bits + std::log2(left / m)));
+        }
+        d.saved_rounds = bits_now - bits_after;
+        // Taking round 0 also turns the dense rounds left after it into
+        // Hybrid's, which probe twice per boundary: charge the difference.
+        d.sampled_s += bits_after * (hybrid_s - d.dense_s);
+        d.taken = d.sampled_s < d.saved_rounds * d.dense_s;
+        res.decisions.push_back(d);
+        if (!d.taken) break;
+      }
+
+      // Local block: [keys below lo, keys in [lo, hi]] per segment, the
+      // keys <= each anchor, then every segment's sampled keys, ascending.
+      // Receivers file a key into its segment by value (the segments are
+      // disjoint and ascending), so the per-segment sample counts do not
+      // travel.
       const T* base = sorted_local.data();
       contrib.clear();
-      Xoshiro256 rng(hash_mix(
-          detail::kSampleSeed,
-          (static_cast<u64>(comm.rank()) << 8) | static_cast<u64>(round)));
       usize scan = 0;  // segments ascend, so searches narrow monotonically
       for (const Segment& g : segs) {
         const usize i0 = static_cast<usize>(
@@ -353,111 +519,103 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
                              }) -
             base);
         scan = i1;
-        const usize n_in = i1 - i0;
-        const usize s_n = std::min(n_in, seg_budget(g.nb));
         contrib.push_back(static_cast<u64>(i0));
-        contrib.push_back(static_cast<u64>(n_in));
-        // Systematic sampling: position j lands uniformly inside stratum j
-        // (deterministic per-(rank, round) jitter), which makes the
-        // mid-weight CDF estimator on the receive side unbiased. Forcing
-        // the range extremes in would skew it — and the segment edges
-        // already carry exact ranks through i0 / n_in. Positions are kept
-        // strictly increasing so full-budget coverage degenerates to the
-        // exact per-key histogram of the segment.
-        if (s_n >= 1) {
-          const double stride =
-              static_cast<double>(n_in) / static_cast<double>(s_n);
-          usize prev = 0;
-          for (usize j = 0; j < s_n; ++j) {
-            usize pos = static_cast<usize>(
-                (static_cast<double>(j) + rng.uniform01()) * stride);
-            pos = std::clamp(pos, prev, n_in - s_n + j);
-            prev = pos + 1;
-            contrib.push_back(static_cast<u64>(
-                Traits::to_uint(key(sorted_local[i0 + pos]))));
-          }
+        contrib.push_back(static_cast<u64>(i1 - i0));
+      }
+      scan = 0;
+      for (const UK a : anchors) {
+        scan = static_cast<usize>(
+            std::upper_bound(base + scan, base + n_local, a,
+                             [&](UK v, const T& e) {
+                               return v < Traits::to_uint(key(e));
+                             }) -
+            base);
+        contrib.push_back(static_cast<u64>(scan));
+      }
+      // Stratified sampling at the common stride: position j lands
+      // uniformly inside stratum [j, j + 1) * stride (deterministic
+      // per-(rank, round) jitter), and a last partial stratum of length l
+      // is sampled with probability l / stride — so a rank contributes its
+      // n_in / stride keys in expectation, and a rank whose share is below
+      // one key contributes one with that probability. Positions are kept
+      // strictly increasing, so a stride of 1 degenerates to the exact
+      // per-key histogram of the segment.
+      Xoshiro256 rng(hash_mix(
+          detail::kSampleSeed,
+          (static_cast<u64>(comm.rank()) << 8) | static_cast<u64>(round)));
+      for (usize gi = 0; gi < segs.size(); ++gi) {
+        const usize i0 = static_cast<usize>(contrib[2 * gi]);
+        const usize n_in = static_cast<usize>(contrib[2 * gi + 1]);
+        const double stride = segs[gi].stride;
+        usize next = 0;
+        for (usize j = 0;; ++j) {
+          const double x =
+              (static_cast<double>(j) + rng.uniform01()) * stride;
+          if (x >= static_cast<double>(n_in)) break;
+          const usize pos = std::max(static_cast<usize>(x), next);
+          if (pos >= n_in) break;
+          next = pos + 1;
+          contrib.push_back(static_cast<u64>(
+              Traits::to_uint(key(sorted_local[i0 + pos]))));
         }
       }
-      comm.charge_batched_search(n_local, 2 * segs.size());
+      comm.charge_batched_search(n_local,
+                                 2 * segs.size() + anchors.size());
       comm.charge_control_scan(contrib.size());
 
-      std::vector<usize> counts;
-      const std::vector<u64> pooled =
-          comm.sample_gatherv(std::span<const u64>(contrib), &counts);
+      // Decode (identically on every rank), straight from the published
+      // blocks: exact per-segment and per-anchor global counts plus the
+      // pooled keys.
+      samp.clear();
+      anchor_le.assign(anchors.size(), 0.0);
+      usize gathered = 0;
+      comm.sample_gatherv(
+          std::span<const u64>(contrib),
+          [&](int r, std::span<const u64> block) {
+            gathered += block.size();
+            HDS_CHECK_MSG(block.size() >= 2 * segs.size() + anchor_le.size(),
+                          "sampled-round block of rank " << r << " mis-sized");
+            usize off = 0;
+            for (Segment& g : segs) {
+              g.c_below += static_cast<double>(block[off]);
+              g.w += static_cast<double>(block[off + 1]);
+              g.ranks += block[off + 1] != 0;
+              off += 2;
+            }
+            for (double& le : anchor_le)
+              le += static_cast<double>(block[off++]);
+            for (; off < block.size(); ++off)
+              samp.push_back(static_cast<UK>(block[off]));
+          });
       ++res.iterations;
       ++res.sampled_rounds;
-      res.hist_bytes_sampled += pooled.size() * sizeof(u64);
+      res.hist_bytes_sampled += gathered * sizeof(u64);
+      std::sort(samp.begin(), samp.end());
 
-      // Decode (identically on every rank): exact per-segment global
-      // counts plus the weighted key pools. Each key from rank r carries
-      // weight n_in_r / s_n_r — the rank mass it represents.
-      pools.assign(segs.size(), {});
+      // Every pooled key of a segment stands for the same rank mass, since
+      // the ranks sampled at one stride: the pooled CDF of the i-th key
+      // (0-based, ascending) is c_below + (i + 1/2) * wt, anchored at the
+      // segment's exact below-count. The half weight is the mid-stratum
+      // estimate: the sample sits uniformly inside its stratum, so
+      // crediting a full weight would run one stratum high per rank — a
+      // bias that adds coherently across ranks and would swamp the slack.
+      // At full coverage (wt = 1) it is the exact rank minus 1/2.
+      const usize total_s = samp.size();
       double w_total = 0.0;
-      usize off = 0;
-      for (int r = 0; r < P; ++r) {
-        const usize block_end = off + counts[static_cast<usize>(r)];
-        for (Segment& g : segs) {
-          const u64 n_in = pooled[off + 1];
-          const usize s_n =
-              std::min(static_cast<usize>(n_in), seg_budget(g.nb));
-          g.c_below += static_cast<double>(pooled[off]);
-          g.w += static_cast<double>(n_in);
-          const double w =
-              s_n ? static_cast<double>(n_in) / static_cast<double>(s_n)
-                  : 0.0;
-          auto& pg = pools[&g - segs.data()];
-          for (usize j = 0; j < s_n; ++j)
-            pg.push_back({pooled[off + 2 + j], w});
-          off += 2 + s_n;
-        }
-        HDS_CHECK_MSG(off == block_end,
-                      "sampled-round block of rank " << r << " mis-sized");
-      }
-      for (const Segment& g : segs) w_total += g.w;
-
-      // Concatenate the per-segment pools (disjoint ascending segments, so
-      // the concatenation is globally sorted) and build the weighted CDF
-      // anchored at each segment's exact below-count.
-      usize total_s = 0;
-      for (usize gi = 0; gi < segs.size(); ++gi) {
-        std::sort(pools[gi].begin(), pools[gi].end(),
-                  [](const WeightedKey& a, const WeightedKey& b) {
-                    return a.key < b.key;
-                  });
-        segs[gi].s_off = total_s;
-        segs[gi].s_n = pools[gi].size();
-        total_s += pools[gi].size();
-      }
-      samp.clear();
-      samp.reserve(total_s);
-      est_le.resize(total_s);
+      usize filed = 0;
       for (Segment& g : segs) {
-        double acc = g.c_below;
-        for (const WeightedKey& wk : pools[&g - segs.data()]) {
-          samp.push_back(wk);
-          acc += wk.weight;
-          // Mid-weight estimate of #keys <= sample: the sample sits
-          // uniformly inside its stratum, so crediting half its weight is
-          // unbiased (full weight would run up to one stratum high per
-          // rank — a bias that adds coherently across ranks and would
-          // swamp the slack). At full coverage (weight 1) this is the
-          // exact rank minus 1/2.
-          est_le[samp.size() - 1] = acc - 0.5 * wk.weight;
-          g.wmax = std::max(g.wmax, wk.weight);
-        }
-        // Rank slack before a sample position is trusted as a bracket end:
-        // one full per-key weight (position-within-weight uncertainty)
-        // plus a ~7-sigma CDF error term. The samples are stratified — each
-        // rank contributes evenly spaced positions of its sorted run, so
-        // per-rank CDF error is bounded by one stratum (~w/S) and the
-        // pooled error scales with sqrt(P) strata, not the sqrt(S) an iid
-        // sample would need. The rare tail beyond the slack is caught by
-        // the wrong-bracket checks (here and in the dense loop).
-        g.slack = g.s_n
-                      ? g.wmax + 2.0 * std::sqrt(static_cast<double>(P)) *
-                                     (g.w / static_cast<double>(g.s_n))
-                      : 0.0;
+        g.s_off = static_cast<usize>(
+            std::lower_bound(samp.begin(), samp.end(), g.lo) - samp.begin());
+        g.s_n = static_cast<usize>(
+            std::upper_bound(samp.begin() + g.s_off, samp.end(), g.hi) -
+            samp.begin()) - g.s_off;
+        g.wt = g.s_n ? g.w / static_cast<double>(g.s_n) : 0.0;
+        g.slack = g.s_n ? detail::sample_slack(g.wt, g.ranks, g.s_n) : 0.0;
+        w_total += g.w;
+        filed += g.s_n;
       }
+      HDS_CHECK_MSG(filed == total_s,
+                    "sampled-round pool holds keys outside its segments");
       comm.charge_control_sort(total_s);
       comm.charge_control_scan(total_s + active.size());
       res.sample_keys_total += total_s;
@@ -473,6 +631,8 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
 
       double mass = 0.0;
       double round_err = 0.0;
+      resolved.assign(active.size(), 0);
+      usize n_resolved = 0;
       for (usize i = 0; i < active.size(); ++i) {
         auto& s = search[active[i]];
         const Segment& g = segs[seg_of[i]];
@@ -486,13 +646,16 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
               round_err, g.w / (2.0 * static_cast<double>(N)));
           continue;
         }
-        const double* e0 = est_le.data() + g.s_off;
-        const WeightedKey* k0 = samp.data() + g.s_off;
+        const UK* k0 = samp.data() + g.s_off;
+        const auto est = [&g](usize j) {
+          return g.c_below + (static_cast<double>(j) + 0.5) * g.wt;
+        };
         // The below / in-range counts ride the gather exactly, so a target
         // outside (c_below, c_below + w] disproves the bracket outright —
         // an earlier slack-guarded shrink lost the splitter (the rare tail
         // beyond the slack). Reopen the failing side.
         if (kt <= g.c_below || kt > le_hi) {
+          ++res.sampled_reopens;
           if (kt <= g.c_below) {
             s.cand_lo = gmin;
             s.c_lo = 0.0;
@@ -507,6 +670,35 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
               round_err, g.w / (2.0 * static_cast<double>(N)));
           continue;
         }
+        // The first anchor whose exact count reaches the target bounds the
+        // splitter from above, the one before it from below. A lower
+        // anchor at the bracket's top disproves the sampled cand_hi; the
+        // segment's exact top count then bounds the splitter instead.
+        {
+          const auto [a0, a1] = anchors_in(s.cand_lo, s.cand_hi);
+          usize j = a0;
+          for (usize hi_j = a1; j < hi_j;) {
+            const usize mid = j + (hi_j - j) / 2;
+            if (anchor_le[mid] < kt)
+              j = mid + 1;
+            else
+              hi_j = mid;
+          }
+          if (j > a0) {
+            const UK a = anchors[j - 1];
+            if (a >= s.cand_hi) {
+              ++res.anchor_disproofs;
+              s.cand_hi = g.hi;
+              s.c_hi = le_hi;
+            }
+            s.cand_lo = static_cast<UK>(a + 1);
+            s.c_lo = anchor_le[j - 1];
+          }
+          if (j < a1) {
+            s.cand_hi = anchors[j];
+            s.c_hi = anchor_le[j];
+          }
+        }
         // cross = first sample position whose estimated rank reaches the
         // target; the raw crossing yields the first dense round's
         // interpolated probe (no safety margin needed — a bad guess only
@@ -514,18 +706,45 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         // because a wrong bracket costs a restart. The half-key shift makes
         // the full-coverage case land on the key whose tie class spans the
         // target rank (est == rank - 1/2 there).
-        const usize cross = static_cast<usize>(
-            std::lower_bound(e0, e0 + g.s_n, kt - 0.5) - e0);
-        // Full coverage: every in-range key of every rank fit the budget,
-        // so the pooled CDF is the exact histogram of the segment and the
-        // crossing key is the exact splitter — collapse the bracket to it
-        // and let the next dense round confirm with exact global counts.
-        // (At eps == 0 this is the same unique key value every mode must
-        // land on: the one whose tie class spans the target rank.)
+        usize cross = 0;
+        for (usize hi_i = g.s_n; cross < hi_i;) {
+          const usize mid = cross + (hi_i - cross) / 2;
+          if (est(mid) < kt - 0.5)
+            cross = mid + 1;
+          else
+            hi_i = mid;
+        }
+        // Full coverage: every in-range key of every rank was pooled, so
+        // the pooled CDF is the exact histogram of the segment and the
+        // crossing key is the exact splitter, with exact global counts —
+        // accept it here, without a dense round to confirm it. (At
+        // eps == 0 this is the same unique key value every mode must land
+        // on: the one whose tie class spans the target rank.)
         if (static_cast<double>(g.s_n) == g.w && cross < g.s_n) {
-          const UK k = static_cast<UK>(k0[cross].key);
-          if (k >= s.cand_lo && k <= s.cand_hi) {
-            s.cand_lo = s.cand_hi = k;
+          const UK k = k0[cross];
+          const usize L = static_cast<usize>(g.c_below) +
+                          static_cast<usize>(
+                              std::lower_bound(k0, k0 + g.s_n, k) - k0);
+          const usize U = static_cast<usize>(g.c_below) +
+                          static_cast<usize>(
+                              std::upper_bound(k0, k0 + g.s_n, k) - k0);
+          if (L < s.target + window && s.target <= U + window) {
+            const T* const end = base + n_local;
+            const usize lb = static_cast<usize>(
+                std::lower_bound(base, end, k,
+                                 [&](const T& e, UK v) {
+                                   return Traits::to_uint(key(e)) < v;
+                                 }) -
+                base);
+            const usize ub = static_cast<usize>(
+                std::upper_bound(base + lb, end, k,
+                                 [&](UK v, const T& e) {
+                                   return v < Traits::to_uint(key(e));
+                                 }) -
+                base);
+            detail::accept_probe(res, active[i], k, lb, ub, L, U, s.target);
+            resolved[i] = 1;
+            ++n_resolved;
             continue;
           }
         }
@@ -536,18 +755,16 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         // coverage — for few-distinct inputs this is the common case.
         if (cross < g.s_n) {
           usize run_lo = cross;
-          while (run_lo > 0 && k0[run_lo - 1].key == k0[cross].key)
-            --run_lo;
+          while (run_lo > 0 && k0[run_lo - 1] == k0[cross]) --run_lo;
           usize run_hi = cross;
-          while (run_hi + 1 < g.s_n && k0[run_hi + 1].key == k0[cross].key)
-            ++run_hi;
+          while (run_hi + 1 < g.s_n && k0[run_hi + 1] == k0[cross]) ++run_hi;
           // #keys < k: exact when the run opens the segment, estimated
           // with slack otherwise; #keys <= k: always estimated with slack.
-          const double below = run_lo ? e0[run_lo - 1] : g.c_below;
+          const double below = run_lo ? est(run_lo - 1) : g.c_below;
           const bool below_ok =
               run_lo ? below + g.slack < kt : below < kt;
-          if (below_ok && e0[run_hi] - g.slack >= kt) {
-            const UK k = static_cast<UK>(k0[cross].key);
+          if (below_ok && est(run_hi) - g.slack >= kt) {
+            const UK k = k0[cross];
             if (k >= s.cand_lo && k <= s.cand_hi) {
               s.cand_lo = s.cand_hi = k;
               continue;
@@ -558,59 +775,72 @@ auto find_splitters(runtime::Comm& comm, std::span<const T> sorted_local,
         // that straddle it, or the segment edge (exact rank) where the
         // target lies outside the pool.
         s.guess = detail::interpolate_key(
-            cross > 0 ? static_cast<UK>(k0[cross - 1].key) : g.lo,
-            cross < g.s_n ? static_cast<UK>(k0[cross].key) : g.hi,
-            cross > 0 ? e0[cross - 1] : g.c_below,
-            cross < g.s_n ? e0[cross] : le_hi, kt);
+            cross > 0 ? k0[cross - 1] : g.lo, cross < g.s_n ? k0[cross] : g.hi,
+            cross > 0 ? est(cross - 1) : g.c_below,
+            cross < g.s_n ? est(cross) : le_hi, kt);
         usize lo = cross;
-        while (lo > 0 && e0[lo - 1] + g.slack >= kt) --lo;
+        while (lo > 0 && est(lo - 1) + g.slack >= kt) --lo;
         const bool lo_safe = lo > 0;  // position lo-1 is safely below
         usize hi = cross;
-        while (hi < g.s_n && e0[hi] - g.slack < kt) ++hi;
+        while (hi < g.s_n && est(hi) - g.slack < kt) ++hi;
         const bool hi_safe = hi < g.s_n;
         if (lo_safe) {
-          const UK k = static_cast<UK>(k0[lo - 1].key);
+          const UK k = k0[lo - 1];
           if (k > s.cand_lo && k <= s.cand_hi) {
             s.cand_lo = k;
-            s.c_lo = e0[lo - 1];
+            s.c_lo = est(lo - 1);
           }
         }
         if (hi_safe) {
-          const UK k = static_cast<UK>(k0[hi].key);
+          const UK k = k0[hi];
           if (k < s.cand_hi && k >= s.cand_lo) {
             s.cand_hi = k;
-            s.c_hi = e0[hi];
+            s.c_hi = est(hi);
           }
         }
-        const double lo_est = lo_safe ? e0[lo - 1] : g.c_below;
-        const double hi_est = hi_safe ? e0[hi] : le_hi;
-        const double width = std::max(0.0, hi_est - lo_est);
+        if (s.guess < s.cand_lo || s.guess > s.cand_hi)
+          s.guess = detail::interpolate_key(s.cand_lo, s.cand_hi, s.c_lo,
+                                            s.c_hi, kt);
+        const double lo_est = lo_safe ? est(lo - 1) : g.c_below;
+        const double hi_est = hi_safe ? est(hi) : le_hi;
+        const double width =
+            std::max(0.0, std::min(hi_est - lo_est, s.c_hi - s.c_lo));
         mass += width;
         round_err = std::max(
             round_err, width / (2.0 * static_cast<double>(N)));
       }
       res.convergence.push_back(round_err);
       comm.metrics().append(obs::Series::HistogramConvergence, round_err);
+      if (n_resolved > 0) {
+        // The local counts of the splitters accepted under full coverage.
+        comm.charge_batched_search(n_local, 2 * n_resolved);
+        usize kept = 0;
+        for (usize i = 0; i < active.size(); ++i)
+          if (!resolved[i]) active[kept++] = active[i];
+        active.resize(kept);
+      }
+      // This round's pool is the next round's anchors.
+      samp.erase(std::unique(samp.begin(), samp.end()), samp.end());
+      anchors.swap(samp);
       // Stop sampling once the brackets stop concentrating (heavy tie
-      // classes pin the slack at wmax — more samples cannot split a tie)
-      // or once they are already down to per-key resolution; the dense
-      // phase finishes either way.
+      // classes pin the slack at the tie mass — more samples cannot split
+      // a tie) or once they are already down to per-key resolution; the
+      // dense phase finishes either way.
       if (mass * 2.0 >= prev_mass ||
           mass <= static_cast<double>(active.size()))
         break;
       prev_mass = mass;
     }
   }
+  // The dense rounds: Hybrid's probe rule once a sampled round ran (and
+  // always when pinned), the paper's otherwise.
+  const bool hybrid =
+      mode == HistogramMode::Hybrid || res.sampled_rounds > 0;
+
 
   // Safety cap on histogram rounds.
   const usize max_iter = 4 * static_cast<usize>(Traits::key_bits) + 16;
 
-  // One probe's counts and the nearest real keys around it: pred < probe <
-  // succ. Only Hybrid reduces the keys; Dense moves the paper's (lb, ub).
-  struct ProbeCount {
-    u64 lb, ub;
-    UK pred, succ;
-  };
   std::vector<UK> probes;
   std::vector<usize> first;  // active[a] owns probes [first[a], first[a+1])
   std::vector<ProbeCount> loc, glob;

@@ -77,6 +77,10 @@ struct SortStats {
   /// Per-round probe volume (sample keys or dense probes), parallel to
   /// histogram_convergence.
   std::vector<u32> round_probes;
+  /// HistogramMode::Auto's pricing of each sampled round it considered
+  /// (SplitterResult::decisions). Observability only: not checkpointed, so
+  /// a sort resumed past superstep 2 reports none.
+  std::vector<SampleDecision> histogram_decisions;
 };
 
 /// Per-rank sort state at a superstep boundary. UK is the unsigned key

@@ -132,8 +132,11 @@ inline constexpr int kSort4KAry2RoundBarrier = 72;
 /// resolve names against. Sort scenarios use few keys per rank: the
 /// schedule space, not the data volume, is what the explorer probes.
 inline std::vector<Scenario> all_scenarios() {
+  // Dense pinned: the mutation indices above count the barriers of this
+  // exact op sequence.
   core::SortConfig plain;
-  core::SortConfig kary2;
+  plain.histogram = core::HistogramMode::Dense;
+  core::SortConfig kary2 = plain;
   kary2.exchange_k = 2;
   return {
       sort_scenario("sort2", 2, plain, 48),

@@ -291,4 +291,13 @@ double CostModel::batched_search(usize n, usize probes) const {
   return std::min(batched, binary_search(n, probes));
 }
 
+double CostModel::control_sort(usize n) const {
+  const double m = std::max<double>(static_cast<double>(n), 2.0);
+  return machine_.sort_s_per_elem_log * m * std::log2(m);
+}
+
+double CostModel::control_scan(usize n) const {
+  return machine_.scan_s_per_elem * static_cast<double>(n);
+}
+
 }  // namespace hds::net

@@ -128,6 +128,11 @@ class CostModel {
   /// (core::batched_counts): each search spans ~n/probes elements. Never
   /// charged above the independent-searches cost.
   double batched_search(usize n, usize probes) const;
+  /// Control-plane compute over n items that do NOT grow with the modelled
+  /// data volume (splitter vectors, sample pools, permutation rows), so
+  /// data_scale does not apply: a comparison sort and a linear scan.
+  double control_sort(usize n) const;
+  double control_scan(usize n) const;
 
  private:
   /// Tree-stage latency and inverse bandwidth blended over intra/inter-node

@@ -59,6 +59,9 @@ class Comm {
 
   net::SimClock& clock() { return team_->clocks_[world_rank()]; }
   const net::CostModel& cost() const { return team_->cost_; }
+  /// Distinct nodes the members occupy: the span collectives are priced
+  /// over (CostModel's nodes_spanned).
+  int nodes() const { return state_->nodes_spanned; }
   const net::MachineModel& machine() const { return cost().machine(); }
   Team& team() { return *team_; }
   /// This rank's counter/series registry (see obs/metrics.h). Written only
@@ -97,11 +100,10 @@ class Comm {
   /// modelled data volume (splitter vectors, sample pools, permutation
   /// rows) must not be multiplied by data_scale.
   void charge_control_sort(usize n) {
-    const double m = std::max<double>(static_cast<double>(n), 2.0);
-    clock().advance(machine().sort_s_per_elem_log * m * std::log2(m));
+    clock().advance(cost().control_sort(n));
   }
   void charge_control_scan(usize n) {
-    clock().advance(machine().scan_s_per_elem * static_cast<double>(n));
+    clock().advance(cost().control_scan(n));
   }
 
   // --- collectives ------------------------------------------------------------
@@ -199,30 +201,76 @@ class Comm {
   template <class T>
   std::vector<T> allgatherv(std::span<const T> in,
                             std::vector<usize>* counts = nullptr) {
-    // A ring/dissemination allgatherv is gated by the largest single
-    // contribution per round, not the mean: charge max_bytes.
-    return allgatherv_impl(detail::OpId::Allgatherv, in, counts,
-                           [&](usize max_bytes) {
-                             return cost().allgather(size(), nodes(),
-                                                     max_bytes,
-                                                     net::Traffic::Control);
-                           });
+    check_trivial<T>();
+    auto& ep = collective(
+        detail::OpId::Allgatherv, obs::OpClass::Gather, in.data(),
+        in.size() * sizeof(T), [&](detail::EpochArena& a) {
+          usize total = 0;
+          usize max_bytes = 0;
+          for (int r = 0; r < size(); ++r) {
+            total += a.slots[r].bytes;
+            max_bytes = std::max(max_bytes, a.slots[r].bytes);
+          }
+          a.result.resize(total);
+          usize off = 0;
+          for (int r = 0; r < size(); ++r) {
+            if (a.slots[r].bytes > 0)
+              std::memcpy(a.result.data() + off, a.slots[r].in,
+                          a.slots[r].bytes);
+            off += a.slots[r].bytes;
+          }
+          fill_out(a, 0, total);
+          // A ring/dissemination allgatherv is gated by the largest single
+          // contribution per round, not the mean: charge max_bytes.
+          return cost().allgather(size(), nodes(), max_bytes,
+                                  net::Traffic::Control);
+        });
+    std::vector<T> out(ep.result.size() / sizeof(T));
+    if (!ep.result.empty())
+      std::memcpy(out.data(), ep.result.data(), ep.result.size());
+    if (counts) {
+      counts->resize(size());
+      for (int r = 0; r < size(); ++r)
+        (*counts)[r] = ep.slots[r].bytes / sizeof(T);
+    }
+    finish(ep);
+    return out;
   }
 
-  /// Sparse sampled-histogram gather (hybrid splitter search, PR 10):
-  /// semantically an allgatherv of each rank's sample block, but charged as
-  /// CostModel::sample_gather — the allgatherv wire cost plus the machine's
-  /// fixed per-sampled-round overhead — and published under its own
-  /// OpKind::SampleGather so the ledger, fault plans and the checkers can
-  /// tell sampled rounds from the dense refinement's collectives.
-  template <class T>
-  std::vector<T> sample_gatherv(std::span<const T> in,
-                                std::vector<usize>* counts = nullptr) {
-    return allgatherv_impl(detail::OpId::SampleGather, in, counts,
-                           [&](usize max_bytes) {
-                             return cost().sample_gather(size(), nodes(),
-                                                         max_bytes);
-                           });
+  /// Sparse sampled-histogram gather (sampled rounds of the splitter
+  /// search): semantically an allgatherv of each rank's sample block, but
+  /// charged as CostModel::sample_gather — the allgatherv wire cost plus
+  /// the machine's fixed per-sampled-round overhead — and published under
+  /// its own OpKind::SampleGather so the ledger, fault plans and the
+  /// checkers can tell sampled rounds from the dense refinement's
+  /// collectives. Every member reads the blocks where their owners
+  /// published them, as the pull ALL-TO-ALLV does: `decode(r, block)` runs
+  /// once per member r in member order, before the op completes, so no
+  /// rank holds a copy of the gathered pool.
+  template <class T, class DecodeFn>
+  void sample_gatherv(std::span<const T> in, DecodeFn&& decode) {
+    check_trivial<T>();
+    auto& ep = collective_pull(
+        detail::OpId::SampleGather, obs::OpClass::Gather, in.data(),
+        in.size() * sizeof(T), /*counts=*/nullptr, SendOrder{},
+        [&](detail::EpochArena& a) {
+          // A ring/dissemination allgatherv is gated by the largest single
+          // contribution per round, not the mean.
+          usize max_bytes = 0;
+          for (const auto& slot : a.slots)
+            max_bytes = std::max(max_bytes, slot.bytes);
+          return cost().sample_gather(size(), nodes(), max_bytes);
+        },
+        [&](detail::EpochArena& a) {
+          const auto op = static_cast<u32>(detail::OpId::SampleGather);
+          for (const auto& slot : a.slots)
+            if (slot.op_id != op) return;  // mismatch: the root aborts
+          for (int r = 0; r < size(); ++r)
+            decode(r, std::span<const T>(static_cast<const T*>(a.slots[r].in),
+                                         a.slots[r].bytes / sizeof(T)));
+        },
+        net::Traffic::Control);
+    finish(ep);
   }
 
   /// Gather variable-size contributions at `root` (member index). Non-root
@@ -528,8 +576,6 @@ class Comm {
                   "hds collectives transport trivially copyable types only");
   }
 
-  int nodes() const { return state_->nodes_spanned; }
-
   /// Enqueue a message at the destination's mailbox, honoring the fault
   /// plan: the message may be dropped (lost on the wire) or arrive late.
   template <class T>
@@ -743,47 +789,6 @@ class Comm {
     tracer().op_model(ep.model_cost);
     clock().sync_to(ep.sync_time);
     tracer().op_end(clock().now());
-  }
-
-  /// Shared body of allgatherv and sample_gatherv: concatenates every
-  /// member's contribution in member order under `op` (a Gather-class op),
-  /// charged as `cost_fn(max_bytes)` with max_bytes the largest single
-  /// contribution.
-  template <class T, class CostFn>
-  std::vector<T> allgatherv_impl(detail::OpId op, std::span<const T> in,
-                                 std::vector<usize>* counts,
-                                 CostFn&& cost_fn) {
-    check_trivial<T>();
-    auto& ep = collective(
-        op, obs::OpClass::Gather, in.data(), in.size() * sizeof(T),
-        [&](detail::EpochArena& a) {
-          usize total = 0;
-          usize max_bytes = 0;
-          for (int r = 0; r < size(); ++r) {
-            total += a.slots[r].bytes;
-            max_bytes = std::max(max_bytes, a.slots[r].bytes);
-          }
-          a.result.resize(total);
-          usize off = 0;
-          for (int r = 0; r < size(); ++r) {
-            if (a.slots[r].bytes > 0)
-              std::memcpy(a.result.data() + off, a.slots[r].in,
-                          a.slots[r].bytes);
-            off += a.slots[r].bytes;
-          }
-          fill_out(a, 0, total);
-          return cost_fn(max_bytes);
-        });
-    std::vector<T> out(ep.result.size() / sizeof(T));
-    if (!ep.result.empty())
-      std::memcpy(out.data(), ep.result.data(), ep.result.size());
-    if (counts) {
-      counts->resize(size());
-      for (int r = 0; r < size(); ++r)
-        (*counts)[r] = ep.slots[r].bytes / sizeof(T);
-    }
-    finish(ep);
-    return out;
   }
 
   Team* team_;

@@ -182,8 +182,10 @@ std::vector<std::vector<u64>> make_shards(int P, usize n) {
 
 /// Run `body` on a checked team and return the violation report.
 CheckReport run_checked(int P, const std::function<void(Comm&)>& body,
-                        CheckConfig cc = {.enabled = true}) {
+                        CheckConfig cc = {.enabled = true},
+                        net::MachineModel machine = {}) {
   TeamConfig tc{.nranks = P};
+  tc.machine = machine;
   tc.check = cc;
   tc.check.enabled = true;
   Team team(tc);
@@ -452,6 +454,30 @@ TEST(CheckedRunTest, HybridHistogramSortIsViolationFree) {
       EXPECT_TRUE(core::is_globally_sorted(
           c, std::span<const u64>(local.data(), local.size()), identity));
     });
+    EXPECT_TRUE(rep.clean()) << "P=" << P << "\n" << rep.summary();
+    EXPECT_GT(rep.collectives_checked, 0u);
+  }
+}
+
+TEST(CheckedRunTest, AutoHistogramMultiNodeSortIsViolationFree) {
+  // Across nodes the default Auto search runs sampled rounds whose blocks
+  // every rank decodes where their owners published them: the sort must
+  // stay as clean as the dense one.
+  for (int P : {4, 8}) {
+    auto shards = make_shards(P, 400);
+    usize sampled = 0;
+    const CheckReport rep = run_checked(
+        P,
+        [&](Comm& c) {
+          auto local = shards[c.rank()];
+          const core::SortStats st = core::sort(c, local);
+          if (c.rank() == 0) sampled = st.sampled_rounds;
+          EXPECT_TRUE(core::is_globally_sorted(
+              c, std::span<const u64>(local.data(), local.size()),
+              identity));
+        },
+        {.enabled = true}, net::MachineModel::supermuc_phase2(2, P / 2));
+    EXPECT_GE(sampled, 1u) << "P=" << P;
     EXPECT_TRUE(rep.clean()) << "P=" << P << "\n" << rep.summary();
     EXPECT_GT(rep.collectives_checked, 0u);
   }

@@ -37,14 +37,17 @@ std::vector<std::vector<u64>> make_shards(int P, usize n_per_rank,
 /// keys strictly below the splitter is <= boundary <= number of keys <= it.
 void check_splitters(int P, const std::vector<std::vector<u64>>& shards,
                      std::vector<usize> targets, MultiselectConfig cfg = {},
-                     usize* iterations_out = nullptr) {
+                     usize* iterations_out = nullptr,
+                     net::MachineModel machine = {}) {
   std::vector<u64> all;
   for (const auto& s : shards) all.insert(all.end(), s.begin(), s.end());
   std::sort(all.begin(), all.end());
   const usize N = all.size();
   const double w = cfg.epsilon * static_cast<double>(N) / (2.0 * P);
 
-  Team team({.nranks = P});
+  runtime::TeamConfig tc{.nranks = P};
+  tc.machine = machine;
+  Team team(tc);
   SplitterResult<u64> result;
   team.run([&](Comm& c) {
     const auto& local = shards[c.rank()];
@@ -252,11 +255,15 @@ TEST(Multiselect, SignedAndFloatKeys) {
 // Hybrid sampled histogramming (HSS-style rounds folded into the search).
 // ---------------------------------------------------------------------------
 
-/// find_splitters under `cfg`; the (replicated) result taken from rank 0.
+/// find_splitters under `cfg` on `machine` (one node by default); the
+/// (replicated) result taken from rank 0.
 SplitterResult<u64> run_mode(int P, const std::vector<std::vector<u64>>& shards,
                              const std::vector<usize>& targets,
-                             MultiselectConfig cfg) {
-  Team team({.nranks = P});
+                             MultiselectConfig cfg,
+                             net::MachineModel machine = {}) {
+  runtime::TeamConfig tc{.nranks = P};
+  tc.machine = machine;
+  Team team(tc);
   SplitterResult<u64> result;
   team.run([&](Comm& c) {
     auto res = find_splitters(c, std::span<const u64>(shards[c.rank()]),
@@ -268,9 +275,10 @@ SplitterResult<u64> run_mode(int P, const std::vector<std::vector<u64>>& shards,
 
 TEST(HistogramModes, IdenticalSplittersAtEpsilonZero) {
   // Def. 4 with eps = 0 admits exactly one splitter key per boundary — the
-  // key whose tie class contains the target rank — so both modes must
+  // key whose tie class contains the target rank — so every mode must
   // land on the same key, boundary, and global bracket on every
   // distribution, no matter how the sampled rounds narrowed the search.
+  // Auto runs on two nodes, where its sampled rounds pay.
   constexpr int P = 16;
   constexpr usize n = 256;
   struct DistCase {
@@ -294,13 +302,20 @@ TEST(HistogramModes, IdenticalSplittersAtEpsilonZero) {
     const auto dense = run_mode(P, shards, targets, cfg);
     EXPECT_EQ(dense.sampled_rounds, 0u);
     EXPECT_EQ(dense.hist_bytes_sampled, 0u);
-    cfg.histogram = HistogramMode::Hybrid;
-    check_splitters(P, shards, targets, cfg);  // Def. 4 oracle validity
-    const auto res = run_mode(P, shards, targets, cfg);
-    EXPECT_EQ(res.splitter, dense.splitter);
-    EXPECT_EQ(res.boundary, dense.boundary);
-    EXPECT_EQ(res.global_lb, dense.global_lb);
-    EXPECT_EQ(res.global_ub, dense.global_ub);
+    const auto two_nodes = net::MachineModel::supermuc_phase2(2, P / 2);
+    for (HistogramMode m : {HistogramMode::Hybrid, HistogramMode::Auto}) {
+      SCOPED_TRACE(histogram_mode_name(m));
+      cfg.histogram = m;
+      const net::MachineModel machine =
+          m == HistogramMode::Auto ? two_nodes : net::MachineModel{};
+      // Def. 4 oracle validity.
+      check_splitters(P, shards, targets, cfg, nullptr, machine);
+      const auto res = run_mode(P, shards, targets, cfg, machine);
+      EXPECT_EQ(res.splitter, dense.splitter);
+      EXPECT_EQ(res.boundary, dense.boundary);
+      EXPECT_EQ(res.global_lb, dense.global_lb);
+      EXPECT_EQ(res.global_ub, dense.global_ub);
+    }
   }
 }
 
@@ -312,11 +327,148 @@ TEST(HistogramModes, EpsilonWindowHoldsAcrossModes) {
     workload::GenConfig gen;
     gen.dist = d;
     const auto shards = make_shards(P, n, gen);
-    for (HistogramMode m : {HistogramMode::Dense, HistogramMode::Hybrid}) {
-      MultiselectConfig cfg;
-      cfg.histogram = m;
-      cfg.epsilon = 0.1;
-      check_splitters(P, shards, even_targets(P, n), cfg);
+    for (HistogramMode m : {HistogramMode::Dense, HistogramMode::Hybrid,
+                            HistogramMode::Auto}) {
+      for (const net::MachineModel& machine :
+           {net::MachineModel{}, net::MachineModel::supermuc_phase2(2, 8)}) {
+        MultiselectConfig cfg;
+        cfg.histogram = m;
+        cfg.epsilon = 0.1;
+        check_splitters(P, shards, even_targets(P, n), cfg, nullptr,
+                        machine);
+      }
+    }
+  }
+}
+
+/// Full sort of `shards` under `cfg` on `machine`: each rank's output, each
+/// rank's final clock and stats, and the team's phase seconds.
+struct SortRun {
+  std::vector<std::vector<u64>> out;
+  std::vector<double> clock;
+  std::vector<SortStats> stats;
+  net::TeamStats team;
+};
+
+SortRun run_sort(const std::vector<std::vector<u64>>& shards, SortConfig cfg,
+                 net::MachineModel machine = {}) {
+  const int P = static_cast<int>(shards.size());
+  runtime::TeamConfig tc{.nranks = P};
+  tc.machine = machine;
+  Team team(tc);
+  SortRun run;
+  run.out.resize(shards.size());
+  run.stats.resize(shards.size());
+  team.run([&](Comm& c) {
+    auto local = shards[c.rank()];
+    run.stats[c.rank()] = sort(c, local, cfg);
+    run.out[c.rank()] = std::move(local);
+  });
+  for (int r = 0; r < P; ++r) run.clock.push_back(team.rank_time(r));
+  run.team = team.stats();
+  return run;
+}
+
+TEST(HistogramModes, AutoDecliningRoundZeroIsDense) {
+  // On one node a sampled round (a 2.5 us gather) costs more than the
+  // dense rounds it saves (1 us allreduces), so Auto prices round 0 and
+  // declines it. It must then run Dense's exact op sequence: per-rank
+  // clocks, stats, histogram bytes and output bit-identical.
+  constexpr int P = 4;
+  workload::GenConfig gen;
+  gen.hi = 1'000'000'000;
+  std::vector<std::vector<u64>> shards(P);
+  for (int r = 0; r < P; ++r)
+    shards[r] = workload::generate_u64(gen, r, P, usize{1} << 14);
+  SortConfig dense_cfg;
+  dense_cfg.histogram = HistogramMode::Dense;
+  const SortRun dense = run_sort(shards, dense_cfg);
+  const SortRun autom = run_sort(shards, SortConfig{});  // Auto, the default
+  for (int r = 0; r < P; ++r) {
+    SCOPED_TRACE(r);
+    const SortStats& a = autom.stats[r];
+    const SortStats& d = dense.stats[r];
+    ASSERT_EQ(a.histogram_decisions.size(), 1u);
+    EXPECT_FALSE(a.histogram_decisions[0].taken);
+    EXPECT_GT(a.histogram_decisions[0].sampled_s,
+              a.histogram_decisions[0].saved_rounds *
+                  a.histogram_decisions[0].dense_s);
+    EXPECT_TRUE(d.histogram_decisions.empty());
+    EXPECT_EQ(autom.clock[r], dense.clock[r]);
+    EXPECT_EQ(autom.out[r], dense.out[r]);
+    EXPECT_EQ(a.histogram_iterations, d.histogram_iterations);
+    EXPECT_EQ(a.splitter_probes, d.splitter_probes);
+    EXPECT_EQ(a.elements_sent_off_rank, d.elements_sent_off_rank);
+    EXPECT_EQ(a.elements_before, d.elements_before);
+    EXPECT_EQ(a.elements_after, d.elements_after);
+    EXPECT_EQ(a.histogram_convergence, d.histogram_convergence);
+    EXPECT_EQ(a.sampled_rounds, 0u);
+    EXPECT_EQ(a.sample_keys_total, 0u);
+    EXPECT_EQ(a.hist_bytes_sampled, 0u);
+    EXPECT_EQ(a.hist_bytes_dense, d.hist_bytes_dense);
+    EXPECT_EQ(a.round_probes, d.round_probes);
+  }
+  EXPECT_EQ(autom.team.makespan_s, dense.team.makespan_s);
+  EXPECT_EQ(autom.team.phase_s, dense.team.phase_s);
+}
+
+TEST(HistogramModes, AutoSamplesAcrossNodes) {
+  // Across nodes every histogram round pays the inter-node stage
+  // overhead: a sampled round is one gather, a dense round an allreduce
+  // (two tree passes), so Auto samples, lands on Dense's output and
+  // finishes the sort sooner.
+  constexpr int P = 4;
+  workload::GenConfig gen;
+  gen.hi = 1'000'000'000;
+  std::vector<std::vector<u64>> shards(P);
+  for (int r = 0; r < P; ++r)
+    shards[r] = workload::generate_u64(gen, r, P, 4096);
+  const auto machine = net::MachineModel::supermuc_phase2(2, 2);
+  SortConfig dense_cfg;
+  dense_cfg.histogram = HistogramMode::Dense;
+  const SortRun dense = run_sort(shards, dense_cfg, machine);
+  const SortRun autom = run_sort(shards, SortConfig{}, machine);
+  EXPECT_GE(autom.stats[0].sampled_rounds, 1u);
+  ASSERT_FALSE(autom.stats[0].histogram_decisions.empty());
+  EXPECT_TRUE(autom.stats[0].histogram_decisions[0].taken);
+  EXPECT_EQ(autom.out, dense.out);
+  EXPECT_LT(autom.team.makespan_s, dense.team.makespan_s);
+  EXPECT_LT(autom.stats[0].histogram_iterations,
+            dense.stats[0].histogram_iterations);
+}
+
+TEST(HistogramModes, SampledPoolIsLinearInP) {
+  // Each segment's sample budget is (kOversample + 2) keys per open
+  // boundary over all ranks, so a sampled round pools O(P) keys however
+  // many segments are open — not a block per rank per segment. The bound
+  // 2 * P * (kOversample + 2) is DESIGN.md sec. 16's (and the histogram
+  // gate's): the factor 2 covers the strides' estimated segment masses.
+  constexpr usize n = 512;
+  for (int P : {16, 64}) {
+    const auto machine = net::MachineModel::supermuc_phase2(P / 8, 8);
+    for (workload::Dist d : {workload::Dist::Uniform, workload::Dist::Zipf}) {
+      workload::GenConfig gen;
+      gen.dist = d;
+      const auto shards = make_shards(P, n, gen);
+      const auto targets = even_targets(P, n);
+      for (HistogramMode m : {HistogramMode::Hybrid, HistogramMode::Auto}) {
+        SCOPED_TRACE(testing::Message()
+                     << "P=" << P << " " << workload::dist_name(d) << " "
+                     << histogram_mode_name(m));
+        MultiselectConfig cfg;
+        cfg.histogram = m;
+        const auto res = run_mode(P, shards, targets, cfg, machine);
+        EXPECT_GE(res.sampled_rounds, 1u);
+        ASSERT_GE(res.round_probes.size(), res.sampled_rounds);
+        usize pooled = 0;
+        for (usize i = 0; i < res.sampled_rounds; ++i) {
+          EXPECT_LE(res.round_probes[i],
+                    2 * static_cast<usize>(P) * (detail::kOversample + 2))
+              << "sampled round " << i;
+          pooled += res.round_probes[i];
+        }
+        EXPECT_EQ(pooled, res.sample_keys_total);
+      }
     }
   }
 }
@@ -420,23 +572,52 @@ TEST(HybridHistogram, FewDistinctResolvesInFewRounds) {
 }
 
 TEST(HybridHistogram, SampledReopenMatchesDense) {
-  // Regression seed: on this input a slack-guarded sampled shrink loses a
-  // splitter, and a later sampled round's exact segment counts disprove
-  // the bracket and reopen it. The search must still land on Dense's
-  // splitters (eps = 0 admits only one).
-  constexpr int P = 20;
-  constexpr usize n = 52;
+  // Seed found by searching small inputs for one on which a slack-guarded
+  // sampled shrink loses a splitter, so that a later sampled round's exact
+  // segment counts disprove the bracket and reopen it (sampled_reopens
+  // counts it). The search must still land on Dense's splitters (eps = 0
+  // admits only one).
+  constexpr int P = 22;
+  constexpr usize n = 39;
   workload::GenConfig gen;
-  gen.dist = workload::Dist::Exponential;
+  gen.dist = workload::Dist::Uniform;
   gen.hi = ~u64{0} >> 1;
-  gen.seed = 17540786804517835618ULL;
+  gen.seed = 2943812495442610627ULL;
   const auto shards = make_shards(P, n, gen);
   const auto targets = even_targets(P, n);
   MultiselectConfig cfg;
   const auto dense = run_mode(P, shards, targets, cfg);
+  EXPECT_EQ(dense.sampled_reopens, 0u);
   cfg.histogram = HistogramMode::Hybrid;
   check_splitters(P, shards, targets, cfg);
   const auto hybrid = run_mode(P, shards, targets, cfg);
+  EXPECT_GT(hybrid.sampled_reopens, 0u);
+  EXPECT_EQ(hybrid.splitter, dense.splitter);
+  EXPECT_EQ(hybrid.boundary, dense.boundary);
+}
+
+TEST(HybridHistogram, AnchorDisproofMatchesDense) {
+  // Seed found by searching inputs for one on which a sampled bracket top
+  // misses its target inside a segment merged with a neighbour's bracket:
+  // the segment's exact top count still covers the target, so only the
+  // exact count of the anchor at the bracket's top disproves it
+  // (anchor_disproofs counts it). The search must still land on Dense's
+  // splitters.
+  constexpr int P = 78;
+  constexpr usize n = 42;
+  workload::GenConfig gen;
+  gen.dist = workload::Dist::Uniform;
+  gen.hi = ~u64{0} >> 1;
+  gen.seed = 11188556590366068ULL;
+  const auto shards = make_shards(P, n, gen);
+  const auto targets = even_targets(P, n);
+  MultiselectConfig cfg;
+  const auto dense = run_mode(P, shards, targets, cfg);
+  EXPECT_EQ(dense.anchor_disproofs, 0u);
+  cfg.histogram = HistogramMode::Hybrid;
+  check_splitters(P, shards, targets, cfg);
+  const auto hybrid = run_mode(P, shards, targets, cfg);
+  EXPECT_GT(hybrid.anchor_disproofs, 0u);
   EXPECT_EQ(hybrid.splitter, dense.splitter);
   EXPECT_EQ(hybrid.boundary, dense.boundary);
 }

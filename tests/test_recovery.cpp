@@ -17,6 +17,7 @@
 #include "check/race_detector.h"
 #include "common/rng.h"
 #include "core/histogram_sort.h"
+#include "obs/report.h"
 #include "runtime/checkpoint.h"
 #include "runtime/comm.h"
 #include "runtime/fault.h"
@@ -527,29 +528,64 @@ TEST(HybridHistogram, RecoveryModesSurviveCrashInSampledRounds) {
   // carries the sampled-round telemetry, and both recovery modes must
   // replay the search deterministically (same sample positions) to the
   // same sorted output as a fault-free run.
+  // Auto, the default, runs the same sampled rounds on two nodes.
   constexpr int P = 8;
   constexpr usize kPerRank = 128;
   const auto original = random_partitions(P, kPerRank, 41);
   const auto expected = flatten_sorted(original);
-  core::SortConfig scfg;
-  scfg.histogram = core::HistogramMode::Hybrid;
 
-  for (core::RecoveryMode mode : {core::RecoveryMode::ResumeCheckpoint,
-                                  core::RecoveryMode::ShrinkSurvivors}) {
-    SCOPED_TRACE(core::recovery_mode_name(mode));
-    // Op 1 of the histogram phase is a sampled-round SampleGather.
-    auto plan = std::make_shared<FaultPlan>();
-    plan->crash_rank_at_phase_op(1, net::Phase::Histogram, 1);
-    Team team(cfg_with(P, plan, /*watchdog_s=*/20.0));
-    auto parts = original;
-    core::ResilienceConfig rcfg;
-    rcfg.mode = mode;
-    core::ResilienceReport rep;
-    (void)core::sort_resilient(team, parts, scfg, rcfg, &rep);
-    EXPECT_GE(rep.failures + rep.recoveries, 1u);  // the crash was seen
-    EXPECT_EQ(flatten(parts), expected);
-    for (const auto& p : parts)
-      EXPECT_TRUE(std::is_sorted(p.begin(), p.end()));
+  for (core::HistogramMode hmode :
+       {core::HistogramMode::Hybrid, core::HistogramMode::Auto}) {
+    core::SortConfig scfg;
+    scfg.histogram = hmode;
+    for (core::RecoveryMode mode : {core::RecoveryMode::ResumeCheckpoint,
+                                    core::RecoveryMode::ShrinkSurvivors}) {
+      SCOPED_TRACE(testing::Message()
+                   << core::histogram_mode_name(hmode) << " "
+                   << core::recovery_mode_name(mode));
+      TeamConfig tc = cfg_with(P, nullptr, /*watchdog_s=*/20.0);
+      if (hmode == core::HistogramMode::Auto)
+        tc.machine = net::MachineModel::supermuc_phase2(2, P / 2);
+      // Rank 1's first sampled-round SampleGather, counted among its
+      // histogram-phase ops (compute slices are not ops) in a fault-free
+      // traced run.
+      u64 k = 0;
+      {
+        TeamConfig traced = tc;
+        traced.trace = true;
+        Team probe(traced);
+        auto parts = original;
+        core::ResilienceConfig rcfg;
+        rcfg.mode = mode;
+        (void)core::sort_resilient(probe, parts, scfg, rcfg);
+        bool found = false;
+        for (const obs::TraceEvent& e : probe.trace()->events[1]) {
+          if (e.phase != net::Phase::Histogram ||
+              e.op == obs::OpKind::Compute)
+            continue;
+          if (e.op == obs::OpKind::SampleGather) {
+            found = true;
+            break;
+          }
+          ++k;
+        }
+        ASSERT_TRUE(found);
+        EXPECT_GE(k, 4u);  // after the capacity and range collectives
+      }
+      auto plan = std::make_shared<FaultPlan>();
+      plan->crash_rank_at_phase_op(1, net::Phase::Histogram, k);
+      tc.fault = plan;
+      Team team(tc);
+      auto parts = original;
+      core::ResilienceConfig rcfg;
+      rcfg.mode = mode;
+      core::ResilienceReport rep;
+      (void)core::sort_resilient(team, parts, scfg, rcfg, &rep);
+      EXPECT_GE(rep.failures + rep.recoveries, 1u);  // the crash was seen
+      EXPECT_EQ(flatten(parts), expected);
+      for (const auto& p : parts)
+        EXPECT_TRUE(std::is_sorted(p.begin(), p.end()));
+    }
   }
 }
 

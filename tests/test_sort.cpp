@@ -311,8 +311,12 @@ TEST(SortStatsTest, IterationCountsMatchKeyWidth) {
   std::vector<std::vector<u64>> shards(P);
   for (int r = 0; r < P; ++r)
     shards[r] = workload::generate_u64(gen, r, P, 1000);
+  // The key-width bound is Dense's (Sec. V-A); the default Auto search
+  // may sample and finish in fewer rounds.
+  SortConfig cfg;
+  cfg.histogram = HistogramMode::Dense;
   SortStats stats;
-  run_and_verify<u64>(P, std::move(shards), {}, &stats);
+  run_and_verify<u64>(P, std::move(shards), cfg, &stats);
   EXPECT_GE(stats.histogram_iterations, 15u);
   EXPECT_LE(stats.histogram_iterations, 34u);
   EXPECT_GT(stats.splitter_probes, stats.histogram_iterations);

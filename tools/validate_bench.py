@@ -23,14 +23,18 @@ Kinds and their gates (unchanged from the historical ci.sh heredocs):
   recovery    cell shape; fault-free checkpoint overhead <= 10% at
               P in {4, 8, 16}; ResumeCheckpoint beats RestartFull for
               crashes at or after the exchange superstep.
-  histogram   cell shape of the PR 10 histogram-mode sweep
+  histogram   cell shape of the histogram-mode sweep
               (BENCH_histogram.json); every (dist, epsilon, P) cell
-              carries both modes, dense and hybrid; hybrid must cut
-              histogram-phase sim time >= 1.2x AND probe volume vs dense on
-              the canonical uniform u64 P=16 eps=0.01 cell, may never
-              regress the makespan by > 5% in any cell, and must resolve
-              every fewdistinct cell in <= 8 rounds (its dense rounds snap
-              the brackets onto real keys, so key gaps cost no rounds).
+              carries all three modes, dense, hybrid and auto; hybrid must
+              cut histogram-phase sim time >= 1.2x AND probe volume vs
+              dense on the canonical uniform u64 P=16 eps=0.01 cell, may
+              never regress the makespan by > 5% in any cell, and must
+              resolve every fewdistinct cell in <= 8 rounds (its dense
+              rounds snap the brackets onto real keys, so key gaps cost no
+              rounds); auto's makespan must stay within 5% of the better of
+              dense and hybrid in every cell; and every hybrid or auto
+              sampled round must pool <= POOL_C * P * (kOversample + 2)
+              keys (sample_keys_total / sampled_rounds, DESIGN.md sec. 16).
   ledger      hds-run-ledger schema check: versioned header, op-class /
               sample / feature cross-consistency, and the fit never losing
               to the probe surrogate (err2_fit <= err2_default).
@@ -187,6 +191,14 @@ def check_recovery(path: str) -> None:
           "beats restart at/after the exchange superstep")
 
 
+# The sampled-round pool bound of DESIGN.md sec. 16: a round pools at most
+# POOL_C * P * (kOversample + 2) keys. kOversample is the constant of
+# src/core/multiselect.h; the budget is (kOversample + 2) per open boundary,
+# and POOL_C leaves room for the strides' estimated segment masses.
+POOL_C = 2
+K_OVERSAMPLE = 38
+
+
 def check_histogram(path: str) -> None:
     cells = load(path)
     require(isinstance(cells, list) and bool(cells),
@@ -197,22 +209,36 @@ def check_histogram(path: str) -> None:
                   "sampled_rounds", "probes_total", "hist_bytes_sampled",
                   "hist_bytes_dense", "histogram_s", "makespan_s"):
             require(k in c, f"missing field {k}: {c}")
-        require(c["mode"] in ("dense", "hybrid"), str(c))
+        require(c["mode"] in ("dense", "hybrid", "auto"), str(c))
         require(c["histogram_s"] > 0.0 and c["makespan_s"] > 0.0, str(c))
         require(c["iterations"] >= 1, str(c))
         if c["mode"] == "dense":
             require(c["sampled_rounds"] == 0 and
                     c["hist_bytes_sampled"] == 0,
                     f"dense cell with sampled traffic: {c}")
+        elif c["sampled_rounds"] > 0:
+            require("sample_keys_total" in c,
+                    f"sampled cell without sample_keys_total: {c}")
+            pool = c["sample_keys_total"] / c["sampled_rounds"]
+            bound = POOL_C * c["nranks"] * (K_OVERSAMPLE + 2)
+            require(pool <= bound,
+                    f"{c['mode']} pools {pool:.0f} keys per sampled round "
+                    f"(> {bound}) at {c['dist']} eps={c['epsilon']} "
+                    f"P={c['nranks']}")
         by_cell.setdefault(
             (c["dist"], c["epsilon"], c["nranks"]), {})[c["mode"]] = c
     for key, modes in by_cell.items():
-        require(set(modes) == {"dense", "hybrid"},
+        require(set(modes) == {"dense", "hybrid", "auto"},
                 f"cell {key} missing modes: has {sorted(modes)}")
         dense, hybrid = modes["dense"], modes["hybrid"]
         ratio = hybrid["makespan_s"] / dense["makespan_s"]
         require(ratio <= 1.05,
                 f"hybrid regresses makespan {ratio:.2f}x at {key}")
+        best = min(dense["makespan_s"], hybrid["makespan_s"])
+        auto = modes["auto"]["makespan_s"] / best
+        require(auto <= 1.05,
+                f"auto makespan {auto:.3f}x the better of dense and hybrid "
+                f"at {key}")
         if key[0] == "fewdistinct":
             require(hybrid["iterations"] <= 8,
                     f"hybrid took {hybrid['iterations']} rounds at {key} "
@@ -231,7 +257,9 @@ def check_histogram(path: str) -> None:
           f"dense (u64 uniform, P=16, eps=0.01; probes "
           f"{hybrid['probes_total']} vs {dense['probes_total']}), makespan "
           f"within 5% on all {len(by_cell)} cells, fewdistinct in <= 8 "
-          "rounds")
+          "rounds; auto within 5% of min(dense, hybrid) in every cell; "
+          f"every sampled round pools <= {POOL_C} * P * "
+          f"({K_OVERSAMPLE} + 2) keys")
 
 
 def check_ledger(path: str) -> None:
