@@ -18,6 +18,7 @@
 #include "common/table.h"
 #include "common/types.h"
 #include "core/histogram_sort.h"
+#include "core/kway_merge.h"
 #include "net/machine.h"
 #include "obs/features.h"
 #include "obs/ledger.h"
@@ -138,13 +139,12 @@ inline void write_wallclock_ledger_if_requested(
             << path << "\n";
 }
 
-/// The pairwise binary merge tree of the Sec. VI-E2 merging study. It
-/// lives here, not in core, because it never beats the tournament; the
-/// merge study still runs it.
-/// Merges the sorted runs concatenated in `data` (lengths in
-/// `counts`) level by level, ping-ponging between `data` and the
-/// caller-owned `scratch` (grown to data.size(), kept for reuse). Charges
-/// one merge pass per level and emits the comparator calls as
+/// The pairwise binary merge tree of the Sec. VI-E2 merging study, priced
+/// as the study's binary tree: one merge pass per level, ceil(log2 runs)
+/// levels. Its levels run core's pairwise kernel (core::pairwise_merge, the
+/// k-way merge of narrow keys), alternating between `data` and the
+/// caller-owned `scratch` (grown to data.size(), kept for reuse); the
+/// result ends in `data`. Emits the kernel's comparator calls as
 /// MergeComparisons, like core::merge_chunks.
 template <class T, class KeyFn>
 void pairwise_merge_tree(runtime::Comm& comm, std::vector<T>& data,
@@ -152,45 +152,18 @@ void pairwise_merge_tree(runtime::Comm& comm, std::vector<T>& data,
                          std::vector<T>& scratch) {
   net::PhaseScope phase(comm.clock(), net::Phase::Merge);
   const usize n = data.size();
-  u64 comparisons = 0;
-  auto less = [&](const T& a, const T& b) {
-    ++comparisons;
-    return key(a) < key(b);
-  };
-  std::vector<std::pair<usize, usize>> runs;  // (offset, length)
-  usize off = 0;
-  for (usize c : counts) {
-    if (c > 0) runs.emplace_back(off, c);
-    off += c;
-  }
-  if (runs.size() <= 1) return;  // zero or one run: already sorted
+  std::vector<usize> bounds{0};
+  for (usize c : counts)
+    if (c > 0) bounds.push_back(bounds.back() + c);
+  if (bounds.size() <= 2) return;  // zero or one run: already sorted
   if (scratch.size() < n) scratch.resize(n);
-  // Each level halves the number of runs and touches every element once.
-  std::span<T> src(data.data(), n);
-  std::span<T> dst(scratch.data(), n);
-  while (runs.size() > 1) {
-    std::vector<std::pair<usize, usize>> next;
-    usize out_off = 0;
-    for (usize i = 0; i + 1 < runs.size(); i += 2) {
-      const auto [o1, l1] = runs[i];
-      const auto [o2, l2] = runs[i + 1];
-      std::merge(src.begin() + o1, src.begin() + o1 + l1, src.begin() + o2,
-                 src.begin() + o2 + l2, dst.begin() + out_off, less);
-      next.emplace_back(out_off, l1 + l2);
-      out_off += l1 + l2;
-    }
-    if (runs.size() % 2 == 1) {
-      const auto [o, l] = runs.back();
-      std::copy(src.begin() + o, src.begin() + o + l, dst.begin() + out_off);
-      next.emplace_back(out_off, l);
-    }
-    comm.charge_merge_pass(n);
-    runs.swap(next);
-    std::swap(src, dst);
-  }
-  if (src.data() != data.data())
-    std::copy(src.begin(), src.end(), data.begin());
-  comm.metrics().add(obs::Counter::MergeComparisons, comparisons);
+  const std::span<T> other(scratch.data(), n);
+  const core::PairwiseMerge pm = core::pairwise_merge(
+      std::span<T>(data), other, std::move(bounds),
+      [&key](const T& a, const T& b) { return key(a) < key(b); });
+  for (usize level = 0; level < pm.levels; ++level) comm.charge_merge_pass(n);
+  if (pm.levels % 2 == 1) std::copy(other.begin(), other.end(), data.begin());
+  comm.metrics().add(obs::Counter::MergeComparisons, pm.comparisons);
 }
 
 /// Node counts 1, 2, 4, ..., max (the paper's strong/weak scaling x-axis).

@@ -1,15 +1,19 @@
 // Local-sort kernel study: real wall-clock comparison of the comparison
 // kernel (std::sort) against the LSD radix kernel (core/radix_sort.h) across
 // the KeyTraits-bisectable key types and a range of sizes, plus a record
-// (key, payload) row exercising the pairs path of radix_sort_by_key.
+// (key, payload) row exercising the pairs path of radix_sort_by_key; and
+// the k-way merge kernels of superstep 4 (core/kway_merge.h), the pairwise
+// merge-path kernel against the loser tree, on u64 keys and 64-byte records
+// at k in {2, 4, 16, 64} and on 16-, 24- and 32-byte records at k = 4 (the
+// cells kMergePathMaxBytes is set from).
 //
 // Unlike the figure benchmarks this measures *real* time, not simulated
 // time: it exists to validate the machine-model constant
 // `radix_s_per_elem_pass` and the Auto-dispatch crossover against the
 // hardware CI runs on. Each cell reports the median and quartiles of its
 // reps, so a change can be judged against the cell's spread. Emits a
-// machine-readable JSON file (one object per (type, n, kernel) cell)
-// consumed by the ci.sh perf smoke.
+// machine-readable JSON file (one object per (type, n, kernel) sort cell
+// and per (type, k, kernel) merge cell) consumed by the ci.sh perf smoke.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -21,6 +25,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "core/kway_merge.h"
 #include "core/local_sort.h"
 #include "core/radix_sort.h"
 
@@ -69,12 +74,28 @@ struct Timing {
   double q3 = 0.0;
 };
 
+Timing timing_of(const std::vector<double>& times) {
+  return {median(times), percentile(times, 25.0), percentile(times, 75.0)};
+}
+
 struct Cell {
   std::string type;
   usize n = 0;
   std::string kernel;
   Timing seconds;
   double speedup_vs_comparison = 1.0;
+};
+
+/// One k-way merge cell: a kernel merging k sorted runs of n elements in all.
+struct MergeCell {
+  std::string type;
+  usize bytes = 0;
+  usize n = 0;
+  usize k = 0;
+  std::string kernel;  // "pairwise" or "loser_tree"
+  Timing seconds;
+  double speedup_vs_loser_tree = 1.0;
+  bool chosen = false;  // merge_chunks' width rule runs this kernel
 };
 
 /// Median and quartiles of the wall-clock seconds of `fn`, run on a fresh
@@ -94,7 +115,7 @@ Timing time_kernel(const std::vector<T>& base, int reps, Fn fn) {
     }
     if (r > 0) times.push_back(t1 - t0);
   }
-  return {median(times), percentile(times, 25.0), percentile(times, 75.0)};
+  return timing_of(times);
 }
 
 /// "median [q1, q3]" in milliseconds, for the table.
@@ -155,18 +176,116 @@ void bench_records(const std::vector<usize>& sizes, int reps, u64 seed,
   }
 }
 
-void write_json(const std::string& path, const std::vector<Cell>& cells) {
+/// A record of `Bytes` bytes ordered by its leading u64 key.
+template <usize Bytes>
+struct MergeRec {
+  u64 key;
+  u64 payload[Bytes / 8 - 1];
+};
+
+template <class T>
+u64 merge_key(const T& v) {
+  if constexpr (std::is_same_v<T, u64>)
+    return v;
+  else
+    return v.key;
+}
+
+/// The pairwise kernel against the loser tree on the same k sorted runs of
+/// n uniform keys. Each rep copies the runs into the input buffer, then times
+/// both kernels in alternating order, so host drift falls on both alike.
+/// The pairwise side includes what merge_chunks adds after an even level
+/// count: the copy that lands the result in the donated buffer.
+template <class T>
+void bench_merge(const std::string& type, usize n, usize k, int reps,
+                 u64 seed, Table& table, std::vector<MergeCell>& cells) {
+  Xoshiro256 rng(hash_mix(seed ^ 0x6d65ULL, n * 131 + k));
+  std::vector<T> base(n);
+  for (auto& v : base) {
+    if constexpr (std::is_same_v<T, u64>) {
+      v = rng();
+    } else {
+      v = T{};
+      v.key = rng();
+    }
+  }
+  const auto less = [](const T& a, const T& b) {
+    return merge_key(a) < merge_key(b);
+  };
+  std::vector<usize> bounds{0};
+  for (usize i = 0; i < k; ++i) {
+    const usize end = n * (i + 1) / k;
+    std::sort(base.begin() + static_cast<std::ptrdiff_t>(bounds.back()),
+              base.begin() + static_cast<std::ptrdiff_t>(end), less);
+    bounds.push_back(end);
+  }
+  std::vector<T> in(n);
+  std::vector<T> out(n);
+  std::vector<std::span<const T>> runs;
+  for (usize i = 0; i < k; ++i)
+    runs.emplace_back(in.data() + bounds[i], bounds[i + 1] - bounds[i]);
+  const std::span<const std::span<const T>> all(runs);
+
+  std::vector<double> t_pw;
+  std::vector<double> t_lt;
+  for (int r = 0; r <= reps; ++r) {  // rep 0 is a cache/allocator warmup
+    for (int side = 0; side < 2; ++side) {
+      in = base;
+      const bool pairwise = (side == 0) == (r % 2 == 0);
+      const double t0 = now_s();
+      if (pairwise) {
+        const core::PairwiseMerge pm = core::pairwise_merge(
+            std::span<T>(in), std::span<T>(out), bounds, less);
+        if (pm.levels % 2 == 0) std::copy(in.begin(), in.end(), out.begin());
+      } else {
+        core::kway_merge_into(std::span<T>(out), runs[0], all.subspan(1),
+                              less);
+      }
+      const double t1 = now_s();
+      if (!std::is_sorted(out.begin(), out.end(), less)) {
+        std::cerr << "FATAL: merge kernel produced unsorted output\n";
+        std::exit(1);
+      }
+      if (r > 0) (pairwise ? t_pw : t_lt).push_back(t1 - t0);
+    }
+  }
+  const Timing pw = timing_of(t_pw);
+  const Timing lt = timing_of(t_lt);
+  const double speedup = pw.median > 0.0 ? lt.median / pw.median : 0.0;
+  const bool narrow = sizeof(T) <= core::kMergePathMaxBytes;
+  cells.push_back({type, sizeof(T), n, k, "pairwise", pw, speedup, narrow});
+  cells.push_back({type, sizeof(T), n, k, "loser_tree", lt, 1.0, !narrow});
+  table.add_row({type, std::to_string(sizeof(T)), std::to_string(k),
+                 fmt_ms(lt), fmt_ms(pw), fmt(speedup) + "x",
+                 narrow ? "pairwise" : "loser tree"});
+}
+
+void write_timing(std::ofstream& out, const Timing& t) {
+  out << "\"seconds_median\": " << t.median << ", \"seconds_q1\": " << t.q1
+      << ", \"seconds_q3\": " << t.q3;
+}
+
+void write_json(const std::string& path, const std::vector<Cell>& cells,
+                const std::vector<MergeCell>& merges) {
   std::ofstream out(path);
   out << "[\n";
   for (usize i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    out << "  {\"type\": \"" << c.type << "\", \"n\": " << c.n
-        << ", \"kernel\": \"" << c.kernel
-        << "\", \"seconds_median\": " << c.seconds.median
-        << ", \"seconds_q1\": " << c.seconds.q1
-        << ", \"seconds_q3\": " << c.seconds.q3
-        << ", \"speedup_vs_comparison\": " << c.speedup_vs_comparison << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
+    out << "  {\"study\": \"sort\", \"type\": \"" << c.type
+        << "\", \"n\": " << c.n << ", \"kernel\": \"" << c.kernel << "\", ";
+    write_timing(out, c.seconds);
+    out << ", \"speedup_vs_comparison\": " << c.speedup_vs_comparison << "}"
+        << (i + 1 < cells.size() + merges.size() ? "," : "") << "\n";
+  }
+  for (usize i = 0; i < merges.size(); ++i) {
+    const MergeCell& c = merges[i];
+    out << "  {\"study\": \"merge\", \"type\": \"" << c.type
+        << "\", \"bytes\": " << c.bytes << ", \"n\": " << c.n
+        << ", \"k\": " << c.k << ", \"kernel\": \"" << c.kernel << "\", ";
+    write_timing(out, c.seconds);
+    out << ", \"speedup_vs_loser_tree\": " << c.speedup_vs_loser_tree
+        << ", \"chosen\": " << (c.chosen ? "true" : "false") << "}"
+        << (i + 1 < merges.size() ? "," : "") << "\n";
   }
   out << "]\n";
 }
@@ -204,6 +323,25 @@ int main(int argc, char** argv) {
   bench_records(sizes, reps, seed, table, cells);
 
   std::cout << table.to_string();
+
+  // k-way merge cells: n = 2^max_exp elements in k runs, the shape of
+  // bulk-u64's per-rank merge at k = 4.
+  const usize merge_n = sizes.back();
+  Table mtable({"type", "bytes", "k", "loser tree t[ms]", "pairwise t[ms]",
+                "speedup", "merge_chunks runs"});
+  std::vector<MergeCell> merges;
+  for (usize k : {usize{2}, usize{4}, usize{16}, usize{64}}) {
+    bench_merge<u64>("u64", merge_n, k, reps, seed, mtable, merges);
+    bench_merge<MergeRec<64>>("rec64", merge_n, k, reps, seed, mtable,
+                              merges);
+  }
+  bench_merge<MergeRec<16>>("rec16", merge_n, 4, reps, seed, mtable, merges);
+  bench_merge<MergeRec<24>>("rec24", merge_n, 4, reps, seed, mtable, merges);
+  bench_merge<MergeRec<32>>("rec32", merge_n, 4, reps, seed, mtable, merges);
+  std::cout << "\nk-way merge kernels, n = " << merge_n
+            << " (speedup = loser tree / pairwise; kMergePathMaxBytes = "
+            << core::kMergePathMaxBytes << ")\n"
+            << mtable.to_string();
 
   // Derived machine-model constant from the largest u64 run: host seconds
   // per element per modelled 8-bit digit. Full-range keys vary in all 8
@@ -243,7 +381,8 @@ int main(int argc, char** argv) {
         std::move(scalars));
   }
 
-  write_json(out_path, cells);
-  std::cout << "wrote " << out_path << " (" << cells.size() << " cells)\n";
+  write_json(out_path, cells, merges);
+  std::cout << "wrote " << out_path << " (" << cells.size() + merges.size()
+            << " cells)\n";
   return 0;
 }

@@ -4,9 +4,13 @@
 // chunks, for three strategies:
 //
 //   binary-merge  — OpenMP-task-style pairwise merge tree
-//                   (bench::pairwise_merge_tree; core does not ship it),
-//   tournament    — GNU-parallel-style loser-tree k-way merge,
+//                   (bench::pairwise_merge_tree, one merge pass per level),
+//   tournament    — GNU-parallel-style loser-tree k-way merge
+//                   (merge_chunks' Tournament, priced as a loser tree),
 //   re-sort       — task-parallel sort of the concatenation (PSTL stand-in).
+//
+// The table is simulated time. On the host both merge columns run core's
+// pairwise merge-path kernel, which u32 keys take (core/kway_merge.h).
 //
 // Expected shape: two threads already help for few large chunks; many
 // threads on many small chunks degrade (cache misses, cross-NUMA traffic);

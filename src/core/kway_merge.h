@@ -1,11 +1,17 @@
-// Loser-tree k-way merge of sorted runs into a separate destination — the
-// one merge kernel of the sort (DESIGN.md sec. 13). Superstep 4's k-way
-// merge (the Tournament strategy, or Auto's per-rank choice) writes into
-// the input buffer superstep 3 vacated when it is large enough, else into
-// a new one; the k-ary exchange's overlapped drains, which still read the
-// input, write into a newly allocated destination (the radix kernel's
-// buffer rule). Either destination then replaces the merged input, so no
-// merge buffer outlives the call that made it.
+// The two k-way merge kernels of superstep 4 (DESIGN.md sec. 13). Each
+// merges sorted runs into a separate destination and keeps equal keys in
+// run order (stable):
+//
+//  * kway_merge_into — a loser tree over all k runs, every element moved
+//    once, two tournaments stepped side by side. It takes records wider
+//    than kMergePathMaxBytes, whose moves would dominate a pairwise merge.
+//  * pairwise_merge  — the runs merged two at a time, level by level,
+//    alternating between two buffers; every two-way merge is branchless
+//    and cut by merge path into kMergeChains independent chains stepped
+//    together. It takes elements of at most kMergePathMaxBytes.
+//
+// merge_chunks (core/merge.h) picks the kernel by element width and hands
+// both the input buffer superstep 3 vacated as their destination.
 #pragma once
 
 #include <algorithm>
@@ -251,6 +257,199 @@ void kway_merge_into(std::span<T> dst, std::span<const T> base,
   if (s1.rem[0] > 0)
     std::copy(base.begin() + cut[0], base.begin() + cut[0] + s1.rem[0],
               dst.begin() + (s1.k - s1.rem[0]));
+}
+
+/// Elements of at most this many bytes merge through pairwise_merge, wider
+/// ones through the loser tree: at k = 4 the pairwise kernel led by 2.15x on
+/// u64 keys and the loser tree by 1.6x on 64-byte records (bench_local_sort's
+/// merge cells). At 32 bytes the pairwise kernel led by only 1.06x on one
+/// thread and trailed with four threads merging at once, as the sort's
+/// ranks do.
+inline constexpr usize kMergePathMaxBytes = 24;
+
+/// The independent chains one two-way merge is cut into.
+inline constexpr usize kMergeChains = 4;
+
+namespace detail {
+
+/// A chain shorter than this would cost more in its co-rank search than its
+/// overlap saves, so shorter merges run fewer chains (down to one).
+inline constexpr usize kMinChainLength = 256;
+
+/// Merge path's co-rank: how many of `a`'s elements are among the first `d`
+/// outputs of the stable merge of `a` and `b` (on a tie `a`'s element comes
+/// first). A binary search along the diagonal, its comparisons counted into
+/// `comparisons`.
+template <class T, class Less>
+usize merge_path_corank(const T* a, usize na, const T* b, usize nb, usize d,
+                        Less less, u64& comparisons) {
+  usize lo = d > nb ? d - nb : 0;
+  usize hi = d < na ? d : na;
+  while (lo < hi) {
+    const usize mid = lo + (hi - lo) / 2;
+    ++comparisons;
+    if (less(b[d - mid - 1], a[mid]))
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  return lo;
+}
+
+/// One chain of a two-way merge: the unread rest of its slice of each input
+/// and its write cursor.
+template <class T>
+struct MergeChain {
+  const T* a;
+  const T* a_end;
+  const T* b;
+  const T* b_end;
+  T* out;
+};
+
+/// Step N chains `steps` times in lockstep, one element each per step.
+/// `steps` is at most every chain's shorter remainder, so the loop carries
+/// no exhaustion test, and the selection is a conditional move, so it
+/// carries no data-dependent branch: the N load-compare-advance chains are
+/// independent and overlap in the out-of-order window. The loop over the
+/// chains must unroll, or their cursors live in memory and every step
+/// waits on a store (gcc unrolls it by itself only at -O3).
+template <usize N, class T, class Less>
+void step_merge_chains(MergeChain<T>* c, usize steps, Less less) {
+  const T* a[N];
+  const T* b[N];
+  T* out[N];
+  for (usize i = 0; i < N; ++i) {
+    a[i] = c[i].a;
+    b[i] = c[i].b;
+    out[i] = c[i].out;
+  }
+  for (usize s = 0; s < steps; ++s) {
+#pragma GCC unroll 4
+    for (usize i = 0; i < N; ++i) {
+      const bool take_b = less(*b[i], *a[i]);  // a tie takes a
+      out[i][s] = take_b ? *b[i] : *a[i];
+      a[i] += !take_b;
+      b[i] += take_b;
+    }
+  }
+  for (usize i = 0; i < N; ++i) {
+    c[i].a = a[i];
+    c[i].b = b[i];
+    c[i].out = out[i] + steps;
+  }
+}
+
+/// Run `live` chains to completion: lockstep batches while every chain has
+/// both inputs left, and each chain with an input run dry copies the
+/// other's rest and retires. Returns the comparisons, one per stepped
+/// element.
+template <class T, class Less>
+u64 run_merge_chains(MergeChain<T>* c, usize live, Less less) {
+  static_assert(kMergeChains == 4, "step_merge_chains dispatch below");
+  u64 comparisons = 0;
+  while (live > 0) {
+    usize steps = static_cast<usize>(-1);
+    for (usize i = 0; i < live; ++i)
+      steps = std::min({steps, static_cast<usize>(c[i].a_end - c[i].a),
+                        static_cast<usize>(c[i].b_end - c[i].b)});
+    if (steps == 0) {
+      usize kept = 0;
+      for (usize i = 0; i < live; ++i) {
+        if (c[i].a == c[i].a_end || c[i].b == c[i].b_end) {
+          T* const o = std::copy(c[i].a, c[i].a_end, c[i].out);
+          std::copy(c[i].b, c[i].b_end, o);
+        } else {
+          c[kept++] = c[i];
+        }
+      }
+      live = kept;
+      continue;
+    }
+    comparisons += static_cast<u64>(steps) * live;
+    switch (live) {
+      case 1: step_merge_chains<1>(c, steps, less); break;
+      case 2: step_merge_chains<2>(c, steps, less); break;
+      case 3: step_merge_chains<3>(c, steps, less); break;
+      default: step_merge_chains<4>(c, steps, less); break;
+    }
+  }
+  return comparisons;
+}
+
+/// Stable branchless merge of `a` and `b` into `out` (overlapping neither),
+/// cut by merge path into up to kMergeChains chains of equal output length:
+/// chain i writes outputs [d_i, d_i+1) from the inputs the co-ranks of d_i
+/// and d_i+1 bound, so the chains share nothing. Returns the comparisons.
+template <class T, class Less>
+u64 merge_two_runs(const T* a, usize na, const T* b, usize nb, T* out,
+                   Less less) {
+  const usize m = na + nb;
+  const usize chains = std::clamp<usize>(m / kMinChainLength, 1, kMergeChains);
+  MergeChain<T> c[kMergeChains];
+  u64 comparisons = 0;
+  usize d0 = 0;
+  usize a0 = 0;
+  for (usize i = 0; i < chains; ++i) {
+    const usize d1 = m * (i + 1) / chains;
+    const usize a1 = i + 1 == chains
+                         ? na
+                         : merge_path_corank(a, na, b, nb, d1, less,
+                                             comparisons);
+    c[i] = {a + a0, a + a1, b + (d0 - a0), b + (d1 - a1), out + d0};
+    d0 = d1;
+    a0 = a1;
+  }
+  return comparisons + run_merge_chains(c, chains, less);
+}
+
+}  // namespace detail
+
+/// What pairwise_merge did: its levels (the result lies in the first buffer
+/// after an even count, in the second after an odd one) and its comparator
+/// calls.
+struct PairwiseMerge {
+  usize levels = 0;
+  u64 comparisons = 0;
+};
+
+/// Merge the sorted runs laid end to end in `a` — run i spans
+/// [bounds[i], bounds[i + 1]), bounds.front() == 0, bounds.back() ==
+/// a.size() — pairwise, level by level: each level merges runs 2j and
+/// 2j + 1 (and copies an odd last run) from one buffer into the other,
+/// starting from `a` into `b` (same size, overlapping none of `a`).
+/// ceil(log2 runs) levels, each moving every element once, no allocation
+/// but `bounds`. Equal keys keep run order: each two-way merge
+/// (detail::merge_two_runs) is stable with the left run winning ties.
+template <class T, class Less>
+PairwiseMerge pairwise_merge(std::span<T> a, std::span<T> b,
+                             std::vector<usize> bounds, Less less) {
+  HDS_CHECK(a.size() == b.size() && !bounds.empty() && bounds.front() == 0 &&
+            bounds.back() == a.size());
+  PairwiseMerge r;
+  T* src = a.data();
+  T* dst = b.data();
+  while (bounds.size() > 2) {
+    const usize runs = bounds.size() - 1;
+    usize kept = 0;  // bounds[0, kept) are the next level's (i / 2 <= i)
+    for (usize i = 0; i < runs; i += 2) {
+      const usize lo = bounds[i];
+      const usize mid = bounds[i + 1];
+      if (i + 1 == runs) {
+        std::copy(src + lo, src + mid, dst + lo);
+      } else {
+        const usize hi = bounds[i + 2];
+        r.comparisons += detail::merge_two_runs(src + lo, mid - lo, src + mid,
+                                                hi - mid, dst + lo, less);
+      }
+      bounds[kept++] = lo;
+    }
+    bounds[kept++] = a.size();
+    bounds.resize(kept);
+    std::swap(src, dst);
+    ++r.levels;
+  }
+  return r;
 }
 
 }  // namespace hds::core

@@ -3,21 +3,26 @@
 //
 //  * Sort        — re-sort the concatenation with a fast shared-memory sort
 //                  (what the paper's evaluated implementation does);
-//  * Tournament  — loser-tree k-way merge (kway_merge_into), O(n log k)
-//                  comparisons but each element moves once (cache-efficient
-//                  for small k);
+//  * Tournament  — k-way merge, O(n log k) comparisons, by the element's
+//                  width (core/kway_merge.h): elements of at most
+//                  kMergePathMaxBytes merge pairwise through branchless
+//                  merge-path chains (ceil(log2 k) levels, each moving every
+//                  element once), wider records through the loser tree
+//                  (every element moved once);
 //  * Auto        — the default: each rank prices both with the cost model
 //                  (detail::kway_merge_is_cheaper) and runs the cheaper one.
 //                  The study's finding as a per-rank rule: merging wins for
 //                  a few large chunks, re-sorting for many small ones. The
 //                  choice is rank-local and needs no communication.
 //
-// The k-way kernel writes into a caller-donated `spare` buffer when it is
-// large enough — the sort passes the input partition superstep 3 vacated,
-// so on a balanced sort the merge allocates nothing — and into a newly
-// allocated one otherwise. The study's third strategy, the pairwise binary
-// merge tree, is never strictly the best and lives bench-local
-// (bench::pairwise_merge_tree).
+// The k-way merge is charged as the loser tree (CostModel::kway_heap_merge)
+// whichever kernel runs, so the kernel choice moves host time only. Its
+// result lands in a caller-donated `spare` buffer when that is large
+// enough — the sort passes the input partition superstep 3 vacated, so on a
+// balanced sort the merge allocates nothing — and otherwise in a newly
+// allocated one or, after the pairwise kernel, wherever its last level
+// wrote. The study's pairwise binary merge tree (bench::pairwise_merge_tree)
+// runs the pairwise kernel under the binary tree's charge.
 #pragma once
 
 #include <algorithm>
@@ -91,11 +96,16 @@ bool kway_merge_is_cheaper(const runtime::Comm& comm,
 /// Merge `k` sorted runs (concatenated in `data`, lengths in `counts`) into
 /// a single sorted sequence, charging simulated time per strategy. The Sort
 /// strategy re-sorts through the local-sort kernel layer, with the same
-/// comparison/radix dispatch as superstep 1. The k-way kernel merges into
-/// `spare` when its capacity holds the output (no allocation, no zero-fill)
-/// and into a new buffer otherwise; either way the result is swapped into
-/// `data` and nothing but `data` outlives the call. The re-sort releases
-/// `spare` first, so its peak stays data plus radix scratch.
+/// comparison/radix dispatch as superstep 1. The k-way merge runs the
+/// pairwise kernel on elements of at most kMergePathMaxBytes and the loser
+/// tree on wider ones. Either merges into `spare` when its capacity holds
+/// the output (no allocation, no zero-fill) and into a new buffer
+/// otherwise; the pairwise kernel alternates between that buffer and
+/// `data`, and when its last level writes `data` the result is copied into
+/// the donated spare, so the received buffer is the one freed. The result
+/// is swapped into `data` and nothing but `data` outlives the call. The
+/// re-sort releases `spare` first, so its peak stays data plus radix
+/// scratch.
 template <class T, class KeyFn>
 void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
                   std::span<const usize> counts, MergeStrategy strategy,
@@ -120,17 +130,32 @@ void merge_chunks(runtime::Comm& comm, std::vector<T>& data,
     local_sort(comm, data, key);
     return;
   }
+  const bool donated = spare.capacity() >= n;
+  if (!donated) spare = std::vector<T>();  // release, then grow
+  spare.resize(n);
   // Comparator invocations feed the MergeComparisons counter; the re-sort's
   // radix path does no comparisons, so it emits nothing.
   u64 comparisons = 0;
-  auto less = [&](const T& a, const T& b) {
-    ++comparisons;
-    return key(a) < key(b);
-  };
-  if (spare.capacity() < n) spare = std::vector<T>();  // release, then grow
-  spare.resize(n);
-  kway_merge_into(std::span<T>(spare), runs[0], all.subspan(1), less);
-  data.swap(spare);  // the received buffer is freed with `spare`
+  if constexpr (sizeof(T) <= kMergePathMaxBytes) {
+    std::vector<usize> bounds{0};
+    for (const auto& run : runs) bounds.push_back(bounds.back() + run.size());
+    const PairwiseMerge pm =
+        pairwise_merge(std::span<T>(data), std::span<T>(spare),
+                       std::move(bounds), [&key](const T& a, const T& b) {
+                         return key(a) < key(b);
+                       });
+    comparisons = pm.comparisons;
+    const bool in_data = pm.levels % 2 == 0;
+    if (in_data && donated) std::copy(data.begin(), data.end(), spare.begin());
+    if (!in_data || donated) data.swap(spare);
+  } else {
+    auto less = [&](const T& a, const T& b) {
+      ++comparisons;
+      return key(a) < key(b);
+    };
+    kway_merge_into(std::span<T>(spare), runs[0], all.subspan(1), less);
+    data.swap(spare);  // the received buffer is freed with `spare`
+  }
   comm.charge_kway_merge(n, runs.size());
   comm.metrics().add(obs::Counter::MergeComparisons, comparisons);
   comm.metrics().add(obs::Counter::MergeKWay, 1);

@@ -99,41 +99,70 @@ TEST_P(MergeStrategyTest, DuplicateHeavy) {
   EXPECT_EQ(data, expected);
 }
 
-TEST_P(MergeStrategyTest, TiesKeepRunOrder) {
-  // Records tagged with their position in the concatenation, keys drawn
-  // from a 5-value alphabet so every key is tied across many runs. The
-  // tournament must emit equal keys in run order, i.e. exactly
-  // std::stable_sort of the concatenation; the re-sort strategy promises
-  // key order only (136 records take the comparison kernel). Auto picks the
-  // tournament here: five runs merge far cheaper than an introsort.
-  struct Rec {
-    u32 key;
-    u32 origin;
-  };
+/// Records tagged with their position in the concatenation, keys drawn
+/// from a 5-value alphabet so every key is tied across many runs, merged by
+/// `strategy`. The k-way kernels must emit equal keys in run order, i.e.
+/// exactly std::stable_sort of the concatenation; the re-sort strategy
+/// promises key order only.
+template <class Rec>
+void check_ties_keep_run_order(MergeStrategy strategy,
+                               std::vector<usize> lengths) {
   auto by_key = [](const Rec& a, const Rec& b) { return a.key < b.key; };
   Xoshiro256 rng(11);
   std::vector<Rec> data;
   std::vector<usize> counts;
-  for (usize len : {40, 0, 7, 63, 1, 25}) {
+  for (usize len : lengths) {
     std::vector<u32> keys(len);
     for (auto& k : keys) k = static_cast<u32>(rng() % 5);
     std::sort(keys.begin(), keys.end());
-    for (u32 k : keys) data.push_back({k, static_cast<u32>(data.size())});
+    for (u32 k : keys) {
+      Rec r{};
+      r.key = k;
+      r.origin = static_cast<u32>(data.size());
+      data.push_back(r);
+    }
     counts.push_back(len);
   }
   std::vector<Rec> expected = data;
   std::stable_sort(expected.begin(), expected.end(), by_key);
   Team team({.nranks = 1});
   team.run([&](Comm& c) {
-    merge_chunks(c, data, std::span<const usize>(counts), GetParam(),
+    merge_chunks(c, data, std::span<const usize>(counts), strategy,
                  [](const Rec& r) { return r.key; });
   });
   ASSERT_EQ(data.size(), expected.size());
   for (usize i = 0; i < data.size(); ++i) {
     EXPECT_EQ(data[i].key, expected[i].key) << "position " << i;
-    if (GetParam() != MergeStrategy::Sort) {
+    if (strategy != MergeStrategy::Sort) {
       EXPECT_EQ(data[i].origin, expected[i].origin) << "position " << i;
     }
+  }
+}
+
+TEST_P(MergeStrategyTest, TiesKeepRunOrder) {
+  // An 8-byte record takes the pairwise merge-path kernel, a 64-byte one
+  // the loser tree (kMergePathMaxBytes); the longer runs cut the pairwise
+  // kernel's merges into several chains, whose co-ranks fall inside runs of
+  // ties. Auto picks the k-way merge here: five runs merge far cheaper than
+  // an introsort.
+  struct Rec {
+    u32 key;
+    u32 origin;
+  };
+  struct Rec64 {
+    u32 key;
+    u32 origin;
+    u64 payload[7];
+  };
+  static_assert(sizeof(Rec) <= kMergePathMaxBytes);
+  static_assert(sizeof(Rec64) == 64 && sizeof(Rec64) > kMergePathMaxBytes);
+  for (const std::vector<usize>& lengths :
+       {std::vector<usize>{40, 0, 7, 63, 1, 25},
+        std::vector<usize>{400, 0, 70, 630, 1, 250}}) {
+    SCOPED_TRACE(::testing::Message() << "runs of " << lengths[0] << ", "
+                                      << lengths[3] << ", ...");
+    check_ties_keep_run_order<Rec>(GetParam(), lengths);
+    check_ties_keep_run_order<Rec64>(GetParam(), lengths);
   }
 }
 
@@ -172,7 +201,7 @@ TEST(MergeCosts, TournamentChargedByLogK) {
 }
 
 /// 2^16 uniform u64 keys in [0, hi], cut into `k` sorted runs of equal
-/// length.
+/// length (within one key where k does not divide 2^16).
 std::pair<std::vector<u64>, std::vector<usize>> uniform_runs(usize k, u64 hi,
                                                              u64 seed) {
   constexpr usize kN = usize{1} << 16;
@@ -180,10 +209,14 @@ std::pair<std::vector<u64>, std::vector<usize>> uniform_runs(usize k, u64 hi,
   std::vector<u64> data(kN);
   for (auto& v : data)
     v = hi == std::numeric_limits<u64>::max() ? rng() : rng() % (hi + 1);
-  std::vector<usize> counts(k, kN / k);
-  for (usize i = 0; i < k; ++i)
-    std::sort(data.begin() + static_cast<std::ptrdiff_t>(i * (kN / k)),
-              data.begin() + static_cast<std::ptrdiff_t>((i + 1) * (kN / k)));
+  std::vector<usize> counts(k);
+  for (usize i = 0; i < k; ++i) {
+    const usize lo = kN * i / k;
+    const usize end = kN * (i + 1) / k;
+    counts[i] = end - lo;
+    std::sort(data.begin() + static_cast<std::ptrdiff_t>(lo),
+              data.begin() + static_cast<std::ptrdiff_t>(end));
+  }
   return {std::move(data), std::move(counts)};
 }
 
@@ -233,29 +266,40 @@ TEST(MergeAuto, AnySpareCapacity) {
   // The donated buffer only decides where the k-way kernel writes: spares
   // too small to hold the output (dropped for a new buffer), exactly large
   // enough, and larger (shrunk in place), each holding stale keys, must all
-  // give the same bytes. The re-sort drops the spare.
-  const auto [data, counts] = uniform_runs(4, 1000000000, 7);
-  const usize n = data.size();
-  auto stale = [](usize size, usize capacity) {
-    std::vector<u64> v;
-    v.reserve(capacity);
-    v.assign(size, 0xdeadbeefULL);
-    return v;
-  };
-  for (MergeStrategy m :
-       {MergeStrategy::Auto, MergeStrategy::Tournament, MergeStrategy::Sort}) {
-    const MergeRun ref = run_merge(m, data, counts);
-    EXPECT_EQ(ref.kway, m == MergeStrategy::Sort ? 0u : 1u);
-    for (const auto& [size, capacity] :
-         {std::pair<usize, usize>{0, 0}, {n / 4, n / 2}, {n / 2, n},
-          {n, n}, {n + 100, n + 100}}) {
-      SCOPED_TRACE(::testing::Message() << merge_name(m) << " spare size="
-                                        << size << " capacity=" << capacity);
-      const MergeRun got = run_merge(m, data, counts, stale(size, capacity));
-      ASSERT_EQ(got.out.size(), n);
-      EXPECT_EQ(std::memcmp(got.out.data(), ref.out.data(), n * sizeof(u64)),
-                0);
-      EXPECT_EQ(got.merge_s, ref.merge_s);
+  // give the same bytes, and a spare that can hold the output must hold the
+  // result, whichever buffer the pairwise kernel's last level wrote (odd
+  // and even level counts). The re-sort drops the spare.
+  for (usize k : {2, 3, 4, 5, 8, 16}) {
+    const auto [data, counts] = uniform_runs(k, 1000000000, 7);
+    const usize n = data.size();
+    auto stale = [](usize size, usize capacity) {
+      std::vector<u64> v;
+      v.reserve(capacity);
+      v.assign(size, 0xdeadbeefULL);
+      return v;
+    };
+    for (MergeStrategy m : {MergeStrategy::Auto, MergeStrategy::Tournament,
+                            MergeStrategy::Sort}) {
+      const MergeRun ref = run_merge(m, data, counts);
+      EXPECT_EQ(ref.kway, m == MergeStrategy::Sort ? 0u : 1u);
+      for (const auto& [size, capacity] :
+           {std::pair<usize, usize>{0, 0}, {n / 4, n / 2}, {n / 2, n},
+            {n, n}, {n + 100, n + 100}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << merge_name(m) << " k=" << k << " spare size=" << size
+                     << " capacity=" << capacity);
+        std::vector<u64> spare = stale(size, capacity);
+        const u64* const donated = spare.data();
+        const bool holds = spare.capacity() >= n;
+        const MergeRun got = run_merge(m, data, counts, std::move(spare));
+        ASSERT_EQ(got.out.size(), n);
+        EXPECT_EQ(
+            std::memcmp(got.out.data(), ref.out.data(), n * sizeof(u64)), 0);
+        EXPECT_EQ(got.merge_s, ref.merge_s);
+        if (m != MergeStrategy::Sort && holds) {
+          EXPECT_EQ(got.out.data(), donated);
+        }
+      }
     }
   }
 }

@@ -14,7 +14,11 @@ One entry point replaces the inline python blocks ci.sh used to carry:
 Kinds and their gates (unchanged from the historical ci.sh heredocs):
   local_sort  cell shape incl. each cell's spread (q1 <= median <= q3 over
               its reps); the radix kernel must beat std::sort on uniform
-              u64 at n = 2^20 (the wall-clock claim behind Auto dispatch).
+              u64 at n = 2^20 (the wall-clock claim behind Auto dispatch);
+              the k-way merge cells carry both kernels for u64 and rec64 at
+              k in {2, 4, 16, 64}, and at k = 4 the kernel merge_chunks'
+              width rule runs ("chosen") must be the faster one for both
+              (the claim behind kMergePathMaxBytes).
   exchange    cell shape incl. paired samples, quartiles, wins, thread-CPU
               and per-round k-ary breakdowns; some u64 k-ary cell must beat
               the sort's Alltoallv path (exchange + merge supersteps, P=4)
@@ -81,17 +85,28 @@ def load(path: str):
         fail(f"{path}: {e}")
 
 
+# The k-way merge grid bench_local_sort must cover: both kernels for each
+# of these types at each of these run counts.
+MERGE_TYPES = ("u64", "rec64")
+MERGE_KS = (2, 4, 16, 64)
+
+
 def check_local_sort(path: str) -> None:
     cells = load(path)
     require(isinstance(cells, list) and bool(cells),
             f"{path}: empty or malformed JSON")
     for c in cells:
+        require(c.get("study") in ("sort", "merge"), f"unknown study: {c}")
         for k in ("type", "n", "kernel", "seconds_median", "seconds_q1",
-                  "seconds_q3", "speedup_vs_comparison"):
+                  "seconds_q3"):
             require(k in c, f"missing field {k}: {c}")
         require(0.0 < c["seconds_q1"] <= c["seconds_median"] <=
                 c["seconds_q3"], f"quartiles out of order: {c}")
-    target = [c for c in cells
+    sorts = [c for c in cells if c["study"] == "sort"]
+    for c in sorts:
+        require("speedup_vs_comparison" in c,
+                f"missing field speedup_vs_comparison: {c}")
+    target = [c for c in sorts
               if c["type"] == "u64" and c["n"] == 1 << 20 and
               c["kernel"] == "radix"]
     require(bool(target), "no u64 radix cell at n=2^20")
@@ -100,6 +115,34 @@ def check_local_sort(path: str) -> None:
             f"radix lost to std::sort on u64 at 2^20: {speedup}x")
     print(f"perf smoke OK: radix {speedup:.2f}x faster than std::sort "
           "(u64, n=2^20)")
+
+    merges: dict[tuple[str, int], dict[str, dict]] = {}
+    for c in cells:
+        if c["study"] != "merge":
+            continue
+        for k in ("bytes", "k", "speedup_vs_loser_tree", "chosen"):
+            require(k in c, f"missing field {k}: {c}")
+        require(c["kernel"] in ("pairwise", "loser_tree"),
+                f"unknown merge kernel: {c}")
+        merges.setdefault((c["type"], c["k"]), {})[c["kernel"]] = c
+    for key, pair in merges.items():
+        require(set(pair) == {"pairwise", "loser_tree"},
+                f"merge cell {key} lacks a kernel: {sorted(pair)}")
+        require(pair["pairwise"]["chosen"] != pair["loser_tree"]["chosen"],
+                f"merge cell {key} must choose exactly one kernel")
+    for t in MERGE_TYPES:
+        for k in MERGE_KS:
+            require((t, k) in merges, f"no k-way merge cell for {t} at k={k}")
+        pair = merges[(t, 4)]
+        chosen = next(c for c in pair.values() if c["chosen"])
+        other = next(c for c in pair.values() if not c["chosen"])
+        ratio = other["seconds_median"] / chosen["seconds_median"]
+        require(ratio > 1.0,
+                f"the width rule picks the slower merge kernel for {t} at "
+                f"k=4: {chosen['kernel']} {chosen['seconds_median']:.3g} s "
+                f"vs {other['kernel']} {other['seconds_median']:.3g} s")
+        print(f"merge smoke OK: {t} (k=4) runs {chosen['kernel']}, "
+              f"{ratio:.2f}x faster than {other['kernel']}")
 
 
 # The k-ary claim (DESIGN.md sec. 13): some u64 k-ary cell beats the sort's
