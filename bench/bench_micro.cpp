@@ -97,7 +97,8 @@ void BM_KWayMerge(benchmark::State& state) {
   std::vector<u64> out(k * per);
   auto less = [](u64 a, u64 b) { return a < b; };
   for (auto _ : state) {
-    core::kway_merge_into(std::span<u64>(out), runs[0], rest, less);
+    core::kway_merge_into(std::span<u64>(out), runs[0], rest,
+                          [](u64 x) { return x; }, less);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

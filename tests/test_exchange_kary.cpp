@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -66,11 +67,12 @@ TEST(KArySchedule, KnownShapes) {
 // kway_merge_into unit: merged into a new buffer, as the Tournament
 // strategy does
 
-/// Merge `base` and `chunks` into a newly allocated buffer.
-template <class T, class Less>
+/// Merge `base` and `chunks`, ordered by the key images `key` projects, into
+/// a newly allocated buffer.
+template <class T, class Key>
 std::vector<T> kway_merge_new(const std::vector<T>& base,
                               const std::vector<std::vector<T>>& chunks,
-                              Less less) {
+                              Key key) {
   std::vector<std::span<const T>> views;
   usize total = base.size();
   for (const auto& c : chunks) {
@@ -79,7 +81,8 @@ std::vector<T> kway_merge_new(const std::vector<T>& base,
   }
   std::vector<T> out(total);
   kway_merge_into(std::span<T>(out), std::span<const T>(base),
-                  std::span<const std::span<const T>>(views), less);
+                  std::span<const std::span<const T>>(views), key,
+                  std::less<>());
   return out;
 }
 
@@ -88,7 +91,6 @@ TEST(KWayMerge, MergesAndKeepsRunOrderOnTies) {
     u64 key;
     u64 origin;  // which run the element came from
   };
-  auto less = [](const Rec& a, const Rec& b) { return a.key < b.key; };
   // Base run and three chunks with overlapping and equal keys.
   const std::vector<Rec> base{{1, 0}, {4, 0}, {4, 0}, {9, 0}};
   const std::vector<Rec> c1{{2, 1}, {4, 1}, {10, 1}};
@@ -99,7 +101,8 @@ TEST(KWayMerge, MergesAndKeepsRunOrderOnTies) {
   const std::vector<std::pair<std::vector<Rec>, std::vector<std::vector<Rec>>>>
       shapes{{base, {c1, c2, c3}}, {base, {c1}}, {{}, {c1, c2, c3}}};
   for (const auto& [b, chunks] : shapes) {
-    const std::vector<Rec> out = kway_merge_new(b, chunks, less);
+    const std::vector<Rec> out =
+        kway_merge_new(b, chunks, [](const Rec& r) { return r.key; });
     usize total = b.size();
     for (const auto& c : chunks) total += c.size();
     ASSERT_EQ(out.size(), total);
@@ -132,8 +135,7 @@ TEST(KWayMerge, MatchesStdSortOnRandomRuns) {
       expected.insert(expected.end(), c.begin(), c.end());
     }
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(kway_merge_new(base, chunks,
-                             [](u64 a, u64 b) { return a < b; }),
+    EXPECT_EQ(kway_merge_new(base, chunks, [](u64 x) { return x; }),
               expected)
         << "trial " << trial;
   }
@@ -172,7 +174,8 @@ TEST(KWayMerge, TieFillStopsAtHalfAndKeepsStability) {
   // n = 13: the pivot is chunk 1's median (7); {1, 2} lie below it, and four
   // ties (base's two, then two of chunk 1's) fill segment 0 to 6.
   EXPECT_EQ(cut, (std::vector<usize>{3, 2, 1}));
-  const std::vector<Rec> out = kway_merge_new(base, chunks, less);
+  const std::vector<Rec> out =
+      kway_merge_new(base, chunks, [](const Rec& r) { return r.key; });
   for (usize i = 1; i < out.size(); ++i) {
     EXPECT_LE(out[i - 1].key, out[i].key) << "i=" << i;
     if (out[i - 1].key == out[i].key) {
